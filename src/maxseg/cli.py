@@ -6,15 +6,13 @@ Exit codes: 0 success, 1 parse/numeric error, 2 no feasible segment.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import IO, List, Optional, Tuple
+from typing import IO, Iterator, List, Optional, Tuple
 
 from .bio import MappingSpec, compress_runs, map_to_sequence, parse_fasta, parse_tsv
 from .core import (
@@ -54,14 +52,6 @@ def _read_input(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("MAXSEG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +106,23 @@ def _dump_structures(seq: WeightedSequence, L_scaled, err: IO[str]) -> None:
     initialize_max_width(seq, 1, seq.n, bounds).dump_tsv(err)
 
 
+def _load_records(args, whint: int) -> Iterator[Tuple[str, WeightedSequence]]:
+    """Yield (record id, sequence) one record at a time: FASTA records are
+    mapped only when asked for, so a caller that drops each sequence before
+    the next holds one at a time."""
+    text = _read_input(args.input)
+    if args.format == "tsv":
+        if args.mapping != "gc":
+            raise ValueError("--mapping applies to FASTA input only")
+        yield "r1", parse_tsv(text, weight_scale_hint=whint)
+        return
+    spec = _mapping_from_flag(args.mapping)
+    records = parse_fasta(text)
+    del text
+    for rec in records:
+        yield rec.id, map_to_sequence(rec, spec, strict=args.strict, weight_scale=whint)
+
+
 def cmd_find(args, out: IO[str], err: IO[str]) -> int:
     L_dec = _parse_decimal(args.L, "--L")
     if L_dec <= 0:
@@ -131,52 +138,31 @@ def cmd_find(args, out: IO[str], err: IO[str]) -> int:
         width_digits = max(width_digits, decimal_places(U_dec))
     whint = 10 ** min(width_digits, SCALE_CAP_DIGITS)
 
-    text = _read_input(args.input)
-    records: List[Tuple[str, WeightedSequence]] = []
-    if args.format == "fasta":
-        spec = _mapping_from_flag(args.mapping)
-        for rec in parse_fasta(text):
-            records.append((
-                rec.id,
-                map_to_sequence(rec, spec, strict=args.strict, weight_scale=whint),
-            ))
-    else:
-        if args.mapping != "gc":
-            raise ValueError("--mapping applies to FASTA input only")
-        records.append(("r1", parse_tsv(text, weight_scale_hint=whint)))
-    if args.compress:
-        records = [(rid, compress_runs(seq)) for rid, seq in records]
-
-    def run_one(entry):
-        rid, seq = entry
+    rows: List[str] = []
+    notes: List[str] = []
+    for rid, seq in _load_records(args, whint):
+        if args.compress:
+            seq = compress_runs(seq)
         L_scaled = to_scaled_int(L_dec, seq.weight_scale)
         U_scaled = None if U_dec is None else to_scaled_int(U_dec, seq.weight_scale)
         try:
             seg = solve(SolveRequest(seq, L_scaled, U_scaled))
         except InfeasibleWidthWindow as exc:
-            return rid, seq, None, exc
-        return rid, seq, seg, None
-
-    workers = _thread_count()
-    if workers > 1 and len(records) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, records))
-    else:
-        results = [run_one(entry) for entry in records]
-
-    out.write(REPORT_HEADER + "\n")
-    infeasible = False
-    for rid, seq, seg, exc in results:
-        if exc is not None:
-            infeasible = True
-            err.write(f"record {rid!r}: InfeasibleWidthWindow: {exc}\n")
-            continue
-        out.write(SegmentReport.from_segment(rid, seq, seg, args.exact).line() + "\n")
-    if args.debug_dump:
-        for rid, seq, seg, exc in results:
+            notes.append(f"record {rid!r}: InfeasibleWidthWindow: {exc}\n")
+        else:
+            rows.append(SegmentReport.from_segment(rid, seq, seg, args.exact).line())
+        if args.debug_dump:
             err.write(f"# record {rid!r}\n")
-            _dump_structures(seq, to_scaled_int(L_dec, seq.weight_scale), err)
-    return 2 if infeasible else 0
+            _dump_structures(seq, L_scaled, err)
+        del seq  # release this record's sequence before the next one is mapped
+
+    # Rows are written only once every record has been read, so an input
+    # error in a later record leaves stdout empty.
+    out.write(REPORT_HEADER + "\n")
+    for row in rows:
+        out.write(row + "\n")
+    err.writelines(notes)
+    return 2 if notes else 0
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +263,8 @@ def _bench_instance(rng: random.Random, n: int, algo: str) -> WeightedSequence:
     return build_sequence([(rng.randint(0, 9), 1) for _ in range(n)])
 
 
-def bench_once(seq: WeightedSequence, algo: str, L: int, U: int, fast) -> Tuple[int, int]:
+def bench_once(seq: WeightedSequence, algo: str, L: int, U: int,
+               fast: bool) -> Tuple[int, int]:
     """One timed run; returns (wall nanoseconds, loop iterations)."""
     counters = OpCounters()
     t0 = time.perf_counter_ns()
@@ -296,7 +283,7 @@ def bench_once(seq: WeightedSequence, algo: str, L: int, U: int, fast) -> Tuple[
 
 
 def cmd_bench(args, out: IO[str], err: IO[str]) -> int:
-    fast = {"auto": "auto", "pure": False, "fast": True}[args.path]
+    fast = args.path == "auto"
     out.write("algo,n,L,U,wall_nanos,loop_iterations\n")
     for n in _bench_sizes(args.sizes):
         rng = random.Random(args.seed)
@@ -364,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--L", type=int, default=None)
     p_bench.add_argument("--U", type=int, default=None)
-    p_bench.add_argument("--path", choices=["auto", "pure", "fast"], default="auto")
+    p_bench.add_argument("--path", choices=["auto", "pure"], default="auto")
     return parser
 
 

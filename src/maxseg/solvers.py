@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple
 
 from . import fastpath
 from .core import (
@@ -39,9 +39,6 @@ from .errors import (
 )
 from .sweep_left import find_match_min_width, initialize_min_width
 from .sweep_right import find_match_max_width, initialize_max_width
-
-FastFlag = Union[bool, str]  # True / False / "auto"
-
 
 @dataclass(frozen=True)
 class BlockId:
@@ -119,8 +116,7 @@ def _finalize(seq: WeightedSequence, i: int, g: int, lo: int) -> Segment:
 # ---------------------------------------------------------------------------
 
 
-def sliding_window(seq: WeightedSequence, L: Number,
-                   *, counters: Optional[OpCounters] = None) -> Segment:
+def sliding_window(seq: WeightedSequence, L: Number) -> Segment:
     """Densest window of exactly L items over unit weights; ties take the
     smallest start.  Non-integral L admits no window at all."""
     if not seq.is_uniform:
@@ -151,12 +147,13 @@ def max_density_min_width(
     L: Number,
     *,
     counters: Optional[OpCounters] = None,
-    fast: FastFlag = "auto",
+    fast: bool = True,
 ) -> Segment:
     """Densest segment of width at least L, in O(n).
 
     Left indices are processed right to left; each asks the sweep structure
-    for its best endpoint, and the best recorded pair wins.
+    for its best endpoint, and the best recorded pair wins.  Input the numpy
+    backend accepts goes there unless fast is False.
     """
     n = seq.n
     if seq.prefix_weight[n] < L:
@@ -197,7 +194,7 @@ def max_density_uniform(
     U: Number,
     *,
     counters: Optional[OpCounters] = None,
-    fast: FastFlag = "auto",
+    fast: bool = True,
 ) -> Segment:
     """Densest segment of L..U items over unit weights, in O(n).
 
@@ -205,7 +202,8 @@ def max_density_uniform(
     feasible endpoint range of any left index has U - L + 1 indices, hence
     overlaps exactly two blocks: the low part is searched with the block's
     min-width structure, the high part with the next block's max-width
-    structure.
+    structure.  Input the numpy backend accepts goes there unless fast is
+    False.
     """
     if not seq.is_uniform:
         raise NonUniformInput("uniform solver requires unit weights")
@@ -215,7 +213,7 @@ def max_density_uniform(
     if Lc > Uc:
         raise InfeasibleWidthWindow(f"no item count in [{L!r}, {U!r}] fits {n} items")
     if Lc == Uc:
-        return sliding_window(seq, Lc, counters=counters)
+        return sliding_window(seq, Lc)
     c = counters if counters is not None else OpCounters()
 
     if fast:
@@ -227,7 +225,6 @@ def max_density_uniform(
     i0 = bounds.i0
     assert i0 is not None
     lidx = bounds.lidx
-    uidx = bounds.uidx
     size = Uc - Lc
     blocks_l = []
     blocks_u = []
@@ -430,10 +427,10 @@ def _as_unit_weights(piece: WeightedSequence) -> WeightedSequence:
 
 
 def _solve_piece(piece: WeightedSequence, L: Number, U: Optional[Number],
-                 counters: Optional[OpCounters], fast: FastFlag) -> Segment:
+                 counters: Optional[OpCounters]) -> Segment:
     total = piece.prefix_weight[piece.n]
     if U is None or U >= total:
-        return max_density_min_width(piece, L, counters=counters, fast=fast)
+        return max_density_min_width(piece, L, counters=counters)
     if piece.min_weight == piece.max_weight:
         # All-equal weights reduce to the uniform model on item counts.
         cw = piece.min_weight
@@ -450,10 +447,7 @@ def _solve_piece(piece: WeightedSequence, L: Number, U: Optional[Number],
                 f"no item count puts the width inside [{L!r}, {U!r}]"
             )
         unit = piece if cw == 1 else _as_unit_weights(piece)
-        if lc == uc:
-            seg = sliding_window(unit, lc, counters=counters)
-        else:
-            seg = max_density_uniform(unit, lc, uc, counters=counters, fast=fast)
+        seg = max_density_uniform(unit, lc, uc, counters=counters)
         if cw == 1:
             return seg
         return Segment(seg.start, seg.end, DensityValue(
@@ -463,8 +457,7 @@ def _solve_piece(piece: WeightedSequence, L: Number, U: Optional[Number],
     return max_density_general(piece, L, U, counters=counters)
 
 
-def solve(req: SolveRequest, *, counters: Optional[OpCounters] = None,
-          fast: FastFlag = "auto") -> Segment:
+def solve(req: SolveRequest, *, counters: Optional[OpCounters] = None) -> Segment:
     """Dispatching entry point.
 
     Splits the sequence at items wider than U, routes every piece to the
@@ -477,7 +470,7 @@ def solve(req: SolveRequest, *, counters: Optional[OpCounters] = None,
         if piece.prefix_weight[piece.n] < L:
             continue
         try:
-            seg = _solve_piece(piece, L, U, counters, fast)
+            seg = _solve_piece(piece, L, U, counters)
         except InfeasibleWidthWindow:
             continue
         if offset:

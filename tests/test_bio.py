@@ -152,7 +152,7 @@ class TestCompressRuns:
             U = rng.randint(L, n)
             orig = brute_force_best(seq, L, U)
             try:
-                comp_seg = solve(SolveRequest(comp, L, U), fast=False)
+                comp_seg = solve(SolveRequest(comp, L, U))
             except InfeasibleWidthWindow:
                 continue
             assert comp_seg.density <= orig.density

@@ -125,16 +125,65 @@ class TestFind:
         assert "index\tpointer\tbucket" in err
         assert "index\tpointer" in err
 
-    def test_multi_record_order_with_threads(self, tmp_path, monkeypatch):
+    def test_multi_record_order_with_threads(self, tmp_path):
         path = tmp_path / "multi.fa"
         path.write_text(">a\nGGGG\n>b\nATAT\n>c\nGCGC\n")
-        monkeypatch.setenv("MAXSEG_THREADS", "3")
         code, out, _ = run_cli(
             ["find", "--input", str(path), "--format", "fasta", "--L", "2", "--U", "4"]
         )
         assert code == 0
         ids = [line.split("\t")[0] for line in out.splitlines()[1:]]
         assert ids == ["a", "b", "c"]
+
+    def test_records_mapped_and_solved_one_at_a_time(self, tmp_path, monkeypatch):
+        path = tmp_path / "multi.fa"
+        path.write_text(">a\nGGGG\n>b\nATAT\n>c\nGCGC\n")
+        mapped = 0
+        seen = []
+        real_map, real_solve = cli.map_to_sequence, cli.solve
+
+        def counting_map(*a, **kw):
+            nonlocal mapped
+            mapped += 1
+            return real_map(*a, **kw)
+
+        def recording_solve(*a, **kw):
+            seen.append(mapped)
+            return real_solve(*a, **kw)
+
+        monkeypatch.setattr(cli, "map_to_sequence", counting_map)
+        monkeypatch.setattr(cli, "solve", recording_solve)
+        code, _, _ = run_cli(
+            ["find", "--input", str(path), "--format", "fasta", "--L", "2", "--U", "4"]
+        )
+        assert code == 0
+        assert seen == [1, 2, 3]  # the k-th solve follows exactly k mappings
+
+    def test_mixed_feasibility_with_debug_dump(self, tmp_path):
+        path = tmp_path / "mixed.fa"
+        path.write_text(">a\nGGCCAT\n>b\nAT\n>c\nGCGCAAAT\n")
+        code, out, err = run_cli(
+            ["find", "--input", str(path), "--format", "fasta",
+             "--L", "3", "--U", "5", "--debug-dump"]
+        )
+        assert code == 2
+        ids = [line.split("\t")[0] for line in out.splitlines()[1:]]
+        assert ids == ["a", "c"]
+        notes = [line for line in err.splitlines() if "InfeasibleWidthWindow" in line]
+        assert len(notes) == 1 and notes[0].startswith("record 'b':")
+        headers = [line for line in err.splitlines() if line.startswith("# record ")]
+        assert headers == ["# record 'a'", "# record 'b'", "# record 'c'"]
+
+    def test_input_error_in_later_record_leaves_stdout_empty(self, tmp_path):
+        path = tmp_path / "late.fa"
+        path.write_text(">a\nGGCCAT\n>b\nAXGT\n")
+        code, out, err = run_cli(
+            ["find", "--input", str(path), "--format", "fasta",
+             "--L", "2", "--strict"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "UnknownSymbol" in err
 
     def test_deterministic_output(self, fasta_file):
         runs = [

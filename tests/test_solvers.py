@@ -300,7 +300,7 @@ class TestSolveDispatch:
             L = rng.randint(1, total)
             U = rng.randint(L, total)
             try:
-                got = solve(SolveRequest(seq, L, U), fast=False).density
+                got = solve(SolveRequest(seq, L, U)).density
             except InfeasibleWidthWindow:
                 got = None
             try:
@@ -316,7 +316,7 @@ class TestSolveDispatch:
         n = len(values)
         L = data.draw(st.integers(1, n))
         U = data.draw(st.integers(L, n))
-        got = solve(SolveRequest(seq, L, U), fast=False)
+        got = solve(SolveRequest(seq, L, U))
         want = brute_force_best(seq, L, U)
         assert got.density == want.density
 
