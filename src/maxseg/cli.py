@@ -218,10 +218,14 @@ def _verify_one(seed: int, model: str, max_n: int, fixed_lu) -> Tuple[bool, str]
 def cmd_verify(args, out: IO[str], err: IO[str]) -> int:
     fixed_lu = None
     if args.L_U != "random":
+        msg = f"--L-U: expected 'random' or 'fixed:L,U' with integers L and U, got {args.L_U!r}"
         if not args.L_U.startswith("fixed:"):
-            raise ValueError(f"--L-U: expected 'random' or 'fixed:L,U', got {args.L_U!r}")
-        parts = args.L_U.split(":", 1)[1].split(",")
-        fixed_lu = (int(parts[0]), int(parts[1]))
+            raise ValueError(msg)
+        try:
+            L_txt, U_txt = args.L_U[len("fixed:"):].split(",")
+            fixed_lu = (int(L_txt), int(U_txt))
+        except ValueError:
+            raise ValueError(msg) from None
     passed = 0
     first_bad: Optional[int] = None
     detail = ""
@@ -263,15 +267,14 @@ def _bench_instance(rng: random.Random, n: int, algo: str) -> WeightedSequence:
     return build_sequence([(rng.randint(0, 9), 1) for _ in range(n)])
 
 
-def bench_once(seq: WeightedSequence, algo: str, L: int, U: int,
-               fast: bool) -> Tuple[int, int]:
-    """One timed run; returns (wall nanoseconds, loop iterations)."""
+def bench_once(seq: WeightedSequence, algo: str, L: int, U: int) -> Tuple[int, int]:
+    """One timed run of a pure sweep; returns (wall nanoseconds, loop iterations)."""
     counters = OpCounters()
     t0 = time.perf_counter_ns()
     if algo == "l-only":
-        max_density_min_width(seq, L, counters=counters, fast=fast)
+        max_density_min_width(seq, L, counters=counters)
     elif algo == "uniform-lu":
-        max_density_uniform(seq, L, U, counters=counters, fast=fast)
+        max_density_uniform(seq, L, U, counters=counters)
     elif algo == "general-lu":
         max_density_general(seq, L, U, counters=counters)
     elif algo == "baseline-logl":
@@ -283,7 +286,6 @@ def bench_once(seq: WeightedSequence, algo: str, L: int, U: int,
 
 
 def cmd_bench(args, out: IO[str], err: IO[str]) -> int:
-    fast = args.path == "auto"
     out.write("algo,n,L,U,wall_nanos,loop_iterations\n")
     for n in _bench_sizes(args.sizes):
         rng = random.Random(args.seed)
@@ -297,7 +299,7 @@ def cmd_bench(args, out: IO[str], err: IO[str]) -> int:
         walls = []
         iters = 0
         for _ in range(args.repeat):
-            wall, iters = bench_once(seq, args.algo, L, U, fast)
+            wall, iters = bench_once(seq, args.algo, L, U)
             walls.append(wall)
         wall_med = int(statistics.median(walls))
         out.write(f"{args.algo},{n},{L},{u_txt},{wall_med},{iters}\n")
@@ -342,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="'random' or 'fixed:L,U'")
     p_verify.add_argument("--seed", type=int, default=0, help="base seed")
 
-    p_bench = sub.add_parser("bench", help="time the solvers and report "
-                             "loop-iteration counters as CSV")
+    p_bench = sub.add_parser("bench", help="time the pure sweep solvers and "
+                             "report loop-iteration counters as CSV")
     p_bench.add_argument("--sizes", required=True, help="comma list, e.g. 1e5,2e5")
     p_bench.add_argument("--algo", required=True,
                          choices=["l-only", "uniform-lu", "general-lu", "baseline-logl"])
@@ -351,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--L", type=int, default=None)
     p_bench.add_argument("--U", type=int, default=None)
-    p_bench.add_argument("--path", choices=["auto", "pure"], default="auto")
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Exact numpy backend for the minimum-width and uniform solvers.
+"""Exact numpy backend for :func:`maxseg.solvers.solve`, all width models.
 
 The pure-Python sweeps are the reference implementations.  This backend finds
 the same segment by Dinkelbach's parametric iteration (Dinkelbach 1967; round
@@ -11,30 +11,42 @@ optimization", FOCS 1992) over int64 prefix arrays ``V`` and ``W``:
   ``j`` pairs with the minimum of ``B`` over its feasible ``k``, and the
   pair of largest gain is the next segment;
 * rounds stop when the largest gain is 0.  ``s/w`` is then optimal, and the
-  optimal segments are the feasible pairs with ``B[k] == B[j]``; the tie
-  rule (smallest start, then smallest end) is read from them with one more
-  window pass, taking maxima of ``B`` over each start's feasible endpoints.
+  optimal segments are the feasible pairs with ``B[k] == B[j]``.
 
-The feasible ``k`` of an endpoint form a fixed-length window in the uniform
-model, answered for all endpoints at once by block prefix and suffix minima
-(van Herk / Gil-Werman), and a prefix of the index line for the
-minimum-width problem, answered by a running minimum.  :func:`eligible`
-admits a sequence only when ``spread * total_width < 2**62`` with
-``spread = 2 * max|prefix value|``.  That bounds ``|B| < 3 * 2**61`` and
-every gain below ``2**63``, so all arithmetic is exact in int64; window
-padding therefore uses the int64 extremes, which no key can reach.
+Endpoint ``j``'s feasible ``k`` are ``lo(j) .. hi(j)``: the starts that leave
+a width in ``[L, U]``.  Both ends never move left as ``j`` grows, in every
+width model; an item wider than U just leaves some windows empty, so the
+sequence needs no split.  Hence the leftmost minimizing ``k`` never moves
+left either, and the tie rule (smallest start, then smallest end) is the
+first endpoint of largest gain paired with the leftmost minimum of its
+window: every other optimal pair has a later endpoint and so a start no
+smaller.  The same choice picks the next segment in every round.
 
-numpy is imported only once a kernel runs, so importing this module (and the
-CLI) stays numpy-free.  The kernels run no sweep and leave the sweep
+Window minima come from one pass over the endpoints in chunks of ``CHUNK``.
+Windows that start at 0 read a running minimum carried from chunk to chunk.
+The others are grouped by length in ``[b, 2b)``, ``b`` a power of two; such
+a window is the union of its first and last ``b`` keys, and a run of ``b``
+keys is the minimum of a block suffix and the next block's prefix in blocks
+of ``b`` (van Herk / Gil-Werman).  Beyond ``V``, ``W`` and ``B`` a round
+needs O(CHUNK + window) scratch memory.
+
+:func:`eligible` admits a sequence only when ``spread * total_width < 2**62``
+with ``spread = 2 * max|prefix value|``.  That bounds ``|B| < 3 * 2**61``
+and every gain below ``2**63``, so all arithmetic is exact in int64; block
+padding therefore uses the int64 maximum, which no key can reach.
+
+numpy is imported only once the kernel runs, so importing this module (and
+the CLI) stays numpy-free.  The kernel runs no sweep and leaves the sweep
 counters untouched; a solve that needs more than ``MAX_ROUNDS`` rounds
-returns None and the caller runs the pure sweep instead.
+returns None and the caller runs the pure sweeps instead.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
-from .core import WeightedSequence
+from .core import Number, WeightedSequence
 
 # Read by callers that record the machine configuration: no kernel in this
 # module is compiled.
@@ -51,9 +63,12 @@ MIN_FAST_N = 4096
 # raises the density; random and C08-shaped inputs converge in a handful.
 MAX_ROUNDS = 64
 
+# Endpoints per chunk of a round; bounds the round's scratch memory.
+CHUNK = 16384
+
 
 def eligible(seq: WeightedSequence) -> bool:
-    """True when the int64 kernels are exact and worthwhile for this sequence."""
+    """True when the int64 kernel is exact and worthwhile for this sequence."""
     if not seq.exact or seq.n < MIN_FAST_N:
         return False
     pv = seq.prefix_value
@@ -64,124 +79,117 @@ def eligible(seq: WeightedSequence) -> bool:
     return spread * total_w < _INT64_PRODUCT_BOUND
 
 
-def _set_keys(B, V, W, s: int, w: int, tmp) -> None:
-    """B = V*w - W*s in place; tmp is a scratch buffer of B's length."""
+def _block_min(B, lo, hi):
+    """min(B[lo[t] .. hi[t]]) for nonempty windows with lo, hi nondecreasing."""
     import numpy as np
 
-    np.multiply(V, w, out=B)
-    np.multiply(W, s, out=tmp)
-    np.subtract(B, tmp, out=B)
+    span = hi - lo  # window length - 1
+    g0, g1 = int(span.min() + 1).bit_length() - 1, int(span.max() + 1).bit_length() - 1
+    out = None if g0 == g1 else np.empty(len(lo), dtype=np.int64)
+    for g in range(g0, g1 + 1):
+        b = 1 << g
+        sel = slice(None) if g0 == g1 else (span >= b - 1) & (span < 2 * b - 1)
+        x, y = lo[sel], hi[sel]
+        if not len(x):
+            continue
+        a = int(x[0])
+        size = -(-(int(y[-1]) + 1 - a) // b) * b
+        line = B[a:a + size]
+        if len(line) < size:  # pad past the end with a key no window takes
+            line = np.full(size, np.iinfo(np.int64).max)
+            line[:len(B) - a] = B[a:]
+        rows = line.reshape(-1, b)
+        pre = np.minimum.accumulate(rows, axis=1).ravel()
+        suf = np.empty_like(pre)
+        np.minimum.accumulate(rows[:, ::-1], axis=1, out=suf.reshape(-1, b)[:, ::-1])
+        x, y = x - a, y - a
+        m = np.minimum(suf[x], pre[x + (b - 1)])
+        np.minimum(m, suf[y - (b - 1)], out=m)
+        np.minimum(m, pre[y], out=m)
+        if out is None:
+            return m
+        out[sel] = m
+    return out
 
 
-def _block_scan(line, m: int, op, pre, suf) -> None:
-    """Blockwise running ``op`` over blocks of m: pre left to right, suf right
-    to left.  The reduction of line[a .. a+m-1] is then op(suf[a], pre[a+m-1])."""
-    rows = line.reshape(-1, m)
-    op.accumulate(rows, axis=1, out=pre.reshape(-1, m))
-    op.accumulate(rows[:, ::-1], axis=1, out=suf.reshape(-1, m)[:, ::-1])
-
-
-def min_width(seq: WeightedSequence, L: int) -> Optional[Tuple[int, int]]:
-    """Densest segment of width at least L as (start, end) under the tie rule;
-    None when the sequence is not eligible or the rounds run out."""
+def best(seq: WeightedSequence, L: Number,
+         U: Optional[Number] = None) -> Optional[Tuple[int, int]]:
+    """Densest segment of width in [L, U] (U=None: unbounded) as (start, end)
+    under the tie rule; None when the sequence is not eligible, no segment is
+    feasible or the rounds run out."""
     if not eligible(seq):
         return None
+    n = seq.n
+    total = seq.prefix_weight[n]
+    # Widths are integers, so [L, U] admits the same segments as its integer
+    # part; a U at or above the total width bounds nothing.
+    if L > total or (U is not None and U < math.ceil(L)):
+        return None
+    L = math.ceil(L)
+    U = None if U is None or U >= total else math.floor(U)
     import numpy as np
 
-    n = seq.n
-    V = np.array(seq.prefix_value, dtype=np.int64)
-    W = np.array(seq.prefix_weight, dtype=np.int64)
-    # Endpoint j0 + t pairs with k in [0, hi[t]]: the widest k leaving width >= L.
-    j0 = int(np.searchsorted(W, L))
-    hi = np.searchsorted(W, W[j0:] - L, side="right") - 1
+    V = np.fromiter(seq.prefix_value, dtype=np.int64, count=n + 1)
+    if seq.is_uniform:
+        W = np.arange(n + 1, dtype=np.int64)
+    else:
+        W = np.fromiter(seq.prefix_weight, dtype=np.int64, count=n + 1)
 
-    # Start from the densest shortest-feasible segment; float only picks it.
-    dens = (V[j0:] - V[hi]) / (W[j0:] - W[hi])
-    t = int(np.argmax(dens))
-    del dens
-    j, k = j0 + t, int(hi[t])
+    def windows():
+        """(j0, lo, hi) per chunk of endpoints j0, j0+1, ... with some k."""
+        for j0 in range(int(np.searchsorted(W, L)), n + 1, CHUNK):
+            j1 = min(j0 + CHUNK, n + 1)
+            if seq.is_uniform:
+                hi = np.arange(j0 - L, j1 - L)
+                lo = np.maximum(hi - (U - L), 0) if U is not None else np.zeros_like(hi)
+            else:
+                hi = np.searchsorted(W, W[j0:j1] - L, side="right") - 1
+                lo = np.searchsorted(W, W[j0:j1] - U) if U is not None else np.zeros_like(hi)
+            yield j0, lo, hi
+
+    # Start from the densest shortest feasible segment; float only picks it.
+    pick = -math.inf
+    for j0, lo, hi in windows():
+        js = slice(j0, j0 + len(hi))
+        dens = (V[js] - V[hi]) / (W[js] - W[hi])
+        dens[hi < lo] = -math.inf
+        t = int(np.argmax(dens))
+        if dens[t] > pick:
+            pick, k, j = dens[t], int(hi[t]), j0 + t
+    if pick == -math.inf:
+        return None
 
     B = np.empty(n + 1, dtype=np.int64)
-    M = np.empty(n + 1, dtype=np.int64)
-    gain = np.empty(n + 1 - j0, dtype=np.int64)
     for _ in range(MAX_ROUNDS):
         s, w = int(V[j] - V[k]), int(W[j] - W[k])
-        _set_keys(B, V, W, s, w, M)
-        np.minimum.accumulate(B, out=M)
-        np.take(M, hi, out=gain)
-        np.subtract(B[j0:], gain, out=gain)
-        t = int(np.argmax(gain))
-        if gain[t] == 0:
-            break
-        j = j0 + t
-        k = int(np.argmin(B[:hi[t] + 1]))
-    else:
-        return None
-
-    # Tie rule: the first k some feasible j matches, i.e. with
-    # max(B[jlo[k]:]) == B[k] (it is never larger once converged).
-    del gain, hi
-    np.maximum.accumulate(B[::-1], out=M[::-1])
-    kmax = int(np.searchsorted(W, W[n] - L, side="right")) - 1
-    jlo = np.searchsorted(W, W[:kmax + 1] + L)
-    k = int(np.argmax(M[jlo] >= B[:kmax + 1]))
-    lo = int(jlo[k])
-    j = lo + int(np.argmax(B[lo:] == B[k]))
-    return k + 1, j
-
-
-def uniform(seq: WeightedSequence, Lc: int, Uc: int) -> Optional[Tuple[int, int]]:
-    """Densest segment of Lc..Uc unit-weight items (Lc < Uc <= n) as
-    (start, end) under the tie rule; None when the sequence is not eligible
-    or the rounds run out."""
-    if not seq.is_uniform or not eligible(seq):
-        return None
-    import numpy as np
-
-    n = seq.n
-    m = Uc - Lc + 1
-    V = np.array(seq.prefix_value, dtype=np.int64)
-    W = np.arange(n + 1, dtype=np.int64)
-    # Keys sit at offset m-1 of a padded line cut into blocks of m.  Endpoint
-    # j's feasible k = j-Uc .. j-Lc are then line[j-Lc .. j-Lc+m-1], and
-    # start k's feasible endpoints k+Lc .. k+Uc are line[k+Lc+m-1 ..
-    # k+Uc+m-1]; the line is long enough for both.
-    size = -(-(n + 2 * m - 1) // m) * m
-    line = np.empty(size, dtype=np.int64)
-    B = line[m - 1:m + n]
-    pre = np.empty(size, dtype=np.int64)
-    suf = np.empty(size, dtype=np.int64)
-    ends = n - Lc + 1  # endpoints Lc .. n, and starts k = 0 .. n-Lc
-    gain = suf[:ends]
-
-    # Start from the densest window of exactly Lc items (exact: equal widths).
-    k = int(np.argmax(V[Lc:] - V[:-Lc]))
-    j = k + Lc
-    top = np.iinfo(np.int64).max
-    for _ in range(MAX_ROUNDS):
-        s, w = int(V[j] - V[k]), j - k
-        _set_keys(B, V, W, s, w, pre[:n + 1])
-        line[:m - 1] = top
-        line[m + n:] = top
-        _block_scan(line, m, np.minimum, pre, suf)
-        np.minimum(gain, pre[m - 1:m - 1 + ends], out=gain)
-        np.subtract(B[Lc:], gain, out=gain)
-        t = int(np.argmax(gain))
-        if gain[t] == 0:
-            break
-        j = t + Lc
-        lo = max(0, j - Uc)
-        k = lo + int(np.argmin(B[lo:j - Lc + 1]))
-    else:
-        return None
-
-    # Tie rule: the first k whose endpoint window holds a key equal to B[k]
-    # (no key there is larger once converged), then the first such endpoint.
-    line[m + n:] = np.iinfo(np.int64).min
-    _block_scan(line, m, np.maximum, pre, suf)
-    reach = suf[Lc + m - 1:Lc + m - 1 + ends]
-    np.maximum(reach, pre[Lc + 2 * m - 2:Lc + 2 * m - 2 + ends], out=reach)
-    k = int(np.argmax(reach >= B[:ends]))
-    lo, hi = k + Lc, min(k + Uc, n)
-    j = lo + int(np.argmax(B[lo:hi + 1] == B[k]))
-    return k + 1, j
+        for c in range(0, n + 1, CHUNK):
+            np.subtract(V[c:c + CHUNK] * w, W[c:c + CHUNK] * s, out=B[c:c + CHUNK])
+        top = -1  # the current segment's own gain, 0, beats it
+        run_at, run_min = 0, B[0]  # run_min = min(B[:run_at + 1])
+        for j0, lo, hi in windows():
+            ok = hi >= lo
+            full = ok.all()
+            p = int(np.searchsorted(lo, 0, side="right"))  # windows from 0
+            if full and not p:
+                mins = _block_min(B, lo, hi)
+            else:
+                mins = np.empty(len(hi), dtype=np.int64)
+                if p:
+                    run = B[run_at:hi[p - 1] + 1].copy()
+                    run[0] = run_min
+                    np.minimum.accumulate(run, out=run)
+                    mins[:p] = run[hi[:p] - run_at]
+                    run_at, run_min = int(hi[p - 1]), run[-1]
+                rest = ok & (lo > 0)
+                if rest.any():
+                    mins[rest] = _block_min(B, lo[rest], hi[rest])
+            gain = B[j0:j0 + len(hi)] - mins
+            if not full:
+                gain[~ok] = -1
+            t = int(np.argmax(gain))
+            if gain[t] > top:
+                top, j, a, z = int(gain[t]), j0 + t, int(lo[t]), int(hi[t])
+        k = a + int(np.argmin(B[a:z + 1]))
+        if top == 0:
+            return k + 1, j
+    return None

@@ -147,24 +147,16 @@ def max_density_min_width(
     L: Number,
     *,
     counters: Optional[OpCounters] = None,
-    fast: bool = True,
 ) -> Segment:
     """Densest segment of width at least L, in O(n).
 
     Left indices are processed right to left; each asks the sweep structure
-    for its best endpoint, and the best recorded pair wins.  Input the numpy
-    backend accepts goes there unless fast is False.
+    for its best endpoint, and the best recorded pair wins.
     """
     n = seq.n
     if seq.prefix_weight[n] < L:
         raise InfeasibleWidthWindow(f"total width {seq.total_width!r} below L={L!r}")
     c = counters if counters is not None else OpCounters()
-
-    if fast and isinstance(L, int):
-        res = fastpath.min_width(seq, L)
-        if res is not None:
-            return make_segment(seq, *res)
-
     bounds = compute_bounds(seq, L, seq.prefix_weight[n])
     i0 = bounds.i0
     assert i0 is not None
@@ -194,7 +186,6 @@ def max_density_uniform(
     U: Number,
     *,
     counters: Optional[OpCounters] = None,
-    fast: bool = True,
 ) -> Segment:
     """Densest segment of L..U items over unit weights, in O(n).
 
@@ -202,8 +193,7 @@ def max_density_uniform(
     feasible endpoint range of any left index has U - L + 1 indices, hence
     overlaps exactly two blocks: the low part is searched with the block's
     min-width structure, the high part with the next block's max-width
-    structure.  Input the numpy backend accepts goes there unless fast is
-    False.
+    structure.
     """
     if not seq.is_uniform:
         raise NonUniformInput("uniform solver requires unit weights")
@@ -215,12 +205,6 @@ def max_density_uniform(
     if Lc == Uc:
         return sliding_window(seq, Lc)
     c = counters if counters is not None else OpCounters()
-
-    if fast:
-        res = fastpath.uniform(seq, Lc, Uc)
-        if res is not None:
-            return make_segment(seq, *res)
-
     bounds = compute_bounds(seq, Lc, Uc)
     i0 = bounds.i0
     assert i0 is not None
@@ -460,11 +444,16 @@ def _solve_piece(piece: WeightedSequence, L: Number, U: Optional[Number],
 def solve(req: SolveRequest, *, counters: Optional[OpCounters] = None) -> Segment:
     """Dispatching entry point.
 
-    Splits the sequence at items wider than U, routes every piece to the
-    algorithm its weight profile admits, and returns the best segment under
-    the global tie rule (smallest start, then smallest end).
+    Input the numpy backend accepts (:func:`fastpath.best`) is solved there
+    in one call on the whole sequence.  Otherwise the sequence is split at
+    items wider than U, every piece goes to the sweep its weight profile
+    admits, and the best segment under the global tie rule (smallest start,
+    then smallest end) wins.
     """
     seq, L, U = req.seq, req.L, req.U
+    res = fastpath.best(seq, L, U)
+    if res is not None:
+        return make_segment(seq, *res)
     best: Optional[Segment] = None
     for offset, piece in _split_heavy(seq, U):
         if piece.prefix_weight[piece.n] < L:

@@ -191,9 +191,9 @@ def _timed_pure(algo, seq, L, U):
     c = OpCounters()
     t0 = time.perf_counter()
     if algo == "l-only":
-        max_density_min_width(seq, L, counters=c, fast=False)
+        max_density_min_width(seq, L, counters=c)
     elif algo == "uniform-lu":
-        max_density_uniform(seq, L, U, counters=c, fast=False)
+        max_density_uniform(seq, L, U, counters=c)
     else:
         max_density_general(seq, L, U, counters=c)
     return time.perf_counter() - t0, c.total()

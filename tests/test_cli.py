@@ -1,10 +1,15 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
 import maxseg.cli as cli
 from maxseg import DensityValue, Segment
 from maxseg.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 def run_cli(argv, monkeypatch=None, stdin=None):
@@ -243,6 +248,14 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("text", ["fixed:5", "fixed:1,2,3", "fixed:a,2", "fixed", "5,6"])
+    def test_malformed_fixed_bounds_rejected(self, text):
+        code, out, err = run_cli(["verify", "--seeds", "2", "--L-U", text])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ValueError: --L-U: ")
+        assert repr(text) in err
+
     def test_mutant_comparator_caught(self, monkeypatch):
         # a broken solver must produce a counterexample seed and exit nonzero
         def mutant(req, **kw):
@@ -257,8 +270,7 @@ class TestVerify:
 class TestBench:
     def test_csv_shape_and_linear_counters(self):
         code, out, _ = run_cli(
-            ["bench", "--sizes", "1e3,2e3", "--algo", "l-only",
-             "--repeat", "2", "--path", "pure"]
+            ["bench", "--sizes", "1e3,2e3", "--algo", "l-only", "--repeat", "2"]
         )
         assert code == 0
         lines = out.splitlines()
@@ -269,6 +281,24 @@ class TestBench:
             n, iters = int(r[1]), int(r[5])
             assert iters <= 4 * n
             assert r[3] == "max"
+
+    def test_times_pure_sweeps_without_numpy(self):
+        # bench times the paper's sweeps at every size: numpy is never
+        # imported, and the loop counters are those of a sweep that ran
+        script = (
+            "import sys, maxseg.cli\n"
+            "code = maxseg.cli.main(['bench', '--sizes', '5000', '--algo', 'uniform-lu'])\n"
+            "assert code == 0\n"
+            "assert 'numpy' not in sys.modules, 'bench imported numpy'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        row = proc.stdout.splitlines()[1].split(",")
+        assert row[:2] == ["uniform-lu", "5000"]
+        assert int(row[5]) > 0
 
     def test_degenerate_size(self):
         code, out, _ = run_cli(["bench", "--sizes", "1", "--algo", "uniform-lu"])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -83,7 +84,7 @@ class TestMaxDensityMinWidth:
             n = rng.randint(1, 60)
             seq = general_seq(rng, n)
             L = rng.randint(1, seq.prefix_weight[n])
-            seg = max_density_min_width(seq, L, fast=False)
+            seg = max_density_min_width(seq, L)
             want = brute_force_best(seq, L, None)
             assert seg.density == want.density
             assert seq.width(seg.start, seg.end) >= L
@@ -122,7 +123,7 @@ class TestMaxDensityUniform:
             seq = uniform_seq(rng, n)
             L = rng.randint(1, n - 1)
             U = rng.randint(L + 1, n)
-            seg = max_density_uniform(seq, L, U, fast=False)
+            seg = max_density_uniform(seq, L, U)
             want = brute_force_best(seq, L, U)
             assert seg.density == want.density
             assert L <= seg.end - seg.start + 1 <= U
@@ -204,7 +205,7 @@ class TestMaxDensityGeneral:
             seq = uniform_seq(rng, n)
             L = rng.randint(1, n - 1)
             U = rng.randint(L + 1, n)
-            a = max_density_uniform(seq, L, U, fast=False)
+            a = max_density_uniform(seq, L, U)
             b = max_density_general(seq, L, U)
             assert a.density == b.density
 
@@ -321,24 +322,68 @@ class TestSolveDispatch:
         assert got.density == want.density
 
 
+def _oracle_pair(seq, L, U=None):
+    """(start, end) of the oracle's tie-rule answer; None when infeasible."""
+    try:
+        seg = brute_force_best(seq, L, U)
+    except InfeasibleWidthWindow:
+        return None
+    return seg.start, seg.end
+
+
+def _heavy_seq(rng, n):
+    """Weights 1..3 with about one item in eight at weight 9 (wider than the
+    U the tests draw, so the pure path splits there)."""
+    return build_sequence([
+        (rng.randint(-9, 9), 9 if rng.random() < 0.125 else rng.randint(1, 3))
+        for _ in range(n)
+    ])
+
+
 class TestFastPathParity:
+    # MIN_FAST_N = 1 sends every instance to the backend; chunks of 1 and 3
+    # endpoints make windows cross chunk boundaries.
+
     def test_uniform_and_min_width_match_pure(self, rng, monkeypatch):
         monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
-        for _ in range(120):
-            n = rng.randint(2, 60)
-            seq = uniform_seq(rng, n)
-            L = rng.randint(1, n - 1)
-            U = rng.randint(L + 1, n)
-            pure = max_density_uniform(seq, L, U, fast=False)
-            fast = max_density_uniform(seq, L, U, fast=True)
-            assert (pure.start, pure.end, pure.density) == (fast.start, fast.end, fast.density)
-        for _ in range(120):
-            n = rng.randint(1, 60)
-            seq = general_seq(rng, n)
-            L = rng.randint(1, seq.prefix_weight[n])
-            pure = max_density_min_width(seq, L, fast=False)
-            fast = max_density_min_width(seq, L, fast=True)
-            assert (pure.start, pure.end, pure.density) == (fast.start, fast.end, fast.density)
+        for chunk in (1, 3, fastpath.CHUNK):
+            monkeypatch.setattr(fastpath, "CHUNK", chunk)
+            for _ in range(60):
+                n = rng.randint(2, 60)
+                seq = uniform_seq(rng, n)
+                L = rng.randint(1, n - 1)
+                U = rng.randint(L + 1, n)
+                want = _oracle_pair(seq, L, U)
+                assert fastpath.best(seq, L, U) == want
+                pure = max_density_uniform(seq, L, U)
+                assert (pure.start, pure.end) == want
+                got = solve(SolveRequest(seq, L, U))
+                assert (got.start, got.end, got.density) == (pure.start, pure.end, pure.density)
+            for _ in range(60):
+                n = rng.randint(1, 60)
+                seq = general_seq(rng, n)
+                L = rng.randint(1, seq.prefix_weight[n])
+                want = _oracle_pair(seq, L)
+                assert fastpath.best(seq, L) == want
+                pure = max_density_min_width(seq, L)
+                assert (pure.start, pure.end) == want
+                got = solve(SolveRequest(seq, L))
+                assert (got.start, got.end, got.density) == (pure.start, pure.end, pure.density)
+            for _ in range(60):
+                # general weights, some items wider than U: no split needed;
+                # half-integral bounds admit the same widths as their integer part
+                n = rng.randint(1, 60)
+                seq = _heavy_seq(rng, n)
+                L = rng.randint(1, 8) - rng.choice((0, 0.5))
+                U = rng.randint(math.ceil(L), 8) + rng.choice((0, 0.5))
+                want = _oracle_pair(seq, L, U)
+                assert fastpath.best(seq, L, U) == want
+                if want is None:
+                    with pytest.raises(InfeasibleWidthWindow):
+                        solve(SolveRequest(seq, L, U))
+                else:
+                    got = solve(SolveRequest(seq, L, U))
+                    assert (got.start, got.end) == want
 
     def test_counters_match_pure(self, rng, monkeypatch):
         # The backend runs no sweep: an answer from it leaves the sweep
@@ -348,19 +393,19 @@ class TestFastPathParity:
         monkeypatch.setattr(fastpath, "MAX_ROUNDS", 1)
         answered = fell_back = 0
         for _ in range(40):
-            n = rng.randint(2, 60)
+            n = rng.randint(3, 60)
             seq = uniform_seq(rng, n)
-            L = rng.randint(1, n - 1)
-            U = rng.randint(L + 1, n)
-            c_pure, c_fast = OpCounters(), OpCounters()
-            max_density_uniform(seq, L, U, counters=c_pure, fast=False)
-            max_density_uniform(seq, L, U, counters=c_fast, fast=True)
-            if fastpath.uniform(seq, L, U) is None:
+            L = rng.randint(1, n - 2)
+            U = rng.randint(L + 1, n - 1)  # below n: solve routes to uniform
+            c_pure, c_solve = OpCounters(), OpCounters()
+            max_density_uniform(seq, L, U, counters=c_pure)
+            solve(SolveRequest(seq, L, U), counters=c_solve)
+            if fastpath.best(seq, L, U) is None:
                 fell_back += 1
-                assert c_fast == c_pure
+                assert c_solve == c_pure
             else:
                 answered += 1
-                assert c_fast == OpCounters()
+                assert c_solve == OpCounters()
         assert answered and fell_back
 
     def test_round_cap_falls_back_to_pure(self, rng, monkeypatch):
@@ -368,20 +413,36 @@ class TestFastPathParity:
         monkeypatch.setattr(fastpath, "MAX_ROUNDS", 1)
         fell_back = 0
         for _ in range(60):
-            n = rng.randint(2, 60)
+            n = rng.randint(3, 60)
             seq = uniform_seq(rng, n)
-            L = rng.randint(1, n - 1)
-            U = rng.randint(L + 1, n)
-            fell_back += fastpath.uniform(seq, L, U) is None
-            pure = max_density_uniform(seq, L, U, fast=False)
-            fast = max_density_uniform(seq, L, U, fast=True)
-            assert (pure.start, pure.end, pure.density) == (fast.start, fast.end, fast.density)
+            L = rng.randint(1, n - 2)
+            U = rng.randint(L + 1, n - 1)
+            fell_back += fastpath.best(seq, L, U) is None
+            pure = max_density_uniform(seq, L, U)
+            got = solve(SolveRequest(seq, L, U))
+            assert (pure.start, pure.end, pure.density) == (got.start, got.end, got.density)
             seq = general_seq(rng, n)
             L = rng.randint(1, seq.prefix_weight[n])
-            fell_back += fastpath.min_width(seq, L) is None
-            pure = max_density_min_width(seq, L, fast=False)
-            fast = max_density_min_width(seq, L, fast=True)
-            assert (pure.start, pure.end, pure.density) == (fast.start, fast.end, fast.density)
+            fell_back += fastpath.best(seq, L) is None
+            pure = max_density_min_width(seq, L)
+            got = solve(SolveRequest(seq, L))
+            assert (pure.start, pure.end, pure.density) == (got.start, got.end, got.density)
+            seq = general_seq(rng, n, whi=3)
+            total = seq.prefix_weight[n]
+            L = rng.randint(1, total - 1)
+            U = rng.randint(max(L, 3), total + 1)
+            fell_back += fastpath.best(seq, L, U) is None
+            try:
+                if U < total:
+                    pure = max_density_general(seq, L, U)
+                else:
+                    pure = max_density_min_width(seq, L)
+            except InfeasibleWidthWindow:
+                with pytest.raises(InfeasibleWidthWindow):
+                    solve(SolveRequest(seq, L, U))
+                continue
+            got = solve(SolveRequest(seq, L, U))
+            assert (pure.start, pure.end, pure.density) == (got.start, got.end, got.density)
         assert fell_back
 
     def test_parity_just_inside_int64_guard(self, rng, monkeypatch):
@@ -390,6 +451,7 @@ class TestFastPathParity:
         # guard admits.  Prefixes are coarse multiples of cap // 4 plus a
         # few units, so densities tie or differ only in the low bits.
         monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
+        monkeypatch.setattr(fastpath, "CHUNK", 3)
 
         def near_guard(weights):
             total = sum(weights)
@@ -410,24 +472,28 @@ class TestFastPathParity:
             seq = near_guard([1] * n)
             L = rng.randint(1, n - 1)
             U = rng.randint(L + 1, n)
-            pure = max_density_uniform(seq, L, U, fast=False)
-            assert fastpath.uniform(seq, L, U) == (pure.start, pure.end)
-            fast = max_density_uniform(seq, L, U, fast=True)
-            assert (pure.start, pure.end, pure.density) == (fast.start, fast.end, fast.density)
+            want = _oracle_pair(seq, L, U)
+            assert fastpath.best(seq, L, U) == want
+            pure = max_density_uniform(seq, L, U)
+            assert (pure.start, pure.end) == want
         for _ in range(150):
             n = rng.randint(1, 60)
             seq = near_guard([rng.randint(1, 4) for _ in range(n)])
-            L = rng.randint(1, seq.prefix_weight[n])
-            pure = max_density_min_width(seq, L, fast=False)
-            assert fastpath.min_width(seq, L) == (pure.start, pure.end)
-            fast = max_density_min_width(seq, L, fast=True)
-            assert (pure.start, pure.end, pure.density) == (fast.start, fast.end, fast.density)
+            total = seq.prefix_weight[n]
+            L = rng.randint(1, total)
+            want = _oracle_pair(seq, L)
+            assert fastpath.best(seq, L) == want
+            pure = max_density_min_width(seq, L)
+            assert (pure.start, pure.end) == want
+            U = rng.randint(L, total)
+            assert fastpath.best(seq, L, U) == _oracle_pair(seq, L, U)
 
     def test_large_values_fall_back_to_pure(self):
         big = 1 << 40
         seq = build_sequence([(big, 1)] * 5000)
         assert not fastpath.eligible(seq)  # spread * width would overflow
-        seg = max_density_min_width(seq, 2)
+        assert fastpath.best(seq, 2) is None
+        seg = solve(SolveRequest(seq, 2))
         assert seg.density == density(seq, 1, 2)
 
 
@@ -438,7 +504,7 @@ class TestBaseline:
             seq = uniform_seq(rng, n)
             L = rng.randint(1, n)
             a = solvers._baseline_min_width_logl(seq, L)
-            b = max_density_min_width(seq, L, fast=False)
+            b = max_density_min_width(seq, L)
             assert a.density == b.density
             assert (a.start, a.end) == (b.start, b.end)
 
@@ -458,7 +524,7 @@ class TestEdgeProfiles:
             seq = build_sequence([(rng.randint(-9, -1), 1) for _ in range(n)])
             L = rng.randint(1, n - 1)
             U = rng.randint(L + 1, n)
-            got = max_density_uniform(seq, L, U, fast=False)
+            got = max_density_uniform(seq, L, U)
             want = brute_force_best(seq, L, U)
             assert got.density == want.density
 
@@ -469,9 +535,10 @@ class TestEdgeProfiles:
             seq = build_sequence([(rng.randint(-9, 3), 1) for _ in range(n)])
             L = rng.randint(1, n - 1)
             U = rng.randint(L + 1, n)
-            pure = max_density_uniform(seq, L, U, fast=False)
-            fast = max_density_uniform(seq, L, U, fast=True)
-            assert (pure.start, pure.end) == (fast.start, fast.end)
+            pure = max_density_uniform(seq, L, U)
+            assert fastpath.best(seq, L, U) == (pure.start, pure.end)
+            got = solve(SolveRequest(seq, L, U))
+            assert (pure.start, pure.end) == (got.start, got.end)
 
     def test_width_bounds_at_total(self):
         seq = build_sequence([(3, 1), (1, 1), (5, 1)])
@@ -501,9 +568,15 @@ class TestEdgeProfiles:
         assert fastpath.eligible(ok)
         too_big = build_sequence([(big * 4 if i == 0 else 0, 1) for i in range(n)])
         assert not fastpath.eligible(too_big)
-        # both still solve identically via auto dispatch
-        a = max_density_min_width(ok, 2)
-        b = max_density_min_width(ok, 2, fast=False)
+        # the backend answers the first, the pure path the second; both
+        # match the oracle (bounded U keeps it linear) and the pure sweep
+        for seq in (ok, too_big):
+            got = solve(SolveRequest(seq, 2, 3))
+            assert (got.start, got.end) == _oracle_pair(seq, 2, 3)
+        assert fastpath.best(ok, 2, 3) is not None
+        assert fastpath.best(too_big, 2, 3) is None
+        a = solve(SolveRequest(ok, 2))
+        b = max_density_min_width(ok, 2)
         assert (a.start, a.end, a.density) == (b.start, b.end, b.density)
 
 
@@ -515,10 +588,10 @@ class TestCounters:
             L = rng.randint(1, n - 1)
             U = rng.randint(L + 1, n)
             c = OpCounters()
-            max_density_min_width(seq, L, counters=c, fast=False)
+            max_density_min_width(seq, L, counters=c)
             assert c.total() <= 4 * n
             c = OpCounters()
-            max_density_uniform(seq, L, U, counters=c, fast=False)
+            max_density_uniform(seq, L, U, counters=c)
             assert c.total() <= 4 * n
 
     def test_general_budget(self, rng):
