@@ -38,11 +38,9 @@ from .errors import (
     MaxsegError,
     NonPositiveWeight,
     NonUniformInput,
-    NumericRange,
     QueryOrderViolation,
     RangeViolation,
     UnknownSymbol,
-    WeightBelowOne,
 )
 from .oracle import brute_force_best, brute_force_partition
 from .solvers import (
@@ -78,14 +76,12 @@ __all__ = [
     "MinWidthSweepState",
     "NonPositiveWeight",
     "NonUniformInput",
-    "NumericRange",
     "OpCounters",
     "QueryOrderViolation",
     "RangeViolation",
     "Segment",
     "SolveRequest",
     "UnknownSymbol",
-    "WeightBelowOne",
     "WeightedItem",
     "WeightedSequence",
     "brute_force_best",

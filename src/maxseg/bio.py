@@ -33,8 +33,7 @@ class MappingSpec:
 
     gc01 scores G/C as 1 and everything else 0.  huang(p) scores G/C as
     1 - p and everything else as -p, for p in [0, 1]; p's decimal digits fix
-    the integer scale so the scoring stays exact.  tsv_weighted marks input
-    that already carries (value, weight) pairs.
+    the integer scale so the scoring stays exact.
     """
 
     kind: str
@@ -52,10 +51,6 @@ class MappingSpec:
             raise ValueError(f"huang p must lie in [0, 1], got {p_dec}")
         scale = 10 ** min(decimal_places(p_dec), SCALE_CAP_DIGITS)
         return cls(kind="huang", p_scaled=to_scaled_int(p_dec, scale), scale=scale)
-
-    @classmethod
-    def tsv_weighted(cls) -> "MappingSpec":
-        return cls(kind="tsvWeighted")
 
 
 def parse_fasta(stream: Union[str, IO[str], Iterable[str]]) -> List[DnaRecord]:
@@ -165,14 +160,13 @@ def compress_runs(seq: WeightedSequence) -> WeightedSequence:
 def parse_tsv(
     stream: Union[str, IO[str], Iterable[str]],
     *,
-    value_scale_hint: int = 1,
     weight_scale_hint: int = 1,
 ) -> WeightedSequence:
     """Weighted TSV: one "value<TAB>weight" item per line, '#' comments.
 
     Decimal columns are scaled onto per-file integer grids (at most 9
-    digits); the hints force a finer grid when the caller's width bounds
-    carry more decimals than the file does.
+    digits); the hint forces a finer weight grid when the caller's width
+    bounds carry more decimals than the file does.
     """
     if isinstance(stream, str):
         stream = stream.splitlines()
@@ -192,7 +186,7 @@ def parse_tsv(
             raise MalformedTsv(lineno, f"not a decimal number: {exc}") from None
     if not values:
         raise MalformedTsv(1, "no items found")
-    vscale = max(pick_scale(values), value_scale_hint)
+    vscale = pick_scale(values)
     wscale = max(pick_scale(weights), weight_scale_hint)
     items = [
         (to_scaled_int(v, vscale), to_scaled_int(w, wscale))

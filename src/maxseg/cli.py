@@ -197,8 +197,6 @@ def _verify_one(seed: int, model: str, max_n: int, fixed_lu) -> Tuple[bool, str]
         seq, L, U = random_general_instance(rng, max_n)
     if fixed_lu is not None:
         L, U = fixed_lu
-        if L > U:
-            return False, "fixed L > U"
     try:
         got = solve(SolveRequest(seq, L, U)).density
     except InfeasibleWidthWindow:
@@ -218,7 +216,7 @@ def _verify_one(seed: int, model: str, max_n: int, fixed_lu) -> Tuple[bool, str]
 def cmd_verify(args, out: IO[str], err: IO[str]) -> int:
     fixed_lu = None
     if args.L_U != "random":
-        msg = f"--L-U: expected 'random' or 'fixed:L,U' with integers L and U, got {args.L_U!r}"
+        msg = f"--L-U: expected 'random' or 'fixed:L,U' with integers 0 < L <= U, got {args.L_U!r}"
         if not args.L_U.startswith("fixed:"):
             raise ValueError(msg)
         try:
@@ -226,6 +224,8 @@ def cmd_verify(args, out: IO[str], err: IO[str]) -> int:
             fixed_lu = (int(L_txt), int(U_txt))
         except ValueError:
             raise ValueError(msg) from None
+        if not 0 < fixed_lu[0] <= fixed_lu[1]:
+            raise ValueError(msg)
     passed = 0
     first_bad: Optional[int] = None
     detail = ""

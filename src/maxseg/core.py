@@ -6,9 +6,10 @@ items i..j inclusive.
 
 Exactness model: integer values and weights (typically decimals scaled onto a
 power-of-ten grid, see :func:`pick_scale`) make every density comparison
-exact, because comparisons cross-multiply instead of dividing.  Float inputs
-are accepted as a documented fallback; comparisons then cross-multiply in
-floating point, which is deterministic but subject to rounding.
+exact, because comparisons cross-multiply Python integers instead of
+dividing; integers of any size are exact.  Float inputs are accepted as a
+documented fallback; comparisons then cross-multiply in floating point, which
+is deterministic but subject to rounding.
 """
 
 from __future__ import annotations
@@ -19,19 +20,9 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import (
-    EmptySequence,
-    IndexOutOfRange,
-    NonPositiveWeight,
-    NumericRange,
-)
+from .errors import EmptySequence, IndexOutOfRange, NonPositiveWeight
 
 Number = Union[int, float]
-
-# Integer prefix sums are kept below this bound so that every cross-multiplied
-# comparison (a product of a segment sum and a segment width) fits comfortably
-# inside a signed 128-bit product.
-SAFE_PREFIX_BOUND = 1 << 62
 
 
 class WeightedItem(NamedTuple):
@@ -176,11 +167,10 @@ def build_sequence(
     value_scale: int = 1,
     weight_scale: int = 1,
 ) -> WeightedSequence:
-    """Build a sequence, validating weights and integer-range safety.
+    """Build a sequence, validating weights.
 
-    Raises NonPositiveWeight for any weight <= 0 (or NaN), EmptySequence for
-    an empty item list, and NumericRange when integer prefix magnitudes would
-    exceed the safe cross-multiplication range.
+    Raises NonPositiveWeight for any weight <= 0 (or NaN) and EmptySequence
+    for an empty item list.  Integer inputs of any magnitude are accepted.
     """
     pv: List[Number] = [0]
     pw: List[Number] = [0]
@@ -205,12 +195,6 @@ def build_sequence(
         pw.append(pw[-1] + w)
     if idx == 0:
         raise EmptySequence("sequence must contain at least one item")
-    if exact:
-        if max(abs(min(pv)), abs(max(pv))) >= SAFE_PREFIX_BOUND or pw[-1] >= SAFE_PREFIX_BOUND:
-            raise NumericRange(
-                "prefix sums exceed the safe cross-multiplication range "
-                f"(|sum| and total width must stay below 2**62)"
-            )
     return WeightedSequence(
         pv,
         pw,
@@ -255,8 +239,6 @@ class FeasibilityBounds:
     lidx: List[Optional[int]]
     uidx: List[int]
     i0: Optional[int]
-    lower_width: Number
-    upper_width: Number
     cursor_advances: int = 0
 
 
@@ -303,14 +285,7 @@ def compute_bounds(seq: WeightedSequence, L: Number, U: Number) -> FeasibilityBo
         lidx[i] = j
         i0 = i
 
-    return FeasibilityBounds(
-        lidx=lidx,
-        uidx=uidx,
-        i0=i0,
-        lower_width=L,
-        upper_width=U,
-        cursor_advances=advances,
-    )
+    return FeasibilityBounds(lidx=lidx, uidx=uidx, i0=i0, cursor_advances=advances)
 
 
 @dataclass
@@ -330,12 +305,6 @@ class OpCounters:
 
     def total(self) -> int:
         return self.init_merges + self.descent_steps + self.bitonic_steps + self.scan_steps
-
-    def add(self, init_merges=0, descent_steps=0, bitonic_steps=0, scan_steps=0):
-        self.init_merges += init_merges
-        self.descent_steps += descent_steps
-        self.bitonic_steps += bitonic_steps
-        self.scan_steps += scan_steps
 
 
 # ----------------------------------------------------------------------------

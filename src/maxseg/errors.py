@@ -21,10 +21,6 @@ class IndexOutOfRange(MaxsegError):
     """A 1-based index or index range fell outside the sequence."""
 
 
-class NumericRange(MaxsegError):
-    """Integer inputs too large for safe cross-multiplied comparisons."""
-
-
 class InfeasibleWidthWindow(MaxsegError):
     """No segment satisfies the requested width bounds."""
 
@@ -42,11 +38,7 @@ class RangeViolation(MaxsegError):
 
 
 class NonUniformInput(MaxsegError):
-    """Operation requires unit weights."""
-
-
-class WeightBelowOne(MaxsegError):
-    """The general solver requires every weight to be at least 1."""
+    """Operation requires equal item weights (unit weights for the benchmark baseline)."""
 
 
 class CapExceeded(MaxsegError):

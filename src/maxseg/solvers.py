@@ -3,10 +3,13 @@
 Three algorithms cover the width-constraint shapes:
 
 * width >= L only: one sweep over a single min-width structure, O(n);
-* unit weights with L < U: fixed blocks of U - L indices, a min-width and a
-  max-width structure per block, O(n);
-* weights >= 1 with L <= U: dyadic blocks at O(log(U - L + 1)) levels, each
-  feasible endpoint range covered by O(log) aligned blocks, O(n log(U-L+1)).
+* equal weights with L < U: the bounds become item counts lc < uc, and fixed
+  blocks of uc - lc indices each get a min-width and a max-width structure,
+  O(n);
+* any positive weights with L <= U: dyadic blocks at O(log s) levels, s the
+  widest feasible endpoint range, each range covered by O(log s) aligned
+  blocks, O(n log s).  Weights >= 1 give s <= U - L + 1, the paper's
+  O(n log(U - L + 1)) bound.
 
 Ties everywhere resolve to the smallest start index, then the smallest end
 index: the candidate pass keeps the smallest maximizing start (candidates
@@ -23,6 +26,7 @@ from typing import Iterator, List, Optional, Tuple
 from . import fastpath
 from .core import (
     DensityValue,
+    FeasibilityBounds,
     Number,
     OpCounters,
     Segment,
@@ -35,7 +39,6 @@ from .errors import (
     IndexOutOfRange,
     InfeasibleWidthWindow,
     NonUniformInput,
-    WeightBelowOne,
 )
 from .sweep_left import find_match_min_width, initialize_min_width
 from .sweep_right import find_match_max_width, initialize_max_width
@@ -112,20 +115,42 @@ def _finalize(seq: WeightedSequence, i: int, g: int, lo: int) -> Segment:
 
 
 # ---------------------------------------------------------------------------
-# L = U: plain sliding window over unit weights.
+# Equal weights: widths are whole multiples of the common weight.
 # ---------------------------------------------------------------------------
 
 
+def _item_counts(seq: WeightedSequence, L: Number, U: Number) -> Tuple[int, int]:
+    """(ceil(L / c), min(floor(U / c), n)) for the common weight c.
+
+    An integer bound over an integer weight divides exactly; any other
+    quotient is taken in floating point, the documented inexact fallback.
+    """
+    if seq.min_weight != seq.max_weight:
+        raise NonUniformInput(
+            f"requires equal weights, found {seq.min_weight!r} to {seq.max_weight!r}"
+        )
+    c = seq.min_weight
+    exact = isinstance(c, int)
+    lc = -(-L // c) if exact and isinstance(L, int) else math.ceil(L / c)
+    uc = U // c if exact and isinstance(U, int) else math.floor(U / c)
+    return max(lc, 1), min(uc, seq.n)
+
+
 def sliding_window(seq: WeightedSequence, L: Number) -> Segment:
-    """Densest window of exactly L items over unit weights; ties take the
-    smallest start.  Non-integral L admits no window at all."""
-    if not seq.is_uniform:
-        raise NonUniformInput("sliding window requires unit weights")
+    """Densest run of items of total width exactly L over equal weights;
+    ties take the smallest start.  An L that is not a whole multiple of the
+    weight admits no window at all."""
+    k, k_max = _item_counts(seq, L, L)
     if not L > 0:
         raise ValueError(f"L must be positive, got {L!r}")
-    k = int(L)
-    if k != L or k > seq.n:
+    if k > k_max:
         raise InfeasibleWidthWindow(f"no window of width exactly {L!r} in {seq.n} items")
+    return _densest_run(seq, k)
+
+
+def _densest_run(seq: WeightedSequence, k: int) -> Segment:
+    """Densest run of exactly k items over equal weights; ties take the
+    smallest start."""
     V = seq.prefix_value
     best_s = V[k] - V[0]
     best_i = 1
@@ -134,7 +159,7 @@ def sliding_window(seq: WeightedSequence, L: Number) -> Segment:
         if s > best_s:
             best_s = s
             best_i = i
-    return Segment(best_i, best_i + k - 1, DensityValue(best_s, k))
+    return make_segment(seq, best_i, best_i + k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +201,7 @@ def max_density_min_width(
 
 
 # ---------------------------------------------------------------------------
-# Unit weights, L < U: fixed blocks of U - L indices.
+# Equal weights, L < U: fixed blocks of Uc - Lc indices.
 # ---------------------------------------------------------------------------
 
 
@@ -187,34 +212,40 @@ def max_density_uniform(
     *,
     counters: Optional[OpCounters] = None,
 ) -> Segment:
-    """Densest segment of L..U items over unit weights, in O(n).
+    """Densest segment of width in [L, U] over equal weights, in O(n).
 
-    The index line is tiled with blocks of exactly U - L indices.  The
-    feasible endpoint range of any left index has U - L + 1 indices, hence
-    overlaps exactly two blocks: the low part is searched with the block's
-    min-width structure, the high part with the next block's max-width
-    structure.
+    With common weight c the width bounds are the item counts
+    Lc = ceil(L / c) .. Uc = floor(U / c), so the feasible endpoints of
+    left index i are i + Lc - 1 .. i + Uc - 1.  The index line is tiled with
+    blocks of exactly Uc - Lc indices; each feasible endpoint range has
+    Uc - Lc + 1 indices, hence overlaps exactly two blocks: the low part is
+    searched with the block's min-width structure, the high part with the
+    next block's max-width structure.
     """
-    if not seq.is_uniform:
-        raise NonUniformInput("uniform solver requires unit weights")
     n = seq.n
-    Lc = math.ceil(L)
-    Uc = min(math.floor(U), n)
+    Lc, Uc = _item_counts(seq, L, U)
+    if not L > 0:
+        raise ValueError(f"L must be positive, got {L!r}")
     if Lc > Uc:
-        raise InfeasibleWidthWindow(f"no item count in [{L!r}, {U!r}] fits {n} items")
+        raise InfeasibleWidthWindow(f"no item count puts the width inside [{L!r}, {U!r}]")
     if Lc == Uc:
-        return sliding_window(seq, Lc)
+        # One item count fits.  Pass the count itself unless L = U, since
+        # Lc * c need not be exact for float weights.
+        return sliding_window(seq, L) if L == U else _densest_run(seq, Lc)
     c = counters if counters is not None else OpCounters()
-    bounds = compute_bounds(seq, Lc, Uc)
-    i0 = bounds.i0
-    assert i0 is not None
+    i0 = n - Lc + 1
+    bounds = FeasibilityBounds(
+        lidx=[None, *range(Lc, n + 1)] + [None] * (Lc - 1),
+        uidx=[0, *range(Uc, n + 1)] + [n] * (Uc - 1),
+        i0=i0,
+    )
     lidx = bounds.lidx
     size = Uc - Lc
     blocks_l = []
     blocks_u = []
     for xs in range(1, n + 1, size):
         ys = min(n, xs + size - 1)
-        blocks_l.append(initialize_min_width(seq, xs, ys, Lc, bounds, counters=c))
+        blocks_l.append(initialize_min_width(seq, xs, ys, L, bounds, counters=c))
         blocks_u.append(initialize_max_width(seq, xs, ys, bounds, counters=c))
 
     V = seq.prefix_value
@@ -285,7 +316,7 @@ def collect_blocks(p: int, q: int, beta: int, n: int) -> List[BlockId]:
 
 
 # ---------------------------------------------------------------------------
-# Weights >= 1, L <= U: dyadic blocks at every level.
+# Any positive weights, L <= U: dyadic blocks at every level.
 # ---------------------------------------------------------------------------
 
 
@@ -296,18 +327,14 @@ def max_density_general(
     *,
     counters: Optional[OpCounters] = None,
 ) -> Segment:
-    """Densest segment of width in [L, U] for weights >= 1.
+    """Densest segment of width in [L, U] for any positive weights.
 
     Builds a min-width structure per dyadic block at every level up to beta,
     then covers each left index's feasible endpoint range with O(beta)
-    aligned blocks and queries each.  Runs in O(n * (beta + 1)) with
-    beta <= log2(U - L + 1); beta is derived from the widest feasible
-    endpoint range actually present, which can only shrink it.
+    aligned blocks and queries each.  beta = floor(log2(s)) for s the widest
+    feasible endpoint range present, so the cost is O(n log s), where
+    s <= n always and s <= U - L + 1 when every weight is at least 1.
     """
-    if seq.min_weight < 1:
-        raise WeightBelowOne(
-            f"general solver requires weights >= 1, found {seq.min_weight!r}"
-        )
     if not 0 < L <= U:
         raise ValueError(f"need 0 < L <= U, got L={L!r} U={U!r}")
     n = seq.n
@@ -402,42 +429,12 @@ def _split_heavy(seq: WeightedSequence, U: Optional[Number]):
     return pieces
 
 
-def _as_unit_weights(piece: WeightedSequence) -> WeightedSequence:
-    return build_sequence(
-        [(piece.value(i), 1) for i in range(1, piece.n + 1)],
-        value_scale=piece.value_scale,
-        weight_scale=piece.weight_scale,
-    )
-
-
 def _solve_piece(piece: WeightedSequence, L: Number, U: Optional[Number],
                  counters: Optional[OpCounters]) -> Segment:
-    total = piece.prefix_weight[piece.n]
-    if U is None or U >= total:
+    if U is None or U >= piece.prefix_weight[piece.n]:
         return max_density_min_width(piece, L, counters=counters)
     if piece.min_weight == piece.max_weight:
-        # All-equal weights reduce to the uniform model on item counts.
-        cw = piece.min_weight
-        if isinstance(cw, int) and isinstance(L, int) and isinstance(U, int):
-            lc = -(-L // cw)
-            uc = U // cw
-        else:
-            lc = math.ceil(L / cw)
-            uc = math.floor(U / cw)
-        lc = max(lc, 1)
-        uc = min(uc, piece.n)
-        if lc > uc:
-            raise InfeasibleWidthWindow(
-                f"no item count puts the width inside [{L!r}, {U!r}]"
-            )
-        unit = piece if cw == 1 else _as_unit_weights(piece)
-        seg = max_density_uniform(unit, lc, uc, counters=counters)
-        if cw == 1:
-            return seg
-        return Segment(seg.start, seg.end, DensityValue(
-            piece.prefix_value[seg.end] - piece.prefix_value[seg.start - 1],
-            piece.prefix_weight[seg.end] - piece.prefix_weight[seg.start - 1],
-        ))
+        return max_density_uniform(piece, L, U, counters=counters)
     return max_density_general(piece, L, U, counters=counters)
 
 

@@ -248,7 +248,7 @@ class TestVerify:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("text", ["fixed:5", "fixed:1,2,3", "fixed:a,2", "fixed", "5,6"])
+    @pytest.mark.parametrize("text", ["fixed:5", "fixed:1,2,3", "fixed:a,2", "fixed", "5,6", "fixed:5,2"])
     def test_malformed_fixed_bounds_rejected(self, text):
         code, out, err = run_cli(["verify", "--seeds", "2", "--L-U", text])
         assert code == 1

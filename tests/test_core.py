@@ -8,14 +8,16 @@ from maxseg import (
     DensityValue,
     EmptySequence,
     IndexOutOfRange,
+    InfeasibleWidthWindow,
     NonPositiveWeight,
-    NumericRange,
+    SolveRequest,
+    brute_force_best,
     build_sequence,
     compute_bounds,
     density,
+    solve,
 )
 from maxseg.core import (
-    SAFE_PREFIX_BOUND,
     decimal_places,
     density_decimal_str,
     format_scaled,
@@ -53,14 +55,31 @@ class TestBuildSequence:
         with pytest.raises(EmptySequence):
             build_sequence([])
 
-    def test_numeric_range_guard(self):
-        with pytest.raises(NumericRange):
-            build_sequence([(SAFE_PREFIX_BOUND, 1)])
-        with pytest.raises(NumericRange):
-            build_sequence([(0, SAFE_PREFIX_BOUND)])
-        # floats are the documented inexact fallback: no integer guard
-        seq = build_sequence([(float(SAFE_PREFIX_BOUND), 1.0)])
-        assert not seq.exact
+    def test_big_integers_exact(self, rng):
+        big = 1 << 62
+        seq = build_sequence([(big, 1), (-big, big), (big + 1, 3)])
+        assert seq.exact
+        assert seq.prefix_value == [0, big, 0, big + 1]
+        assert seq.prefix_weight == [0, 1, big + 1, big + 4]
+        for _ in range(60):
+            shift = rng.choice((62, 63, 100, 200))
+            n = rng.randint(1, 14)
+            seq = build_sequence([
+                ((rng.randint(-9, 9) << shift) + rng.randint(-1, 1),
+                 rng.randint(1, 3) << rng.choice((0, shift)))
+                for _ in range(n)
+            ])
+            total = seq.prefix_weight[n]
+            L = rng.randint(1, total)
+            U = rng.choice((None, rng.randint(L, total)))
+            try:
+                got = solve(SolveRequest(seq, L, U))
+            except InfeasibleWidthWindow:
+                with pytest.raises(InfeasibleWidthWindow):
+                    brute_force_best(seq, L, U)
+                continue
+            want = brute_force_best(seq, L, U)
+            assert (got.start, got.end, got.density) == (want.start, want.end, want.density)
 
     def test_item_recovery_and_flags(self):
         seq = build_sequence([(2, 1), (-5, 3)])

@@ -11,7 +11,6 @@ from maxseg import (
     NonUniformInput,
     OpCounters,
     SolveRequest,
-    WeightBelowOne,
     brute_force_best,
     build_sequence,
     collect_blocks,
@@ -48,7 +47,7 @@ class TestSlidingWindow:
 
     def test_requires_unit_weights(self):
         with pytest.raises(NonUniformInput):
-            sliding_window(build_sequence([(1, 2)]), 2)
+            sliding_window(build_sequence([(1, 1), (1, 2)]), 2)
 
     def test_tie_takes_smallest_start(self):
         seq = build_sequence([(1, 1), (1, 1), (1, 1)])
@@ -111,7 +110,7 @@ class TestMaxDensityUniform:
 
     def test_requires_unit_weights(self):
         with pytest.raises(NonUniformInput):
-            max_density_uniform(build_sequence([(1, 2), (1, 2)]), 1, 2)
+            max_density_uniform(build_sequence([(1, 1), (1, 2)]), 1, 2)
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleWidthWindow):
@@ -127,6 +126,21 @@ class TestMaxDensityUniform:
             want = brute_force_best(seq, L, U)
             assert seg.density == want.density
             assert L <= seg.end - seg.start + 1 <= U
+        # equal weights c: the bounds become item counts ceil(L/c)..floor(U/c)
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            c = rng.randint(2, 5)
+            seq = build_sequence([(rng.randint(-9, 9), c) for _ in range(n)])
+            L = rng.randint(1, c * n) + rng.choice((0, 0.5))
+            U = rng.randint(math.ceil(L), c * n + 3) + rng.choice((0, 0.5))
+            try:
+                seg = max_density_uniform(seq, L, U)
+            except InfeasibleWidthWindow:
+                with pytest.raises(InfeasibleWidthWindow):
+                    brute_force_best(seq, L, U)
+                continue
+            want = brute_force_best(seq, L, U)
+            assert (seg.start, seg.end, seg.density) == (want.start, want.end, want.density)
 
 
 class TestCollectBlocks:
@@ -178,9 +192,23 @@ class TestMaxDensityGeneral:
         seg = max_density_general(seq, 4, 4)
         assert (seg.start, seg.end) == (1, 3)
 
-    def test_weight_below_one_rejected(self):
-        with pytest.raises(WeightBelowOne):
-            max_density_general(build_sequence([(1.0, 0.5), (1.0, 1.0)]), 1, 2)
+    def test_sub_unit_weights_match_oracle(self, rng):
+        # dyadic weights below 1 are exact in float arithmetic
+        for _ in range(150):
+            n = rng.randint(1, 30)
+            seq = build_sequence([(float(rng.randint(-9, 9)), rng.choice((0.125, 0.5, 0.75)))
+                                  for _ in range(n)])
+            total = seq.prefix_weight[n]
+            L = rng.randint(1, int(total * 8)) * 0.125
+            U = max(L, seq.max_weight) + rng.randint(0, 16) * 0.125
+            try:
+                seg = max_density_general(seq, L, U)
+            except InfeasibleWidthWindow:
+                with pytest.raises(InfeasibleWidthWindow):
+                    brute_force_best(seq, L, U)
+                continue
+            want = brute_force_best(seq, L, U)
+            assert (seg.start, seg.end, seg.density) == (want.start, want.end, want.density)
 
     def test_oracle_agreement(self, rng):
         for _ in range(150):
@@ -301,11 +329,13 @@ class TestSolveDispatch:
             L = rng.randint(1, total)
             U = rng.randint(L, total)
             try:
-                got = solve(SolveRequest(seq, L, U)).density
+                got = solve(SolveRequest(seq, L, U))
+                got = (got.start, got.end, got.density)
             except InfeasibleWidthWindow:
                 got = None
             try:
-                want = brute_force_best(seq, L, U).density
+                want = brute_force_best(seq, L, U)
+                want = (want.start, want.end, want.density)
             except InfeasibleWidthWindow:
                 want = None
             assert got == want
