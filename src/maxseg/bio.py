@@ -4,17 +4,10 @@ scoring, and run-length compression into the weighted model."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
-from typing import IO, Iterable, List, Optional, Union
+from decimal import Decimal
+from typing import IO, Iterable, List, Optional, Tuple, Union
 
-from .core import (
-    SCALE_CAP_DIGITS,
-    WeightedSequence,
-    build_sequence,
-    decimal_places,
-    pick_scale,
-    to_scaled_int,
-)
+from .core import WeightedSequence, build_sequence, exact_decimal
 from .errors import MalformedFasta, MalformedTsv, UnknownSymbol
 
 _KNOWN_BASES = set("ACGTUNacgtun")
@@ -32,8 +25,8 @@ class MappingSpec:
     """How nucleotide symbols become item values.
 
     gc01 scores G/C as 1 and everything else 0.  huang(p) scores G/C as
-    1 - p and everything else as -p, for p in [0, 1]; p's decimal digits fix
-    the integer scale so the scoring stays exact.
+    1 - p and everything else as -p, for p in [0, 1] with at most 9 decimal
+    places; p's decimal digits fix the integer scale so the scoring stays exact.
     """
 
     kind: str
@@ -46,11 +39,11 @@ class MappingSpec:
 
     @classmethod
     def huang(cls, p: Union[str, float, Decimal]) -> "MappingSpec":
-        p_dec = p if isinstance(p, Decimal) else Decimal(str(p))
-        if not 0 <= p_dec <= 1:
-            raise ValueError(f"huang p must lie in [0, 1], got {p_dec}")
-        scale = 10 ** min(decimal_places(p_dec), SCALE_CAP_DIGITS)
-        return cls(kind="huang", p_scaled=to_scaled_int(p_dec, scale), scale=scale)
+        p_scaled, places = exact_decimal(p if isinstance(p, Decimal) else str(p))
+        scale = 10 ** places
+        if not 0 <= p_scaled <= scale:
+            raise ValueError(f"huang p must lie in [0, 1], got {p}")
+        return cls(kind="huang", p_scaled=p_scaled, scale=scale)
 
 
 def parse_fasta(stream: Union[str, IO[str], Iterable[str]]) -> List[DnaRecord]:
@@ -105,13 +98,11 @@ def map_to_sequence(
     spec: MappingSpec,
     *,
     strict: bool = False,
-    weight_scale: int = 1,
 ) -> WeightedSequence:
     """Score a DNA record into a weighted sequence, one item per base.
 
-    Every item weighs one base (scaled by weight_scale when fractional width
-    bounds need a finer grid).  Ambiguity codes such as N score as non-GC;
-    strict mode rejects symbols outside A/C/G/T/U/N instead.
+    Every item weighs 1, so widths count bases.  Ambiguity codes such as N
+    score as non-GC; strict mode rejects symbols outside A/C/G/T/U/N instead.
     """
     if spec.kind == "gc01":
         gc_score, other_score, value_scale = 1, 0, 1
@@ -125,11 +116,8 @@ def map_to_sequence(
         for pos, ch in enumerate(rec.bases, start=1):
             if ch not in _KNOWN_BASES:
                 raise UnknownSymbol(ch, pos)
-    items = [
-        (gc_score if ch in _GC_BASES else other_score, weight_scale)
-        for ch in rec.bases
-    ]
-    return build_sequence(items, value_scale=value_scale, weight_scale=weight_scale)
+    items = [(gc_score if ch in _GC_BASES else other_score, 1) for ch in rec.bases]
+    return build_sequence(items, value_scale=value_scale)
 
 
 def compress_runs(seq: WeightedSequence) -> WeightedSequence:
@@ -157,21 +145,26 @@ def compress_runs(seq: WeightedSequence) -> WeightedSequence:
                           weight_scale=seq.weight_scale)
 
 
-def parse_tsv(
-    stream: Union[str, IO[str], Iterable[str]],
-    *,
-    weight_scale_hint: int = 1,
-) -> WeightedSequence:
+def _on_common_grid(column: List[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """(units, places) pairs rescaled to the column's finest place count:
+    the integers and their shared power-of-ten scale."""
+    top = max(places for _, places in column)
+    factors = [10 ** (top - p) for p in range(top + 1)]
+    return [units * factors[places] for units, places in column], 10 ** top
+
+
+def parse_tsv(stream: Union[str, IO[str], Iterable[str]]) -> WeightedSequence:
     """Weighted TSV: one "value<TAB>weight" item per line, '#' comments.
 
-    Decimal columns are scaled onto per-file integer grids (at most 9
-    digits); the hint forces a finer weight grid when the caller's width
-    bounds carry more decimals than the file does.
+    Each column is scaled exactly onto one power-of-ten integer grid, the
+    finest its fields need.  A field that is not a finite decimal, needs
+    more than 9 decimal places or has more than 1000 integer digits raises
+    MalformedTsv with its line number; nothing is rounded.
     """
     if isinstance(stream, str):
         stream = stream.splitlines()
-    values: List[Decimal] = []
-    weights: List[Decimal] = []
+    values: List[Tuple[int, int]] = []
+    weights: List[Tuple[int, int]] = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -180,16 +173,12 @@ def parse_tsv(
         if len(fields) != 2:
             raise MalformedTsv(lineno, f"expected 2 fields, got {len(fields)}")
         try:
-            values.append(Decimal(fields[0]))
-            weights.append(Decimal(fields[1]))
-        except InvalidOperation as exc:
-            raise MalformedTsv(lineno, f"not a decimal number: {exc}") from None
+            values.append(exact_decimal(fields[0]))
+            weights.append(exact_decimal(fields[1]))
+        except ValueError as exc:
+            raise MalformedTsv(lineno, str(exc)) from None
     if not values:
         raise MalformedTsv(1, "no items found")
-    vscale = pick_scale(values)
-    wscale = max(pick_scale(weights), weight_scale_hint)
-    items = [
-        (to_scaled_int(v, vscale), to_scaled_int(w, wscale))
-        for v, w in zip(values, weights)
-    ]
-    return build_sequence(items, value_scale=vscale, weight_scale=wscale)
+    vs, vscale = _on_common_grid(values)
+    ws, wscale = _on_common_grid(weights)
+    return build_sequence(zip(vs, ws), value_scale=vscale, weight_scale=wscale)

@@ -11,26 +11,25 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from typing import IO, Iterator, List, Optional, Tuple
 
 from .bio import MappingSpec, compress_runs, map_to_sequence, parse_fasta, parse_tsv
 from .core import (
-    OpCounters,
+    MAX_INTEGER_DIGITS,
     SCALE_CAP_DIGITS,
+    OpCounters,
     WeightedSequence,
     build_sequence,
     compute_bounds,
-    decimal_places,
     density_decimal_str,
+    finite_decimal,
     format_scaled,
-    to_scaled_int,
 )
 from .errors import InfeasibleWidthWindow, MaxsegError
 from .oracle import brute_force_best
 from .solvers import (
     SolveRequest,
-    _baseline_min_width_logl,
     max_density_general,
     max_density_min_width,
     max_density_uniform,
@@ -40,11 +39,20 @@ from .sweep_left import initialize_min_width
 from .sweep_right import initialize_max_width
 
 
-def _parse_decimal(text: str, flag: str) -> Decimal:
+def _parse_bound(text: str, flag: str) -> Decimal:
     try:
-        return Decimal(text)
-    except InvalidOperation:
-        raise ValueError(f"{flag}: not a decimal number: {text!r}") from None
+        return finite_decimal(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _snap(bound: Decimal, scale: int, rounding: str) -> int:
+    """bound * scale rounded to an integer in direction `rounding`, exactly:
+    widths are whole multiples of 1/scale, so ceil(L * scale) and
+    floor(U * scale) admit the same widths as [L, U].  Rounding the product
+    the same way at a precision above its integer digits keeps it exact."""
+    ctx = Context(prec=MAX_INTEGER_DIGITS + 2 * SCALE_CAP_DIGITS, rounding=rounding)
+    return int(ctx.multiply(bound, scale).to_integral_value(rounding=rounding))
 
 
 def _read_input(path: str) -> str:
@@ -106,7 +114,7 @@ def _dump_structures(seq: WeightedSequence, L_scaled, err: IO[str]) -> None:
     initialize_max_width(seq, 1, seq.n, bounds).dump_tsv(err)
 
 
-def _load_records(args, whint: int) -> Iterator[Tuple[str, WeightedSequence]]:
+def _load_records(args) -> Iterator[Tuple[str, WeightedSequence]]:
     """Yield (record id, sequence) one record at a time: FASTA records are
     mapped only when asked for, so a caller that drops each sequence before
     the next holds one at a time."""
@@ -114,38 +122,37 @@ def _load_records(args, whint: int) -> Iterator[Tuple[str, WeightedSequence]]:
     if args.format == "tsv":
         if args.mapping != "gc":
             raise ValueError("--mapping applies to FASTA input only")
-        yield "r1", parse_tsv(text, weight_scale_hint=whint)
+        yield "r1", parse_tsv(text)
         return
     spec = _mapping_from_flag(args.mapping)
     records = parse_fasta(text)
     del text
     for rec in records:
-        yield rec.id, map_to_sequence(rec, spec, strict=args.strict, weight_scale=whint)
+        yield rec.id, map_to_sequence(rec, spec, strict=args.strict)
 
 
 def cmd_find(args, out: IO[str], err: IO[str]) -> int:
-    L_dec = _parse_decimal(args.L, "--L")
+    L_dec = _parse_bound(args.L, "--L")
     if L_dec <= 0:
         raise ValueError(f"--L must be positive, got {L_dec}")
     U_dec: Optional[Decimal] = None
     if args.U != "max":
-        U_dec = _parse_decimal(args.U, "--U")
+        U_dec = _parse_bound(args.U, "--U")
         if U_dec < L_dec:
             raise ValueError(f"need L <= U, got L={L_dec} U={U_dec}")
 
-    width_digits = decimal_places(L_dec)
-    if U_dec is not None:
-        width_digits = max(width_digits, decimal_places(U_dec))
-    whint = 10 ** min(width_digits, SCALE_CAP_DIGITS)
-
     rows: List[str] = []
     notes: List[str] = []
-    for rid, seq in _load_records(args, whint):
+    for rid, seq in _load_records(args):
         if args.compress:
             seq = compress_runs(seq)
-        L_scaled = to_scaled_int(L_dec, seq.weight_scale)
-        U_scaled = None if U_dec is None else to_scaled_int(U_dec, seq.weight_scale)
+        ws = seq.weight_scale
+        L_scaled = _snap(L_dec, ws, ROUND_CEILING)
+        U_scaled = None if U_dec is None else _snap(U_dec, ws, ROUND_FLOOR)
         try:
+            if U_scaled is not None and U_scaled < L_scaled:
+                raise InfeasibleWidthWindow(
+                    f"no width on the grid of 1/{ws} lies in [{L_dec}, {U_dec}]")
             seg = solve(SolveRequest(seq, L_scaled, U_scaled))
         except InfeasibleWidthWindow as exc:
             notes.append(f"record {rid!r}: InfeasibleWidthWindow: {exc}\n")
@@ -198,18 +205,20 @@ def _verify_one(seed: int, model: str, max_n: int, fixed_lu) -> Tuple[bool, str]
     if fixed_lu is not None:
         L, U = fixed_lu
     try:
-        got = solve(SolveRequest(seq, L, U)).density
+        seg = solve(SolveRequest(seq, L, U))
+        got = (seg.start, seg.end, seg.density)
     except InfeasibleWidthWindow:
         got = None
     try:
-        want = brute_force_best(seq, L, U).density
+        seg = brute_force_best(seq, L, U)
+        want = (seg.start, seg.end, seg.density)
     except InfeasibleWidthWindow:
         want = None
     if got is None or want is None:
         ok = got is None and want is None
         return ok, "feasibility mismatch" if not ok else ""
     if got != want:
-        return False, f"density {got!r} != oracle {want!r}"
+        return False, f"(start, end, density) {got!r} != oracle {want!r}"
     return True, ""
 
 
@@ -277,8 +286,6 @@ def bench_once(seq: WeightedSequence, algo: str, L: int, U: int) -> Tuple[int, i
         max_density_uniform(seq, L, U, counters=counters)
     elif algo == "general-lu":
         max_density_general(seq, L, U, counters=counters)
-    elif algo == "baseline-logl":
-        _baseline_min_width_logl(seq, L, counters=counters)
     else:
         raise ValueError(f"unknown algo {algo!r}")
     t1 = time.perf_counter_ns()
@@ -292,10 +299,7 @@ def cmd_bench(args, out: IO[str], err: IO[str]) -> int:
         seq = _bench_instance(rng, n, args.algo)
         L = args.L if args.L is not None else max(1, n // 100)
         U = args.U if args.U is not None else min(seq.prefix_weight[n], max(L, 50 * L))
-        if args.algo in ("l-only", "baseline-logl"):
-            u_txt = "max"
-        else:
-            u_txt = str(U)
+        u_txt = "max" if args.algo == "l-only" else str(U)
         walls = []
         iters = 0
         for _ in range(args.repeat):
@@ -348,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "report loop-iteration counters as CSV")
     p_bench.add_argument("--sizes", required=True, help="comma list, e.g. 1e5,2e5")
     p_bench.add_argument("--algo", required=True,
-                         choices=["l-only", "uniform-lu", "general-lu", "baseline-logl"])
+                         choices=["l-only", "uniform-lu", "general-lu"])
     p_bench.add_argument("--repeat", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--L", type=int, default=None)

@@ -5,7 +5,7 @@ with position 0 equal to 0, so ``prefix[j] - prefix[i-1]`` is the sum over
 items i..j inclusive.
 
 Exactness model: integer values and weights (typically decimals scaled onto a
-power-of-ten grid, see :func:`pick_scale`) make every density comparison
+power-of-ten grid, see :func:`exact_decimal`) make every density comparison
 exact, because comparisons cross-multiply Python integers instead of
 dividing; integers of any size are exact.  Float inputs are accepted as a
 documented fallback; comparisons then cross-multiply in floating point, which
@@ -15,7 +15,7 @@ is deterministic but subject to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_EVEN
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
@@ -313,33 +313,49 @@ class OpCounters:
 
 SCALE_CAP_DIGITS = 9
 
+# Decimals with more integer digits than this are refused: expanding them
+# would cost time and memory that no input this package models needs.
+MAX_INTEGER_DIGITS = 1000
 
-def decimal_places(text: Union[str, Decimal]) -> int:
-    """Number of digits after the decimal point needed to write the value."""
-    d = text if isinstance(text, Decimal) else Decimal(str(text))
-    exp = d.as_tuple().exponent
-    return max(0, -int(exp))
+# Every denominator that divides 10**SCALE_CAP_DIGITS, mapped to the fewest
+# decimal places p that clear it and the factor 10**p // denominator.
+_DECIMAL_GRID = {
+    2 ** a * 5 ** b: (max(a, b), 10 ** max(a, b) // (2 ** a * 5 ** b))
+    for a in range(SCALE_CAP_DIGITS + 1)
+    for b in range(SCALE_CAP_DIGITS + 1)
+}
 
 
-def pick_scale(texts: Iterable[Union[str, Decimal]], cap: int = SCALE_CAP_DIGITS) -> int:
-    """Power of ten putting every decimal in `texts` on an integer grid.
+def finite_decimal(value: Union[str, Decimal]) -> Decimal:
+    """value as a Decimal; ValueError for text that is not a decimal number,
+    for infinities and NaN, and for more than MAX_INTEGER_DIGITS integer digits."""
+    if isinstance(value, str):
+        try:
+            value = Decimal(value)
+        except InvalidOperation:
+            raise ValueError(f"not a decimal number: {value!r}") from None
+    if not value.is_finite():
+        raise ValueError(f"not a finite number: {value}")
+    if value and value.adjusted() >= MAX_INTEGER_DIGITS:
+        raise ValueError(f"{value} has more than {MAX_INTEGER_DIGITS} integer digits")
+    return value
 
-    Digits beyond `cap` decimal places are not representable; values are then
-    rounded half-even onto the capped grid by :func:`to_scaled_int`.
+
+def exact_decimal(value: Union[str, Decimal]) -> Tuple[int, int]:
+    """(units, places) with value == units / 10**places exactly, places minimal.
+
+    Never rounds: raises ValueError where :func:`finite_decimal` does and for
+    a value that needs more than SCALE_CAP_DIGITS decimal places.
     """
-    places = 0
-    for t in texts:
-        places = max(places, decimal_places(t))
-        if places >= cap:
-            return 10 ** cap
-    return 10 ** places
-
-
-def to_scaled_int(value: Union[str, Decimal], scale: int) -> int:
-    """Exact integer of value * scale; rounds half-even if off the grid."""
-    d = value if isinstance(value, Decimal) else Decimal(str(value))
-    scaled = (d * scale).quantize(Decimal(1), rounding=ROUND_HALF_EVEN)
-    return int(scaled)
+    value = finite_decimal(value)
+    if not value:
+        return 0, 0
+    if value.adjusted() >= -SCALE_CAP_DIGITS:  # else too fine, and costly to expand
+        num, den = value.as_integer_ratio()
+        if den in _DECIMAL_GRID:
+            places, factor = _DECIMAL_GRID[den]
+            return num * factor, places
+    raise ValueError(f"{value} needs more than {SCALE_CAP_DIGITS} decimal places")
 
 
 def format_scaled(value: int, scale: int) -> str:

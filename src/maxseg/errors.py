@@ -38,7 +38,7 @@ class RangeViolation(MaxsegError):
 
 
 class NonUniformInput(MaxsegError):
-    """Operation requires equal item weights (unit weights for the benchmark baseline)."""
+    """Operation requires equal item weights, but the sequence mixes weights."""
 
 
 class CapExceeded(MaxsegError):

@@ -475,70 +475,3 @@ def solve(req: SolveRequest, *, counters: Optional[OpCounters] = None) -> Segmen
         )
     return best
 
-
-# ---------------------------------------------------------------------------
-# Benchmark baseline: per-index binary search over the right-skew chain.
-# ---------------------------------------------------------------------------
-
-
-def _baseline_min_width_logl(seq: WeightedSequence, L: int,
-                             *, counters: Optional[OpCounters] = None) -> Segment:
-    """O(n log L) reference for the width >= L problem over unit weights.
-
-    Kept only as a benchmark baseline: every left index independently binary
-    searches the bitonic density profile along its right-skew block chain,
-    using doubling jump tables over the block-start pointers.  Each jump
-    probe counts as one descent step, making the n log L profile visible
-    next to the sweep solvers' linear counters.  Not part of the supported
-    API.
-    """
-    if not seq.is_uniform:
-        raise NonUniformInput("baseline requires unit weights")
-    n = seq.n
-    if n < L:
-        raise InfeasibleWidthWindow(f"total width {n} below L={L}")
-    c = counters if counters is not None else OpCounters()
-    bounds = compute_bounds(seq, L, n)
-    i0 = bounds.i0
-    lidx = bounds.lidx
-    state = initialize_min_width(seq, 1, n, L, bounds, counters=c)
-    p = state.p
-
-    # jump[t][s] = start of the block 2**t blocks after the block starting at s
-    top = max(1, min(2 * L, n).bit_length())
-    jump0 = [0] * (n + 2)
-    jump0[n + 1] = n + 1
-    for s in range(2, n + 1):
-        jump0[s] = p[s - 1] + 1  # state range is (1, n): p slot offset is 1
-    jumps = [jump0]
-    for _ in range(top):
-        prev = jumps[-1]
-        jumps.append([prev[v] if v else 0 for v in prev])
-
-    V = seq.prefix_value
-    best = _Best()
-
-    def mu_gt(i, a, b):  # density(i, a) > density(i, b), unit weights
-        return (V[a] - V[i - 1]) * (b - i + 1) > (V[b] - V[i - 1]) * (a - i + 1)
-
-    probes = 0
-    for i in range(i0, 0, -1):
-        lo = lidx[i]
-        if lo == n:
-            g = n
-        elif mu_gt(i, lo, p[lo + 1 - 1]):
-            probes += 1
-            g = lo  # profile falls immediately: the mandatory prefix wins
-        else:
-            s = lo + 1  # start of the next unconsumed block; profile rises so far
-            for t in range(top, -1, -1):
-                s2 = jumps[t][s]
-                if s2 > n:
-                    continue  # jump overshoots the chain
-                probes += 1
-                if not mu_gt(i, s2 - 1, p[s2 - 1]):
-                    s = s2  # still rising at the jump target
-            g = p[s - 1]
-        best.offer(i, g, V[g] - V[i - 1], g - i + 1)
-    c.descent_steps += probes
-    return _finalize(seq, best.start, best.end, lidx[best.start])

@@ -1,11 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines as they complete.  Timing-sensitive criteria (07, 08) measure medians
-of five runs; 07 times the pure-Python reference path, 08 the dispatching
+lines as they complete.  Timing-sensitive criteria (07, 08) measure medians:
+07 of size ratios over back-to-back pairs of CPU-timed runs of the
+pure-Python reference path, 08 of five wall-time runs of the dispatching
 entry point users call.
 """
 
+import gc
 import random
 import statistics
 import sys
@@ -18,18 +20,18 @@ from maxseg import (
     brute_force_best,
     brute_force_partition,
     build_sequence,
-    collect_blocks,
-    compute_bounds,
     density,
-    initialize_max_width,
-    initialize_min_width,
     max_density_general,
     max_density_min_width,
     max_density_uniform,
     solve,
 )
 from maxseg.cli import main as cli_main, random_general_instance, random_uniform_instance
+from maxseg.core import compute_bounds
 from maxseg.oracle import _is_right_skew
+from maxseg.solvers import collect_blocks
+from maxseg.sweep_left import initialize_min_width
+from maxseg.sweep_right import initialize_max_width
 
 
 def _report(num, name, ok, detail):
@@ -189,45 +191,57 @@ def _pure_instance(algo, n, seed=7):
 
 def _timed_pure(algo, seq, L, U):
     c = OpCounters()
-    t0 = time.perf_counter()
+    gc.collect()  # untimed: start every sample from the same heap
+    t0 = time.process_time()
     if algo == "l-only":
         max_density_min_width(seq, L, counters=c)
     elif algo == "uniform-lu":
         max_density_uniform(seq, L, U, counters=c)
     else:
         max_density_general(seq, L, U, counters=c)
-    return time.perf_counter() - t0, c.total()
+    return time.process_time() - t0, c.total()
 
 
 def test_c07_linearity_counters_and_scaling():
-    # The timed runs of the two sizes alternate, so a phase in which the host
-    # runs slower or faster hits both sizes alike and leaves their ratio be.
+    # Three things keep the timing steady on a shared host.  A sample is the
+    # CPU time of this process, so time spent waiting for a CPU does not
+    # count.  The cyclic garbage collector is off while a sample runs, so a
+    # full collection, whose cost grows with the whole heap, lands in no
+    # sample.  And the ratio is the median over back-to-back pairs of runs of
+    # the two sizes, so a phase in which the host runs slower or faster hits
+    # both halves of a pair alike.  The pairs alternate which size runs first.
     sizes = (100_000, 200_000)
     ok = True
     details = []
-    for algo in ("l-only", "uniform-lu", "general-lu"):
-        instances = {n: _pure_instance(algo, n) for n in sizes}
-        walls = {n: [] for n in sizes}
-        iters = {}
-        for _ in range(5):
+    gc.disable()
+    try:
+        for algo, pairs in (("l-only", 9), ("uniform-lu", 9), ("general-lu", 5)):
+            instances = {n: _pure_instance(algo, n) for n in sizes}
+            secs = {n: [] for n in sizes}
+            iters = {}
+            ratios = []
+            for k in range(pairs):
+                for n in (sizes if k % 2 == 0 else sizes[::-1]):
+                    cpu, iters[n] = _timed_pure(algo, *instances[n])
+                    secs[n].append(cpu)
+                ratios.append(secs[200_000][-1] / secs[100_000][-1])
             for n in sizes:
-                wall, iters[n] = _timed_pure(algo, *instances[n])
-                walls[n].append(wall)
-        med = {n: statistics.median(walls[n]) for n in sizes}
-        for n in sizes:
-            _, L, U = instances[n]
-            if algo == "general-lu":
-                beta = (U - L + 1).bit_length() - 1
-                bound = 4 * n * (beta + 1)
-            else:
-                bound = 4 * n
-            if iters[n] > bound:
+                _, L, U = instances[n]
+                if algo == "general-lu":
+                    beta = (U - L + 1).bit_length() - 1
+                    bound = 4 * n * (beta + 1)
+                else:
+                    bound = 4 * n
+                if iters[n] > bound:
+                    ok = False
+                details.append(f"{algo}@{n}: {iters[n] / n:.2f}n iters, "
+                               f"{statistics.median(secs[n]):.2f}s")
+            ratio = statistics.median(ratios)
+            if not 1.5 <= ratio <= 2.6:
                 ok = False
-            details.append(f"{algo}@{n}: {iters[n] / n:.2f}n iters, {med[n]:.2f}s")
-        ratio = med[200_000] / med[100_000]
-        if not 1.5 <= ratio <= 2.6:
-            ok = False
-        details.append(f"{algo} ratio {ratio:.2f}")
+            details.append(f"{algo} ratio {ratio:.2f}")
+    finally:
+        gc.enable()
     _report(7, "linearity-counters-and-scaling", ok, "; ".join(details))
 
 

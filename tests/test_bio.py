@@ -99,11 +99,10 @@ class TestMapping:
     def test_huang_p_validated(self):
         with pytest.raises(ValueError):
             MappingSpec.huang("1.5")
-
-    def test_weight_scale_passthrough(self):
-        seq = map_to_sequence(DnaRecord("s", "AC"), MappingSpec.gc01(), weight_scale=10)
-        assert [seq.weight(1), seq.weight(2)] == [10, 10]
-        assert seq.weight_scale == 10
+        for bad in ("0.1234567891", "nan", "abc"):  # too fine, not finite, not a number
+            with pytest.raises(ValueError):
+                MappingSpec.huang(bad)
+        assert MappingSpec.huang("0.123456789").scale == 10**9
 
 
 class TestCompressRuns:
@@ -179,10 +178,23 @@ class TestParseTsv:
         assert seq.weight_scale == 10
         assert seq.items == [(150, 20), (-25, 5)]
 
-    def test_scale_hints(self):
-        seq = parse_tsv("1\t1\n", weight_scale_hint=100)
-        assert seq.weight_scale == 100
-        assert seq.items == [(1, 100)]
+    def test_big_and_exponent_integers_exact(self):
+        seq = parse_tsv(f"{'9' * 30}\t1e40\n-2.5e3\t1.50\n")
+        assert seq.items == [(int("9" * 30), 10**41), (-2500, 15)]
+        assert (seq.value_scale, seq.weight_scale) == (1, 10)
+
+    @pytest.mark.parametrize("row, why", [
+        ("Infinity\t1", "not a finite number"),
+        ("1\tnan", "not a finite number"),
+        ("1e999999999\t1", "integer digits"),
+        ("1\t1e-999999999", "more than 9 decimal places"),
+        ("1\t1.0000000004", "more than 9 decimal places"),
+        ("0.0000000001\t1", "more than 9 decimal places"),
+    ])
+    def test_refuses_what_it_cannot_scale_exactly(self, row, why):
+        with pytest.raises(MalformedTsv, match=f"line 3: .*{why}") as exc:
+            parse_tsv(f"# v\tw\n1\t1\n{row}\n")
+        assert exc.value.line == 3
 
     def test_malformed(self):
         with pytest.raises(MalformedTsv) as exc:

@@ -3,10 +3,22 @@ import os
 import subprocess
 import sys
 
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import maxseg.cli as cli
-from maxseg import DensityValue, Segment
+from maxseg import (
+    DensityValue,
+    InfeasibleWidthWindow,
+    Segment,
+    brute_force_best,
+    density,
+    make_segment,
+    parse_tsv,
+)
 from maxseg.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -97,9 +109,63 @@ class TestFind:
             stdin="9\t1\n1\t1\n8\t1\n",
         )
         assert code == 0
-        # widths are scaled to tenths; only 2-item windows fit [1.5, 2.5]
+        # the bounds snap onto the unit grid as [2, 2]: only 2-item windows fit
         line = out.splitlines()[1]
         assert line == "r1\t1\t2\t2\t10\t5.000000000"
+
+    def test_bounds_snap_onto_the_weight_grid(self, tmp_path):
+        path = tmp_path / "u.fa"
+        path.write_text(">s\nGCGCAT\n")
+        find = ["find", "--input", str(path), "--format", "fasta"]
+        # no whole number of bases lies in the window: infeasible, not rounded to 2
+        code, out, err = run_cli(find + ["--L", "2.0000000001", "--U", "2.0000000004"])
+        assert code == 2
+        assert out.splitlines() == [cli.REPORT_HEADER]
+        assert err.startswith("record 's': InfeasibleWidthWindow")
+        # [1.0000000001, 3.9999999999] admits the widths 2 and 3
+        code, out, _ = run_cli(find + ["--L", "1.0000000001", "--U", "3.9999999999"])
+        assert code == 0
+        assert out.splitlines()[1] == "s\t1\t2\t2\t2\t1.000000000"
+
+    @pytest.mark.parametrize("flag", ["--L", "--U"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "1e1000", "x"])
+    def test_bounds_refused(self, fasta_file, flag, text):
+        bounds = {"--L": "1", "--U": "3", flag: text}
+        code, out, err = run_cli(["find", "--input", fasta_file, "--format", "fasta",
+                                  "--L", bounds["--L"], "--U", bounds["--U"]])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: ValueError: {flag}: ")
+
+    @given(
+        items=st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 30)),
+                       min_size=1, max_size=10),
+        # tenths, on the grid or off it by one unit in the 2nd to 12th place
+        bounds=st.lists(
+            st.builds(lambda t, e, p: Decimal(t).scaleb(-1) + Decimal(e).scaleb(-p),
+                      st.integers(1, 120), st.integers(-1, 1), st.integers(2, 12)),
+            min_size=2, max_size=2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fractional_bounds_match_oracle(self, items, bounds):
+        # find snaps [L, U] onto the weight grid; the oracle takes the exact
+        # rational bounds, so both must admit the same widths
+        L, U = sorted(bounds)
+        text = "".join(f"{a}\t{w // 10}.{w % 10}\n" for a, w in items)
+        code, out, _ = run_cli(
+            ["find", "--input", "-", "--format", "tsv", "--L", f"{L:f}", "--U", f"{U:f}"],
+            stdin=text,
+        )
+        seq = parse_tsv(text)
+        ws = seq.weight_scale
+        try:
+            want = brute_force_best(seq, Fraction(L) * ws, Fraction(U) * ws)
+        except InfeasibleWidthWindow:
+            assert code == 2
+            return
+        assert code == 0
+        _, start, end, *_ = out.splitlines()[1].split("\t")
+        assert (int(start), int(end)) == (want.start, want.end)
 
     def test_compress_flag(self):
         code, out, _ = run_cli(
@@ -266,6 +332,25 @@ class TestVerify:
         assert code == 1
         assert "first counterexample: seed=" in out
 
+    def test_tie_rule_checked(self, monkeypatch):
+        # an equal-density answer with a later start breaks the tie rule
+        real_solve = cli.solve
+
+        def later_tie(req, **kw):
+            seg, seq = real_solve(req, **kw), req.seq
+            for i in range(seg.start + 1, seq.n + 1):
+                for j in range(i, seq.n + 1):
+                    if (req.L <= seq.width(i, j) <= req.U
+                            and density(seq, i, j) == seg.density):
+                        return make_segment(seq, i, j)
+            return seg
+
+        monkeypatch.setattr(cli, "solve", later_tie)
+        code, out, _ = run_cli(["verify", "--seeds", "30", "--max-n", "12",
+                                "--L-U", "fixed:1,1"])
+        assert code == 1
+        assert "first counterexample: seed=" in out
+
 
 class TestBench:
     def test_csv_shape_and_linear_counters(self):
@@ -313,5 +398,7 @@ class TestBench:
         row = out.splitlines()[1].split(",")
         beta = (39 - 8 + 1).bit_length() - 1
         assert int(row[5]) <= 4 * 500 * (beta + 1)
-        code, out, _ = run_cli(["bench", "--sizes", "400", "--algo", "baseline-logl"])
-        assert code == 0
+        # the O(n log L) baseline is retired; argparse refuses the choice
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bench", "--sizes", "400", "--algo", "baseline-logl"])
+        assert exc.value.code == 2

@@ -13,16 +13,15 @@ from maxseg import (
     SolveRequest,
     brute_force_best,
     build_sequence,
-    compute_bounds,
     density,
     solve,
 )
 from maxseg.core import (
-    decimal_places,
+    MAX_INTEGER_DIGITS,
+    compute_bounds,
     density_decimal_str,
+    exact_decimal,
     format_scaled,
-    pick_scale,
-    to_scaled_int,
 )
 
 from conftest import general_seq
@@ -236,23 +235,34 @@ class TestComputeBounds:
 
 class TestDecimalHelpers:
     def test_decimal_places(self):
-        assert decimal_places("1.50") == 2
-        assert decimal_places("3") == 0
-        assert decimal_places("1e-3") == 3
-        assert decimal_places(Decimal("2.5")) == 1
+        # (units, places) with the fewest places that write the value exactly
+        assert exact_decimal("1.50") == (15, 1)
+        assert exact_decimal("3") == (3, 0)
+        assert exact_decimal("1e-3") == (1, 3)
+        assert exact_decimal(Decimal("2.5")) == (25, 1)
+        assert exact_decimal("-0.05") == (-5, 2)
+        assert exact_decimal("0e-999999999") == (0, 0)
 
     def test_pick_scale_caps_at_nine(self):
-        assert pick_scale(["1.5", "0.25"]) == 100
-        assert pick_scale(["1"]) == 1
-        assert pick_scale(["0.1234567891234"]) == 10**9
+        # nine places is the finest grid; finer values are refused, not rounded
+        assert exact_decimal("0.123456789") == (123456789, 9)
+        assert exact_decimal("1.0000000000") == (1, 0)
+        for text in ("0.1234567891234", "1.0000000004", "1e-10", "1e-999999999"):
+            with pytest.raises(ValueError, match="more than 9 decimal places"):
+                exact_decimal(text)
 
     def test_to_scaled_int(self):
-        assert to_scaled_int("2.5", 10) == 25
-        assert to_scaled_int("-0.05", 100) == -5
-        assert to_scaled_int(Decimal("1"), 1) == 1
-        # off-grid digits round half-even
-        assert to_scaled_int("0.15", 10) == 2
-        assert to_scaled_int("0.25", 10) == 2
+        # integers of any notation expand exactly, up to MAX_INTEGER_DIGITS digits
+        assert exact_decimal("1" * 30) == (int("1" * 30), 0)
+        assert exact_decimal("1e40") == (10**40, 0)
+        assert exact_decimal("-2.5e3") == (-2500, 0)
+        assert exact_decimal("9" * MAX_INTEGER_DIGITS) == (int("9" * MAX_INTEGER_DIGITS), 0)
+        for text in ("1" * (MAX_INTEGER_DIGITS + 1), "1e999999999"):
+            with pytest.raises(ValueError, match="integer digits"):
+                exact_decimal(text)
+        for text in ("Infinity", "-inf", "nan", "sNaN", "abc", ""):
+            with pytest.raises(ValueError):
+                exact_decimal(text)
 
     def test_format_scaled(self):
         assert format_scaled(25, 10) == "2.5"
@@ -270,3 +280,23 @@ class TestDecimalHelpers:
         # half-even at the ninth digit
         assert density_decimal_str(1, 2 * 10**9) == "0.000000000"
         assert density_decimal_str(3, 2 * 10**9) == "0.000000002"
+
+
+class TestPublicApi:
+    def test_all_is_pinned_and_resolves(self):
+        import maxseg
+
+        assert sorted(maxseg.__all__) == sorted([
+            "CapExceeded", "DensityValue", "DnaRecord", "EmptySequence",
+            "IndexOutOfRange", "InfeasibleWidthWindow", "MalformedFasta",
+            "MalformedTsv", "MappingSpec", "MaxsegError", "NonPositiveWeight",
+            "NonUniformInput", "OpCounters", "Segment", "SolveRequest",
+            "UnknownSymbol", "WeightedItem", "WeightedSequence",
+            "brute_force_best", "brute_force_partition", "build_sequence",
+            "compress_runs", "density", "make_segment", "map_to_sequence",
+            "max_density_general", "max_density_min_width", "max_density_uniform",
+            "parse_fasta", "parse_tsv", "sliding_window", "solve", "write_fasta",
+        ])
+        assert len(set(maxseg.__all__)) == len(maxseg.__all__) == 33
+        for name in maxseg.__all__:
+            assert getattr(maxseg, name) is not None

@@ -13,7 +13,6 @@ from maxseg import (
     SolveRequest,
     brute_force_best,
     build_sequence,
-    collect_blocks,
     density,
     max_density_general,
     max_density_min_width,
@@ -22,6 +21,7 @@ from maxseg import (
     solve,
 )
 from maxseg.errors import IndexOutOfRange
+from maxseg.solvers import collect_blocks
 
 from conftest import general_seq, uniform_seq
 
@@ -525,26 +525,6 @@ class TestFastPathParity:
         assert fastpath.best(seq, 2) is None
         seg = solve(SolveRequest(seq, 2))
         assert seg.density == density(seq, 1, 2)
-
-
-class TestBaseline:
-    def test_matches_min_width_solver(self, rng):
-        for _ in range(80):
-            n = rng.randint(1, 80)
-            seq = uniform_seq(rng, n)
-            L = rng.randint(1, n)
-            a = solvers._baseline_min_width_logl(seq, L)
-            b = max_density_min_width(seq, L)
-            assert a.density == b.density
-            assert (a.start, a.end) == (b.start, b.end)
-
-    def test_plateau_profile(self):
-        # constant values make the density profile flat; the doubling search
-        # must still land on a maximizer
-        seq = build_sequence([(3, 1)] * 40)
-        seg = solvers._baseline_min_width_logl(seq, 5)
-        assert seg.density.value == 3
-        assert (seg.start, seg.end) == (1, 5)
 
 
 class TestEdgeProfiles:

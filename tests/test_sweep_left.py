@@ -3,17 +3,10 @@ import random
 
 import pytest
 
-from maxseg import (
-    InfeasibleQuery,
-    OpCounters,
-    QueryOrderViolation,
-    brute_force_partition,
-    build_sequence,
-    compute_bounds,
-    density,
-    find_match_min_width,
-    initialize_min_width,
-)
+from maxseg import OpCounters, brute_force_partition, build_sequence, density
+from maxseg.core import compute_bounds
+from maxseg.errors import InfeasibleQuery, QueryOrderViolation
+from maxseg.sweep_left import find_match_min_width, initialize_min_width
 
 from conftest import general_seq, uniform_seq
 

@@ -3,18 +3,11 @@ import random
 
 import pytest
 
-from maxseg import (
-    OpCounters,
-    QueryOrderViolation,
-    RangeViolation,
-    brute_force_partition,
-    build_sequence,
-    compute_bounds,
-    density,
-    find_match_max_width,
-    initialize_max_width,
-    initialize_min_width,
-)
+from maxseg import OpCounters, brute_force_partition, build_sequence, density
+from maxseg.core import compute_bounds
+from maxseg.errors import QueryOrderViolation, RangeViolation
+from maxseg.sweep_left import initialize_min_width
+from maxseg.sweep_right import find_match_max_width, initialize_max_width
 
 from conftest import general_seq, uniform_seq
 
