@@ -4,25 +4,27 @@ Indices are 1-based in the public contract.  Prefix arrays have length n+1
 with position 0 equal to 0, so ``prefix[j] - prefix[i-1]`` is the sum over
 items i..j inclusive.
 
-Exactness model: integer values and weights (typically decimals scaled onto a
-power-of-ten grid, see :func:`exact_decimal`) make every density comparison
-exact, because comparisons cross-multiply Python integers instead of
-dividing; integers of any size are exact.  Float inputs are accepted as a
-documented fallback; comparisons then cross-multiply in floating point, which
-is deterministic but subject to rounding.
+Exactness model: every value and weight is stored as an ``int`` when it is
+integral and as an exact ``Fraction`` otherwise (floats keep their binary
+value), so prefix sums never round and density comparisons cross-multiply
+exact rationals.  Decimals the CLI scales onto a power-of-ten grid (see
+:func:`exact_decimal`) stay ints; ``Fraction`` input is much slower and runs
+the pure sweeps only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import EmptySequence, IndexOutOfRange, NonPositiveWeight
+from .errors import EmptySequence, IndexOutOfRange, NonFiniteItem, NonPositiveWeight
 
-Number = Union[int, float]
+Number = Union[int, Fraction]  # what a sequence stores
+RealInput = Union[int, float, Decimal, Fraction]  # what items and bounds may be
 
 
 class WeightedItem(NamedTuple):
@@ -35,8 +37,8 @@ class WeightedItem(NamedTuple):
 class DensityValue:
     """A density kept as the exact pair (sum, width) with width > 0.
 
-    Two densities compare by cross-multiplication, so integer-valued inputs
-    are ordered exactly: d1 <= d2 iff d1.sum * d2.width <= d2.sum * d1.width.
+    Two densities compare by cross-multiplication, so they are ordered
+    exactly: d1 <= d2 iff d1.sum * d2.width <= d2.sum * d1.width.
     """
 
     sum: Number
@@ -49,7 +51,7 @@ class DensityValue:
     @property
     def value(self) -> float:
         """Floating-point rendering of the density."""
-        return self.sum / self.width
+        return float(self.sum / self.width)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.sum) / Fraction(self.width)
@@ -101,7 +103,6 @@ class WeightedSequence:
         "n",
         "value_scale",
         "weight_scale",
-        "exact",
         "is_uniform",
         "min_weight",
         "max_weight",
@@ -114,7 +115,6 @@ class WeightedSequence:
         *,
         value_scale: int = 1,
         weight_scale: int = 1,
-        exact: bool = True,
         is_uniform: bool = False,
         min_weight: Number = 0,
         max_weight: Number = 0,
@@ -124,7 +124,6 @@ class WeightedSequence:
         self.n = len(prefix_value) - 1
         self.value_scale = value_scale
         self.weight_scale = weight_scale
-        self.exact = exact
         self.is_uniform = is_uniform
         self.min_weight = min_weight
         self.max_weight = max_weight
@@ -161,30 +160,44 @@ class WeightedSequence:
         return f"WeightedSequence(n={self.n}, total_width={self.total_width!r})"
 
 
+def _exact(x: RealInput, idx: int, weight: bool = False) -> Number:
+    """x as an int when integral, else as a Fraction; NaN and infinities raise
+    NonFiniteItem, except a NaN or -inf weight raises NonPositiveWeight."""
+    if isinstance(x, str):
+        raise TypeError(f"item {idx}: {x!r} is not a number")
+    try:
+        q = Fraction(x)
+    except (ValueError, OverflowError):  # NaN or an infinity
+        bad = NonPositiveWeight if weight and not x == math.inf else NonFiniteItem
+        raise bad(idx) from None
+    return int(q) if q.denominator == 1 else q
+
+
 def build_sequence(
-    items: Iterable[Union[WeightedItem, Tuple[Number, Number]]],
+    items: Iterable[Union[WeightedItem, Tuple[RealInput, RealInput]]],
     *,
     value_scale: int = 1,
     weight_scale: int = 1,
 ) -> WeightedSequence:
-    """Build a sequence, validating weights.
+    """Build a sequence, converting non-int items exactly (see :func:`_exact`).
 
-    Raises NonPositiveWeight for any weight <= 0 (or NaN) and EmptySequence
-    for an empty item list.  Integer inputs of any magnitude are accepted.
+    Raises NonPositiveWeight for any weight <= 0 (or NaN), NonFiniteItem for
+    a NaN or infinite item, and EmptySequence for an empty item list.
     """
     pv: List[Number] = [0]
     pw: List[Number] = [0]
-    exact = True
     uniform = True
     min_w: Optional[Number] = None
     max_w: Optional[Number] = None
     idx = 0
     for idx, item in enumerate(items, start=1):
         a, w = item
-        if not w > 0:  # also catches NaN
+        if not isinstance(a, int):
+            a = _exact(a, idx)
+        if not isinstance(w, int):
+            w = _exact(w, idx, weight=True)
+        if not w > 0:
             raise NonPositiveWeight(idx)
-        if exact and not (isinstance(a, int) and isinstance(w, int)):
-            exact = False
         if w != 1:
             uniform = False
         if min_w is None or w < min_w:
@@ -200,7 +213,6 @@ def build_sequence(
         pw,
         value_scale=value_scale,
         weight_scale=weight_scale,
-        exact=exact,
         is_uniform=uniform,
         min_weight=min_w,
         max_weight=max_w,
@@ -226,8 +238,8 @@ class FeasibilityBounds:
     """Per-left-index feasible endpoint ranges for width bounds [L, U].
 
     lidx[i] is the minimum j with width(i, j) >= L, or None when even the
-    full suffix is too narrow; uidx[i] is the maximum j >= i with
-    width(i, j) <= U.  Both arrays are 1-based (slot 0 unused) and
+    full suffix is too narrow; uidx[i] is the maximum j >= i - 1 with
+    width(i, j) <= U (i - 1 when item i alone is wider than U).  Both arrays are 1-based (slot 0 unused) and
     non-decreasing where defined.  i0 is the largest index with lidx defined,
     or None when no index qualifies.
 
@@ -242,21 +254,15 @@ class FeasibilityBounds:
     cursor_advances: int = 0
 
 
-def compute_bounds(seq: WeightedSequence, L: Number, U: Number) -> FeasibilityBounds:
+def compute_bounds(seq: WeightedSequence, L: RealInput, U: RealInput) -> FeasibilityBounds:
     """Two-cursor sweep computing lidx and uidx in O(n).
 
-    Requires 0 < L <= U and every item weight <= U (split heavier items out
-    first; see solvers.solve).  When L exceeds the total width the result is
-    returned with i0 = None rather than raising; callers decide whether that
-    is an error.
+    Requires 0 < L <= U; an item i wider than U gets uidx[i] = i - 1.  When
+    L exceeds the total width the result is returned with i0 = None rather
+    than raising; callers decide whether that is an error.
     """
     if not 0 < L <= U:
         raise ValueError(f"need 0 < L <= U, got L={L!r} U={U!r}")
-    if seq.max_weight > U:
-        raise ValueError(
-            f"item weight {seq.max_weight!r} exceeds U={U!r}; "
-            "split the sequence at heavy items first"
-        )
     n = seq.n
     pw = seq.prefix_weight
     advances = 0

@@ -17,6 +17,14 @@ class NonPositiveWeight(MaxsegError):
         self.index = index
 
 
+class NonFiniteItem(MaxsegError):
+    """An item value was NaN or infinite, or an item weight was +inf."""
+
+    def __init__(self, index: int):
+        super().__init__(f"item {index}: value and weight must be finite")
+        self.index = index
+
+
 class IndexOutOfRange(MaxsegError):
     """A 1-based index or index range fell outside the sequence."""
 

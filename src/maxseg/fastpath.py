@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
-from .core import Number, WeightedSequence
+from .core import RealInput, WeightedSequence
 
 # Read by callers that record the machine configuration: no kernel in this
 # module is compiled.
@@ -69,11 +69,11 @@ CHUNK = 16384
 
 def eligible(seq: WeightedSequence) -> bool:
     """True when the int64 kernel is exact and worthwhile for this sequence."""
-    if not seq.exact or seq.n < MIN_FAST_N:
+    pv, total_w = seq.prefix_value, seq.prefix_weight[seq.n]
+    # One Fraction item makes every later prefix of its column a Fraction.
+    if seq.n < MIN_FAST_N or not (isinstance(pv[-1], int) and isinstance(total_w, int)):
         return False
-    pv = seq.prefix_value
     spread = 2 * max(abs(min(pv)), abs(max(pv)))
-    total_w = seq.prefix_weight[seq.n]
     if spread == 0:
         spread = 1
     return spread * total_w < _INT64_PRODUCT_BOUND
@@ -112,8 +112,8 @@ def _block_min(B, lo, hi):
     return out
 
 
-def best(seq: WeightedSequence, L: Number,
-         U: Optional[Number] = None) -> Optional[Tuple[int, int]]:
+def best(seq: WeightedSequence, L: RealInput,
+         U: Optional[RealInput] = None) -> Optional[Tuple[int, int]]:
     """Densest segment of width in [L, U] (U=None: unbounded) as (start, end)
     under the tie rule; None when the sequence is not eligible, no segment is
     feasible or the rounds run out."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .core import DensityValue, Number, Segment, WeightedSequence
+from .core import DensityValue, RealInput, Segment, WeightedSequence
 from .errors import CapExceeded, IndexOutOfRange, InfeasibleWidthWindow
 
 DEFAULT_CAP = 10_000
@@ -17,8 +17,8 @@ DEFAULT_CAP = 10_000
 
 def brute_force_best(
     seq: WeightedSequence,
-    L: Number,
-    U: Optional[Number] = None,
+    L: RealInput,
+    U: Optional[RealInput] = None,
     *,
     cap: int = DEFAULT_CAP,
 ) -> Segment:

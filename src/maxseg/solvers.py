@@ -19,8 +19,8 @@ for that start.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
 from . import fastpath
@@ -29,6 +29,7 @@ from .core import (
     FeasibilityBounds,
     Number,
     OpCounters,
+    RealInput,
     Segment,
     WeightedSequence,
     build_sequence,
@@ -58,13 +59,13 @@ class SolveRequest:
     """A solve call: sequence plus width bounds; U=None means unbounded."""
 
     seq: WeightedSequence
-    L: Number
-    U: Optional[Number] = None
+    L: RealInput
+    U: Optional[RealInput] = None
 
     def __post_init__(self):
         if not self.L > 0:
             raise ValueError(f"L must be positive, got {self.L!r}")
-        if self.U is not None and self.U < self.L:
+        if self.U is not None and not self.U >= self.L:  # also catches NaN
             raise ValueError(f"need L <= U, got L={self.L!r} U={self.U!r}")
 
 
@@ -119,33 +120,22 @@ def _finalize(seq: WeightedSequence, i: int, g: int, lo: int) -> Segment:
 # ---------------------------------------------------------------------------
 
 
-def _item_counts(seq: WeightedSequence, L: Number, U: Number) -> Tuple[int, int]:
-    """(ceil(L / c), min(floor(U / c), n)) for the common weight c.
-
-    An integer bound over an integer weight divides exactly; any other
-    quotient is taken in floating point, the documented inexact fallback.
-    """
+def _item_counts(seq: WeightedSequence, L: RealInput, U: RealInput) -> Tuple[int, int]:
+    """(ceil(L / c), min(floor(U / c), n)) for the common weight c, exactly."""
     if seq.min_weight != seq.max_weight:
         raise NonUniformInput(
             f"requires equal weights, found {seq.min_weight!r} to {seq.max_weight!r}"
         )
     c = seq.min_weight
-    exact = isinstance(c, int)
-    lc = -(-L // c) if exact and isinstance(L, int) else math.ceil(L / c)
-    uc = U // c if exact and isinstance(U, int) else math.floor(U / c)
-    return max(lc, 1), min(uc, seq.n)
+    L, U = Fraction(L), Fraction(U)
+    return max(-(-L // c), 1), min(U // c, seq.n)
 
 
-def sliding_window(seq: WeightedSequence, L: Number) -> Segment:
+def sliding_window(seq: WeightedSequence, L: RealInput) -> Segment:
     """Densest run of items of total width exactly L over equal weights;
     ties take the smallest start.  An L that is not a whole multiple of the
     weight admits no window at all."""
-    k, k_max = _item_counts(seq, L, L)
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L!r}")
-    if k > k_max:
-        raise InfeasibleWidthWindow(f"no window of width exactly {L!r} in {seq.n} items")
-    return _densest_run(seq, k)
+    return max_density_uniform(seq, L, L)
 
 
 def _densest_run(seq: WeightedSequence, k: int) -> Segment:
@@ -169,7 +159,7 @@ def _densest_run(seq: WeightedSequence, k: int) -> Segment:
 
 def max_density_min_width(
     seq: WeightedSequence,
-    L: Number,
+    L: RealInput,
     *,
     counters: Optional[OpCounters] = None,
 ) -> Segment:
@@ -207,8 +197,8 @@ def max_density_min_width(
 
 def max_density_uniform(
     seq: WeightedSequence,
-    L: Number,
-    U: Number,
+    L: RealInput,
+    U: RealInput,
     *,
     counters: Optional[OpCounters] = None,
 ) -> Segment:
@@ -229,9 +219,7 @@ def max_density_uniform(
     if Lc > Uc:
         raise InfeasibleWidthWindow(f"no item count puts the width inside [{L!r}, {U!r}]")
     if Lc == Uc:
-        # One item count fits.  Pass the count itself unless L = U, since
-        # Lc * c need not be exact for float weights.
-        return sliding_window(seq, L) if L == U else _densest_run(seq, Lc)
+        return _densest_run(seq, Lc)  # one item count fits
     c = counters if counters is not None else OpCounters()
     i0 = n - Lc + 1
     bounds = FeasibilityBounds(
@@ -322,8 +310,8 @@ def collect_blocks(p: int, q: int, beta: int, n: int) -> List[BlockId]:
 
 def max_density_general(
     seq: WeightedSequence,
-    L: Number,
-    U: Number,
+    L: RealInput,
+    U: RealInput,
     *,
     counters: Optional[OpCounters] = None,
 ) -> Segment:
@@ -334,6 +322,7 @@ def max_density_general(
     aligned blocks and queries each.  beta = floor(log2(s)) for s the widest
     feasible endpoint range present, so the cost is O(n log s), where
     s <= n always and s <= U - L + 1 when every weight is at least 1.
+    Items wider than U need no split: their uidx[i] < lidx[i] is skipped.
     """
     if not 0 < L <= U:
         raise ValueError(f"need 0 < L <= U, got L={L!r} U={U!r}")
@@ -341,11 +330,6 @@ def max_density_general(
     total = seq.prefix_weight[n]
     if total < L:
         raise InfeasibleWidthWindow(f"total width {total!r} below L={L!r}")
-    if seq.max_weight > U:
-        raise ValueError(
-            f"item weight {seq.max_weight!r} exceeds U={U!r}; "
-            "split the sequence at heavy items first (see solve)"
-        )
     c = counters if counters is not None else OpCounters()
     bounds = compute_bounds(seq, L, min(U, total))
     i0 = bounds.i0
@@ -401,7 +385,7 @@ def max_density_general(
 # ---------------------------------------------------------------------------
 
 
-def _split_heavy(seq: WeightedSequence, U: Optional[Number]):
+def _split_heavy(seq: WeightedSequence, U: Optional[RealInput]):
     """Maximal runs of items with weight <= U, as (offset, subsequence) pairs.
 
     Items heavier than U cannot sit inside any feasible segment, so they cut
@@ -429,7 +413,7 @@ def _split_heavy(seq: WeightedSequence, U: Optional[Number]):
     return pieces
 
 
-def _solve_piece(piece: WeightedSequence, L: Number, U: Optional[Number],
+def _solve_piece(piece: WeightedSequence, L: RealInput, U: Optional[RealInput],
                  counters: Optional[OpCounters]) -> Segment:
     if U is None or U >= piece.prefix_weight[piece.n]:
         return max_density_min_width(piece, L, counters=counters)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import IO, Optional
 
-from .core import FeasibilityBounds, Number, OpCounters, WeightedSequence
+from .core import FeasibilityBounds, OpCounters, RealInput, WeightedSequence
 from .errors import IndexOutOfRange, InfeasibleQuery, QueryOrderViolation
 
 
@@ -42,7 +42,7 @@ class MinWidthSweepState:
         "debug",
     )
 
-    def __init__(self, seq: WeightedSequence, x: int, y: int, min_width: Number,
+    def __init__(self, seq: WeightedSequence, x: int, y: int, min_width: RealInput,
                  bounds: FeasibilityBounds, counters: OpCounters, debug: bool):
         self.seq = seq
         self.bounds = bounds
@@ -108,7 +108,7 @@ def initialize_min_width(
     seq: WeightedSequence,
     x: int,
     y: int,
-    min_width: Number,
+    min_width: RealInput,
     bounds: FeasibilityBounds,
     *,
     counters: Optional[OpCounters] = None,

@@ -23,6 +23,7 @@ from maxseg.core import (
     exact_decimal,
     format_scaled,
 )
+from maxseg.errors import NonFiniteItem
 
 from conftest import general_seq
 
@@ -47,8 +48,10 @@ class TestBuildSequence:
     def test_negative_and_nan_weight_rejected(self):
         with pytest.raises(NonPositiveWeight):
             build_sequence([(1, 1), (2, -3)])
-        with pytest.raises(NonPositiveWeight):
-            build_sequence([(1.0, float("nan"))])
+        for weight in (float("nan"), float("-inf"), Decimal("NaN"), Decimal("-Infinity")):
+            with pytest.raises(NonPositiveWeight) as exc:
+                build_sequence([(1, 1), (1.0, weight)])
+            assert exc.value.index == 2
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequence):
@@ -57,7 +60,6 @@ class TestBuildSequence:
     def test_big_integers_exact(self, rng):
         big = 1 << 62
         seq = build_sequence([(big, 1), (-big, big), (big + 1, 3)])
-        assert seq.exact
         assert seq.prefix_value == [0, big, 0, big + 1]
         assert seq.prefix_weight == [0, 1, big + 1, big + 4]
         for _ in range(60):
@@ -79,6 +81,35 @@ class TestBuildSequence:
                 continue
             want = brute_force_best(seq, L, U)
             assert (got.start, got.end, got.density) == (want.start, want.end, want.density)
+
+    def test_non_integers_become_exact_fractions(self):
+        import numpy as np
+
+        seq = build_sequence([(0.1, 0.5), (Decimal("0.3"), 1.0), (np.int64(3), Fraction(6, 2))])
+        assert seq.items == [(Fraction(0.1), Fraction(1, 2)), (Fraction(3, 10), 1), (3, 3)]
+        assert seq.prefix_value[3] == Fraction(0.1) + Fraction(3, 10) + 3
+        # integral items are stored as plain ints, numpy integers included
+        seq = build_sequence([(1.0, 2.0), (np.int64(-3), Decimal(2)), (Fraction(4, 2), 1)])
+        assert seq.prefix_value == [0, 1, -2, 0] and seq.prefix_weight == [0, 2, 4, 5]
+        assert {type(x) for x in seq.prefix_value + seq.prefix_weight} == {int}
+        with pytest.raises(TypeError):
+            build_sequence([("1", 1)])
+        with pytest.raises(TypeError):
+            build_sequence([(1, "1")])
+
+    def test_decimals_are_not_rounded(self):
+        seq = build_sequence([(Decimal("1e30"), 1), (Decimal(1), 1), (Decimal("-1e30"), 1)])
+        assert seq.prefix_value[3] == 1
+
+    @pytest.mark.parametrize("value, weight", [
+        (float("nan"), 1), (float("inf"), 1), (float("-inf"), 1),
+        (Decimal("NaN"), 1), (Decimal("-Infinity"), 1),
+        (1, float("inf")), (1, Decimal("Infinity")),
+    ])
+    def test_non_finite_items_refused(self, value, weight):
+        with pytest.raises(NonFiniteItem) as exc:
+            build_sequence([(1, 1), (value, weight)])
+        assert exc.value.index == 2
 
     def test_item_recovery_and_flags(self):
         seq = build_sequence([(2, 1), (-5, 3)])
@@ -182,9 +213,11 @@ class TestComputeBounds:
         assert b.i0 is None
         assert b.lidx[1:] == [None, None, None]
 
-    def test_heavy_item_rejected(self):
-        with pytest.raises(ValueError):
-            compute_bounds(build_sequence([(0, 5)]), 1, 3)
+    def test_heavy_item_admits_no_endpoint(self):
+        b = compute_bounds(build_sequence([(0, 5)]), 1, 3)
+        assert (b.lidx[1:], b.uidx[1:]) == ([1], [0])
+        b = compute_bounds(build_sequence([(0, 1), (0, 5), (0, 2)]), 1, 3)
+        assert (b.lidx[1:], b.uidx[1:]) == ([1, 2, 3], [1, 1, 3])
 
     def test_bad_bounds_rejected(self):
         seq = build_sequence([(0, 1)])

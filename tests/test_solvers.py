@@ -1,5 +1,8 @@
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,7 +196,7 @@ class TestMaxDensityGeneral:
         assert (seg.start, seg.end) == (1, 3)
 
     def test_sub_unit_weights_match_oracle(self, rng):
-        # dyadic weights below 1 are exact in float arithmetic
+        # dyadic float weights below 1 become exact Fractions
         for _ in range(150):
             n = rng.randint(1, 30)
             seq = build_sequence([(float(rng.randint(-9, 9)), rng.choice((0.125, 0.5, 0.75)))
@@ -226,6 +229,27 @@ class TestMaxDensityGeneral:
             want = brute_force_best(seq, L, U)
             assert seg.density == want.density
             assert L <= seq.width(seg.start, seg.end) <= U
+
+    def test_items_wider_than_u_need_no_split(self, rng):
+        # An item wider than U only leaves uidx[i] < lidx[i], which the
+        # sweep skips; no refusal and no split is needed.
+        for _ in range(1000):
+            n = rng.randint(1, 40)
+            seq = build_sequence([
+                (rng.randint(-9, 9),
+                 rng.randint(8, 14) if rng.random() < 0.15 else rng.randint(1, 7))
+                for _ in range(n)
+            ])
+            U = rng.randint(1, 7)
+            L = rng.randint(1, U)
+            try:
+                seg = max_density_general(seq, L, U)
+            except InfeasibleWidthWindow:
+                with pytest.raises(InfeasibleWidthWindow):
+                    brute_force_best(seq, L, U)
+                continue
+            want = brute_force_best(seq, L, U)
+            assert (seg.start, seg.end, seg.density) == (want.start, want.end, want.density)
 
     def test_uniform_cross_agreement(self, rng):
         for _ in range(100):
@@ -266,18 +290,20 @@ class TestSolveDispatch:
         solve(SolveRequest(seq, 2, 5))
         assert calls == ["uniform"]
 
-    def test_uniform_equal_bounds_routes_to_sliding_window(self, monkeypatch):
+    def test_uniform_equal_bounds_route_to_densest_run(self, monkeypatch):
         calls = []
-        orig = solvers.sliding_window
+        orig = solvers._densest_run
 
         def spy(*a, **kw):
-            calls.append("window")
+            calls.append("run")
             return orig(*a, **kw)
 
-        monkeypatch.setattr(solvers, "sliding_window", spy)
+        monkeypatch.setattr(solvers, "_densest_run", spy)
         seq = uniform_seq(random.Random(3), 10)
-        solve(SolveRequest(seq, 4, 4))
-        assert calls == ["window"]
+        got = solve(SolveRequest(seq, 4, 4))
+        assert calls == ["run"]
+        want = sliding_window(seq, 4)
+        assert (got.start, got.end, got.density) == (want.start, want.end, want.density)
 
     def test_general_weights_route_to_general(self, monkeypatch):
         calls = []
@@ -320,6 +346,8 @@ class TestSolveDispatch:
             SolveRequest(seq, 0, 2)
         with pytest.raises(ValueError):
             SolveRequest(seq, 3, 2)
+        with pytest.raises(ValueError, match="need L <= U"):
+            SolveRequest(seq, 1, float("nan"))
 
     def test_oracle_agreement_dispatch(self, rng):
         for _ in range(150):
@@ -558,17 +586,16 @@ class TestEdgeProfiles:
         assert (seg.start, seg.end) == (1, 3)
 
     def test_float_inputs_fallback(self, rng):
-        # floats are the documented inexact path; results still match a float
-        # oracle on instances without near-ties
+        # integral floats are stored as ints: the answer is the integer one
         for _ in range(40):
             n = rng.randint(1, 30)
-            seq = build_sequence([(rng.randint(0, 9) * 1.0, 1.0) for _ in range(n)])
-            assert not seq.exact
+            values = [rng.randint(0, 9) for _ in range(n)]
+            seq = build_sequence([(v * 1.0, 1.0) for v in values])
             L = rng.randint(1, n)
             U = rng.randint(L, n)
             got = solve(SolveRequest(seq, float(L), float(U)))
-            want = brute_force_best(seq, L, U)
-            assert got.density.value == pytest.approx(want.density.value, rel=1e-12)
+            want = brute_force_best(build_sequence([(v, 1) for v in values]), L, U)
+            assert (got.start, got.end, got.density) == (want.start, want.end, want.density)
 
     def test_fast_eligibility_boundary(self):
         # just inside the int64-product guard: spread * total < 2**62
@@ -618,3 +645,76 @@ class TestCounters:
                 continue
             beta = (U - L + 1).bit_length() - 1
             assert c.total() <= 4 * n * (beta + 1)
+
+
+def _exact_answer(items, L, U):
+    """Oracle (start, end, density) on an explicit Fraction copy with
+    Fraction bounds; None when no segment is feasible."""
+    seq = build_sequence([(Fraction(a), Fraction(w)) for a, w in items])
+    try:
+        seg = brute_force_best(seq, Fraction(L), None if U is None else Fraction(U))
+    except InfeasibleWidthWindow:
+        return None
+    return seg.start, seg.end, seg.density
+
+
+def _solve_answer(items, L, U):
+    try:
+        seg = solve(SolveRequest(build_sequence(items), L, U))
+    except InfeasibleWidthWindow:
+        return None
+    return seg.start, seg.end, seg.density
+
+
+# Value strategy, weight strategy and bound-grid unit per number kind.
+_KINDS = {
+    "decimal": (st.integers(-30, 30).map(lambda k: Decimal(k) / 10),
+                st.integers(1, 30).map(lambda k: Decimal(k) / 10), Decimal("0.1")),
+    "dyadic": (st.integers(-64, 64).map(lambda k: Fraction(k, 16)),
+               st.integers(1, 16).map(lambda k: Fraction(k, 16)), Fraction(1, 16)),
+    "integral-float": (st.integers(-9, 9).map(float), st.integers(1, 4).map(float), 0.5),
+    "big-int": (st.tuples(st.integers(-9, 9), st.sampled_from((30, 62, 100)))
+                .map(lambda t: (t[0] << t[1]) + 1),
+                st.tuples(st.integers(1, 3), st.sampled_from((0, 20, 70)))
+                .map(lambda t: t[0] << t[1]), 1 << 18),
+}
+
+
+@st.composite
+def _instances(draw, kind):
+    value, weight, unit = _KINDS[kind]
+    items = draw(st.lists(st.tuples(value, weight), min_size=1, max_size=20))
+    units = int(sum(Fraction(w) for _, w in items) / Fraction(unit))
+    L = unit * draw(st.integers(1, units + 2))
+    U = draw(st.one_of(st.none(), st.integers(0, units).map(lambda m: L + unit * m)))
+    return items, L, U
+
+
+class TestExactNumberModel:
+    """Every accepted number type gets the exact optimum: solve agrees with
+    the oracle on an explicit Fraction copy in (start, end, density), and
+    both find no feasible segment or neither does."""
+
+    @given(st.lists(st.tuples(st.sampled_from((0.1, 0.2, 0.3, -0.1, 0.7)),
+                              st.sampled_from((0.1, 0.2, 0.3, 0.7))),
+                    min_size=1, max_size=30),
+           st.integers(1, 30), st.one_of(st.none(), st.integers(0, 30)))
+    @settings(max_examples=300, deadline=None)
+    def test_decimal_like_floats(self, items, l10, extra):
+        L = l10 / 10
+        U = None if extra is None else (l10 + extra) / 10
+        assert _solve_answer(items, L, U) == _exact_answer(items, L, U)
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_number_kinds(self, kind, data):
+        items, L, U = data.draw(_instances(kind))
+        want = _exact_answer(items, L, U)
+        assert _solve_answer(items, L, U) == want
+        seq = build_sequence(items)
+        if isinstance(seq.prefix_value[-1], int) and isinstance(seq.prefix_weight[-1], int):
+            # int-valued input also runs through the backend
+            with mock.patch.object(fastpath, "MIN_FAST_N", 1):
+                assert fastpath.eligible(seq) or kind == "big-int"
+                assert _solve_answer(items, L, U) == want
