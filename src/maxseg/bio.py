@@ -22,20 +22,21 @@ class DnaRecord:
 
 @dataclass(frozen=True)
 class MappingSpec:
-    """How nucleotide symbols become item values.
+    """How nucleotide symbols become item values: G/C score gc_score, every
+    other symbol other_score, both in units of 1/scale.
 
     gc01 scores G/C as 1 and everything else 0.  huang(p) scores G/C as
     1 - p and everything else as -p, for p in [0, 1] with at most 9 decimal
     places; p's decimal digits fix the integer scale so the scoring stays exact.
     """
 
-    kind: str
-    p_scaled: int = 0
-    scale: int = 1
+    gc_score: int
+    other_score: int
+    scale: int
 
     @classmethod
     def gc01(cls) -> "MappingSpec":
-        return cls(kind="gc01")
+        return cls(1, 0, 1)
 
     @classmethod
     def huang(cls, p: Union[str, float, Decimal]) -> "MappingSpec":
@@ -43,7 +44,7 @@ class MappingSpec:
         scale = 10 ** places
         if not 0 <= p_scaled <= scale:
             raise ValueError(f"huang p must lie in [0, 1], got {p}")
-        return cls(kind="huang", p_scaled=p_scaled, scale=scale)
+        return cls(scale - p_scaled, -p_scaled, scale)
 
 
 def parse_fasta(stream: Union[str, IO[str], Iterable[str]]) -> List[DnaRecord]:
@@ -104,20 +105,13 @@ def map_to_sequence(
     Every item weighs 1, so widths count bases.  Ambiguity codes such as N
     score as non-GC; strict mode rejects symbols outside A/C/G/T/U/N instead.
     """
-    if spec.kind == "gc01":
-        gc_score, other_score, value_scale = 1, 0, 1
-    elif spec.kind == "huang":
-        gc_score = spec.scale - spec.p_scaled
-        other_score = -spec.p_scaled
-        value_scale = spec.scale
-    else:
-        raise ValueError(f"mapping {spec.kind!r} does not apply to DNA records")
     if strict:
         for pos, ch in enumerate(rec.bases, start=1):
             if ch not in _KNOWN_BASES:
                 raise UnknownSymbol(ch, pos)
+    gc_score, other_score = spec.gc_score, spec.other_score
     items = [(gc_score if ch in _GC_BASES else other_score, 1) for ch in rec.bases]
-    return build_sequence(items, value_scale=value_scale)
+    return build_sequence(items, value_scale=spec.scale)
 
 
 def compress_runs(seq: WeightedSequence) -> WeightedSequence:

@@ -186,7 +186,6 @@ def build_sequence(
     """
     pv: List[Number] = [0]
     pw: List[Number] = [0]
-    uniform = True
     min_w: Optional[Number] = None
     max_w: Optional[Number] = None
     idx = 0
@@ -198,8 +197,6 @@ def build_sequence(
             w = _exact(w, idx, weight=True)
         if not w > 0:
             raise NonPositiveWeight(idx)
-        if w != 1:
-            uniform = False
         if min_w is None or w < min_w:
             min_w = w
         if max_w is None or w > max_w:
@@ -213,7 +210,7 @@ def build_sequence(
         pw,
         value_scale=value_scale,
         weight_scale=weight_scale,
-        is_uniform=uniform,
+        is_uniform=min_w == max_w == 1,
         min_weight=min_w,
         max_weight=max_w,
     )

@@ -317,12 +317,16 @@ def max_density_general(
 ) -> Segment:
     """Densest segment of width in [L, U] for any positive weights.
 
-    Builds a min-width structure per dyadic block at every level up to beta,
-    then covers each left index's feasible endpoint range with O(beta)
-    aligned blocks and queries each.  beta = floor(log2(s)) for s the widest
-    feasible endpoint range present, so the cost is O(n log s), where
-    s <= n always and s <= U - L + 1 when every weight is at least 1.
-    Items wider than U need no split: their uidx[i] < lidx[i] is skipped.
+    Builds a min-width structure per dyadic block at levels 1..beta, then
+    covers each left index's feasible endpoint range with the O(beta)
+    aligned blocks of :func:`_iter_cover` (the cover C06 checks for every
+    interval) and queries each.  A level-0 block [s, s] answers s itself, so
+    it gets no structure.  Every cover block fits inside [lidx[i], uidx[i]],
+    so a block of level >= 1 ends right of lidx[i], as the query requires.
+    beta = floor(log2(s)) for s the widest feasible endpoint range present,
+    so the cost is O(n log s), where s <= n always and s <= U - L + 1 when
+    every weight is at least 1.  Items wider than U need no split: their
+    uidx[i] < lidx[i] gives an empty cover.
     """
     if not 0 < L <= U:
         raise ValueError(f"need 0 < L <= U, got L={L!r} U={U!r}")
@@ -348,8 +352,8 @@ def max_density_general(
         )
     beta = widest.bit_length() - 1  # widest <= 2**(beta+1) - 1
 
-    levels = []
-    for k in range(beta + 1):
+    levels = [None]  # a one-item block [s, s] answers s itself
+    for k in range(1, beta + 1):
         step = 1 << k
         levels.append([
             initialize_min_width(seq, xs, min(n, xs + step - 1), L, bounds, counters=c)
@@ -360,23 +364,11 @@ def max_density_general(
     W = seq.prefix_weight
     best = _Best()
     for i in range(i0, 0, -1):
-        li = lidx[i]
-        ui = uidx[i]
-        if ui < li:
-            continue  # this left index admits no feasible endpoint
         vi = V[i - 1]
         wi = W[i - 1]
-        s = li
-        while s <= ui:
-            k = _greedy_level(s, ui, beta)
-            state = levels[k][(s - 1) >> k]
-            ys = state.y
-            if li == ys:
-                g = ys  # single-endpoint block at the range start
-            else:
-                g = find_match_min_width(state, i)
+        for k, s in _iter_cover(lidx[i], uidx[i], beta):
+            g = find_match_min_width(levels[k][(s - 1) >> k], i) if k else s
             best.offer(i, g, V[g] - vi, W[g] - wi)
-            s += 1 << k
     return _finalize(seq, best.start, best.end, lidx[best.start])
 
 
@@ -445,17 +437,11 @@ def solve(req: SolveRequest, *, counters: Optional[OpCounters] = None) -> Segmen
             continue
         if offset:
             seg = Segment(seg.start + offset, seg.end + offset, seg.density)
-        if best is None:
-            best = seg
-        else:
-            d_new, d_old = seg.density, best.density
-            if d_new > d_old or (
-                d_new == d_old and (seg.start, seg.end) < (best.start, best.end)
-            ):
-                best = seg
+        if best is None or seg.density > best.density:
+            best = seg  # later pieces start later, so ties keep the earlier
     if best is None:
         raise InfeasibleWidthWindow(
-            f"no segment with width in [{L!r}, {U if U is not None else 'unbounded'!r}]"
+            f"no segment with width in [{L!r}, {'unbounded' if U is None else repr(U)}]"
         )
     return best
 

@@ -21,10 +21,10 @@ from .errors import IndexOutOfRange, QueryOrderViolation, RangeViolation
 
 class MaxWidthSweepState:
     __slots__ = ("seq", "bounds", "x", "y", "q", "upper", "last_query",
-                 "counters", "debug")
+                 "counters")
 
     def __init__(self, seq: WeightedSequence, x: int, y: int,
-                 bounds: FeasibilityBounds, counters: OpCounters, debug: bool):
+                 bounds: FeasibilityBounds, counters: OpCounters):
         self.seq = seq
         self.bounds = bounds
         self.x = x
@@ -33,7 +33,6 @@ class MaxWidthSweepState:
         self.upper = y
         self.last_query = seq.n + 1
         self.counters = counters
-        self.debug = debug
 
     def pointer(self, k: int) -> int:
         """q[k]: start of the trailing partition block of prefix (x+1, k)."""
@@ -55,7 +54,6 @@ def initialize_max_width(
     bounds: FeasibilityBounds,
     *,
     counters: Optional[OpCounters] = None,
-    debug: bool = False,
 ) -> MaxWidthSweepState:
     """Build the structure for range [x, y] in O(y - x + 1).
 
@@ -66,7 +64,7 @@ def initialize_max_width(
     """
     if not 1 <= x <= y <= seq.n:
         raise IndexOutOfRange(f"range ({x},{y}) outside [1,{seq.n}]")
-    state = MaxWidthSweepState(seq, x, y, bounds, counters or OpCounters(), debug)
+    state = MaxWidthSweepState(seq, x, y, bounds, counters or OpCounters())
     if y == x:
         return state
     size = y - x + 1

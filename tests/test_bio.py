@@ -77,6 +77,8 @@ class TestMapping:
         seq = map_to_sequence(DnaRecord("s", "GATC"), MappingSpec.huang("0.35"))
         assert seq.value_scale == 100
         assert [seq.value(i) for i in range(1, 5)] == [65, -35, -35, 65]
+        assert MappingSpec.huang("0.35") == MappingSpec(65, -35, 100)
+        assert MappingSpec.gc01() == MappingSpec(1, 0, 1)
 
     def test_ambiguity_codes_score_as_non_gc(self):
         seq = map_to_sequence(DnaRecord("s", "AN"), MappingSpec.gc01())

@@ -231,8 +231,8 @@ class TestMaxDensityGeneral:
             assert L <= seq.width(seg.start, seg.end) <= U
 
     def test_items_wider_than_u_need_no_split(self, rng):
-        # An item wider than U only leaves uidx[i] < lidx[i], which the
-        # sweep skips; no refusal and no split is needed.
+        # An item wider than U only leaves uidx[i] < lidx[i], an empty
+        # cover; no refusal and no split is needed.
         for _ in range(1000):
             n = rng.randint(1, 40)
             seq = build_sequence([
@@ -250,6 +250,26 @@ class TestMaxDensityGeneral:
                 continue
             want = brute_force_best(seq, L, U)
             assert (seg.start, seg.end, seg.density) == (want.start, want.end, want.density)
+
+    def test_builds_no_one_item_blocks(self, rng, monkeypatch):
+        # Structures exist only at levels 1..beta, about n / 2 + n / 4 + ...
+        # blocks; a one-item block answers its own index.
+        calls = []
+        orig = solvers.initialize_min_width
+
+        def spy(seq, x, y, *a, **kw):
+            calls.append(y - x + 1)
+            return orig(seq, x, y, *a, **kw)
+
+        monkeypatch.setattr(solvers, "initialize_min_width", spy)
+        for n in (3000, 5000):
+            calls.clear()
+            seq = general_seq(rng, n, 1, 3)
+            L = n // 10
+            seg = max_density_general(seq, L, L + 500)
+            assert L <= seq.width(seg.start, seg.end) <= L + 500
+            assert calls and min(calls) >= 2
+            assert len(calls) < n
 
     def test_uniform_cross_agreement(self, rng):
         for _ in range(100):
@@ -330,6 +350,15 @@ class TestSolveDispatch:
 
     def test_all_items_heavy_infeasible(self):
         with pytest.raises(InfeasibleWidthWindow):
+            solve(SolveRequest(build_sequence([(1, 5), (1, 7)]), 1, 3))
+
+    def test_infeasible_message_names_the_window(self):
+        seq = build_sequence([(1, 1), (2, 1)])
+        with pytest.raises(InfeasibleWidthWindow,
+                           match=r"^no segment with width in \[3, unbounded\]$"):
+            solve(SolveRequest(seq, 3, None))
+        with pytest.raises(InfeasibleWidthWindow,
+                           match=r"^no segment with width in \[1, 3\]$"):
             solve(SolveRequest(build_sequence([(1, 5), (1, 7)]), 1, 3))
 
     def test_equal_scaled_weights_use_count_normalization(self):
