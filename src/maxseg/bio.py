@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import IO, Iterable, List, Optional, Tuple, Union
+from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .core import WeightedSequence, build_sequence, exact_decimal
 from .errors import MalformedFasta, MalformedTsv, UnknownSymbol
@@ -110,7 +110,7 @@ def map_to_sequence(
             if ch not in _KNOWN_BASES:
                 raise UnknownSymbol(ch, pos)
     gc_score, other_score = spec.gc_score, spec.other_score
-    items = [(gc_score if ch in _GC_BASES else other_score, 1) for ch in rec.bases]
+    items = ((gc_score if ch in _GC_BASES else other_score, 1) for ch in rec.bases)
     return build_sequence(items, value_scale=spec.scale)
 
 
@@ -139,12 +139,12 @@ def compress_runs(seq: WeightedSequence) -> WeightedSequence:
                           weight_scale=seq.weight_scale)
 
 
-def _on_common_grid(column: List[Tuple[int, int]]) -> Tuple[List[int], int]:
+def _on_common_grid(column: List[Tuple[int, int]]) -> Tuple[Iterator[int], int]:
     """(units, places) pairs rescaled to the column's finest place count:
-    the integers and their shared power-of-ten scale."""
+    the integers, streamed, and their shared power-of-ten scale."""
     top = max(places for _, places in column)
     factors = [10 ** (top - p) for p in range(top + 1)]
-    return [units * factors[places] for units, places in column], 10 ** top
+    return (units * factors[places] for units, places in column), 10 ** top
 
 
 def parse_tsv(stream: Union[str, IO[str], Iterable[str]]) -> WeightedSequence:

@@ -110,7 +110,7 @@ def _mapping_from_flag(text: str) -> MappingSpec:
 def _dump_structures(seq: WeightedSequence, L_scaled, err: IO[str]) -> None:
     total = seq.prefix_weight[seq.n]
     bounds = compute_bounds(seq, min(L_scaled, total), total)
-    initialize_min_width(seq, 1, seq.n, L_scaled, bounds).dump_tsv(err)
+    initialize_min_width(seq, 1, seq.n, bounds).dump_tsv(err)
     initialize_max_width(seq, 1, seq.n, bounds).dump_tsv(err)
 
 

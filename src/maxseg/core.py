@@ -53,9 +53,6 @@ class DensityValue:
         """Floating-point rendering of the density."""
         return float(self.sum / self.width)
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.sum) / Fraction(self.width)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DensityValue):
             return NotImplemented
@@ -67,7 +64,7 @@ class DensityValue:
         return self.sum * other.width < other.sum * self.width
 
     def __hash__(self):
-        return hash(self.as_fraction())
+        return hash(Fraction(self.sum, self.width))
 
     def __repr__(self):
         return f"DensityValue({self.sum!r}/{self.width!r} = {self.value:.6g})"
@@ -382,14 +379,8 @@ def density_decimal_str(
     places: int = 9,
 ) -> str:
     """Exact decimal rendering (half-even) of a density to `places` digits."""
-    num = seg_sum * weight_scale
-    den = seg_width * value_scale
-    if den < 0:
-        num, den = -num, -den
-    sign = "-" if num < 0 else ""
-    scaled = abs(num) * 10 ** places
-    q, r = divmod(scaled, den)
-    if 2 * r > den or (2 * r == den and q & 1):
-        q += 1
+    sign = "-" if seg_sum < 0 else ""
+    q = round(Fraction(abs(seg_sum) * weight_scale * 10 ** places,
+                       seg_width * value_scale))
     whole, frac = divmod(q, 10 ** places)
     return f"{sign}{whole}.{frac:0{places}d}"

@@ -121,14 +121,14 @@ def _finalize(seq: WeightedSequence, i: int, g: int, lo: int) -> Segment:
 
 
 def _item_counts(seq: WeightedSequence, L: RealInput, U: RealInput) -> Tuple[int, int]:
-    """(ceil(L / c), min(floor(U / c), n)) for the common weight c, exactly."""
+    """(ceil(L / c), floor(U / c)) for the common weight c, exactly."""
     if seq.min_weight != seq.max_weight:
         raise NonUniformInput(
             f"requires equal weights, found {seq.min_weight!r} to {seq.max_weight!r}"
         )
     c = seq.min_weight
     L, U = Fraction(L), Fraction(U)
-    return max(-(-L // c), 1), min(U // c, seq.n)
+    return -(-L // c), U // c
 
 
 def sliding_window(seq: WeightedSequence, L: RealInput) -> Segment:
@@ -176,16 +176,12 @@ def max_density_min_width(
     i0 = bounds.i0
     assert i0 is not None
     lidx = bounds.lidx
-    state = initialize_min_width(seq, 1, n, L, bounds, counters=c)
+    state = initialize_min_width(seq, 1, n, bounds, counters=c)
     V = seq.prefix_value
     W = seq.prefix_weight
     best = _Best()
     for i in range(i0, 0, -1):
-        li = lidx[i]
-        if li == n:
-            g = n  # single feasible endpoint; answered without a query
-        else:
-            g = find_match_min_width(state, i)
+        g = find_match_min_width(state, i)
         best.offer(i, g, V[g] - V[i - 1], W[g] - W[i - 1])
     return _finalize(seq, best.start, best.end, lidx[best.start])
 
@@ -212,10 +208,13 @@ def max_density_uniform(
     searched with the block's min-width structure, the high part with the
     next block's max-width structure.
     """
+    if not 0 < L <= U:
+        raise ValueError(f"need 0 < L <= U, got L={L!r} U={U!r}")
     n = seq.n
-    Lc, Uc = _item_counts(seq, L, U)
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L!r}")
+    total = seq.prefix_weight[n]
+    if total < L:
+        raise InfeasibleWidthWindow(f"total width {total!r} below L={L!r}")
+    Lc, Uc = _item_counts(seq, L, min(U, total))
     if Lc > Uc:
         raise InfeasibleWidthWindow(f"no item count puts the width inside [{L!r}, {U!r}]")
     if Lc == Uc:
@@ -233,27 +232,20 @@ def max_density_uniform(
     blocks_u = []
     for xs in range(1, n + 1, size):
         ys = min(n, xs + size - 1)
-        blocks_l.append(initialize_min_width(seq, xs, ys, L, bounds, counters=c))
+        blocks_l.append(initialize_min_width(seq, xs, ys, bounds, counters=c))
         blocks_u.append(initialize_max_width(seq, xs, ys, bounds, counters=c))
 
     V = seq.prefix_value
     W = seq.prefix_weight
     best = _Best()
     for i in range(i0, 0, -1):
-        li = lidx[i]
-        zc = (li - 1) // size
-        state_l = blocks_l[zc]
-        ys = state_l.y
-        assert state_l.x <= li <= ys
-        if li == ys:
-            g = li  # the block holds a single feasible endpoint
-        else:
-            g = find_match_min_width(state_l, i)
+        zc = (lidx[i] - 1) // size
+        g = find_match_min_width(blocks_l[zc], i)
         vi = V[i - 1]
         wi = W[i - 1]
         s = V[g] - vi
         w = W[g] - wi
-        if ys < n:
+        if zc + 1 < len(blocks_u):
             g2 = find_match_max_width(blocks_u[zc + 1], i)
             s2 = V[g2] - vi
             w2 = W[g2] - wi
@@ -322,7 +314,7 @@ def max_density_general(
     aligned blocks of :func:`_iter_cover` (the cover C06 checks for every
     interval) and queries each.  A level-0 block [s, s] answers s itself, so
     it gets no structure.  Every cover block fits inside [lidx[i], uidx[i]],
-    so a block of level >= 1 ends right of lidx[i], as the query requires.
+    so no block ends left of lidx[i], as the query requires.
     beta = floor(log2(s)) for s the widest feasible endpoint range present,
     so the cost is O(n log s), where s <= n always and s <= U - L + 1 when
     every weight is at least 1.  Items wider than U need no split: their
@@ -356,7 +348,7 @@ def max_density_general(
     for k in range(1, beta + 1):
         step = 1 << k
         levels.append([
-            initialize_min_width(seq, xs, min(n, xs + step - 1), L, bounds, counters=c)
+            initialize_min_width(seq, xs, min(n, xs + step - 1), bounds, counters=c)
             for xs in range(1, n + 1, step)
         ])
 

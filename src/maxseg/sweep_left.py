@@ -1,12 +1,16 @@
 """Sweep structure for best-endpoint queries under a minimum width bound.
 
 Over a fixed index range [x, y] the structure answers, for left indices i
-given in strictly decreasing order, "which endpoint in [x, y] maximizes the
-density of (i, *) among segments at least L wide?".  Answers never increase
-across queries: when the true best endpoint lies right of an earlier answer
-the earlier answer is returned instead, which keeps global maximization
-correct because in that situation the earlier query's segment is at least as
-dense.
+given in strictly decreasing order, "which endpoint in [lidx[i], y] maximizes
+the density of (i, *)?", where lidx[i] is the smallest endpoint of width at
+least L.  Every query with lidx[i] <= y is answered, the one-endpoint case
+lidx[i] == y included; a query with no feasible endpoint in the range raises
+InfeasibleQuery.  Answers never increase across queries: when the true best
+endpoint lies right of an earlier answer the earlier answer is returned
+instead, which keeps global maximization correct because in that situation
+the earlier query's segment is at least as dense.  Since lidx never
+decreases as i does, the one-endpoint queries on a structure all come before
+any query that moves its cursors.
 
 State: a pointer array p where (k, p[k]) is the leading block of the
 decreasingly right-skew partition of the suffix (k, y); bucket lists mapping
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from typing import IO, Optional
 
-from .core import FeasibilityBounds, OpCounters, RealInput, WeightedSequence
+from .core import FeasibilityBounds, OpCounters, WeightedSequence
 from .errors import IndexOutOfRange, InfeasibleQuery, QueryOrderViolation
 
 
@@ -30,7 +34,6 @@ class MinWidthSweepState:
         "bounds",
         "x",
         "y",
-        "min_width",
         "p",
         "_head",
         "_next",
@@ -42,13 +45,12 @@ class MinWidthSweepState:
         "debug",
     )
 
-    def __init__(self, seq: WeightedSequence, x: int, y: int, min_width: RealInput,
+    def __init__(self, seq: WeightedSequence, x: int, y: int,
                  bounds: FeasibilityBounds, counters: OpCounters, debug: bool):
         self.seq = seq
         self.bounds = bounds
         self.x = x
         self.y = y
-        self.min_width = min_width
         self.counters = counters
         self.debug = debug
         self.p = None
@@ -108,7 +110,6 @@ def initialize_min_width(
     seq: WeightedSequence,
     x: int,
     y: int,
-    min_width: RealInput,
     bounds: FeasibilityBounds,
     *,
     counters: Optional[OpCounters] = None,
@@ -123,8 +124,7 @@ def initialize_min_width(
     """
     if not 1 <= x <= y <= seq.n:
         raise IndexOutOfRange(f"range ({x},{y}) outside [1,{seq.n}]")
-    state = MinWidthSweepState(seq, x, y, min_width,
-                               bounds, counters or OpCounters(), debug)
+    state = MinWidthSweepState(seq, x, y, bounds, counters or OpCounters(), debug)
     if y == x:
         return state
     size = y - x + 1
@@ -162,8 +162,10 @@ def find_match_min_width(state: MinWidthSweepState, i: int) -> int:
 
     Returns min(m, m0) where m is the best endpoint for i and m0 the previous
     return value (initially y).  Requires strictly decreasing i across calls
-    and lidx[i] defined and < y; the single-endpoint cases (x == y, or
-    lidx[i] == y) must be handled by the caller.
+    and lidx[i] defined and <= y, else raises InfeasibleQuery.  When y is the
+    only candidate (lidx[i] == y, or x == y) it is returned without touching
+    the cursors: lidx never decreases as i does, so on any one structure such
+    queries all come before the first one that moves a cursor.
     """
     if i >= state.last_query:
         raise QueryOrderViolation(
@@ -174,17 +176,11 @@ def find_match_min_width(state: MinWidthSweepState, i: int) -> int:
         raise IndexOutOfRange(f"query index {i} outside [1,{seq.n}]")
     state.last_query = i
     x, y = state.x, state.y
-    if y == x:
-        # Only one candidate endpoint; the pointer machinery is empty.
-        return y
     li = state.bounds.lidx[i]
-    if li is None:
-        raise InfeasibleQuery(f"no endpoint of width >= {state.min_width!r} for index {i}")
-    if li >= y:
-        raise InfeasibleQuery(
-            f"minimum feasible endpoint {li} not left of range end {y}; "
-            "the caller must answer this query directly"
-        )
+    if li is None or li > y:
+        raise InfeasibleQuery(f"no feasible endpoint for index {i} in ({x},{y})")
+    if li == y or x == y:
+        return y
 
     counters = state.counters
     p = state.p

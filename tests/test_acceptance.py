@@ -112,7 +112,7 @@ def test_c04_partition_invariants():
         if not all(_is_right_skew(seq, s, e) for s, e in blocks):
             violations += 1
         if n >= 2:
-            st_l = initialize_min_width(seq, 1, n, 1, bounds)
+            st_l = initialize_min_width(seq, 1, n, bounds)
             st_u = initialize_max_width(seq, 1, n, bounds)
             for s, e in brute_force_partition(seq, 2, n):
                 if st_l.pointer(s) != e:

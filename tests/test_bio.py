@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +98,19 @@ class TestMapping:
         # lenient default scores it as non-GC
         seq = map_to_sequence(DnaRecord("s", "ART"), MappingSpec.gc01())
         assert seq.value(2) == 0
+
+    def test_items_stream_into_the_sequence(self, rng):
+        # Only the prefix sums stay: no per-base item list is built first.
+        n = 200_000
+        rec = DnaRecord("s", "".join(rng.choice("ACGT") for _ in range(n)))
+        tracemalloc.start()
+        try:
+            seq = map_to_sequence(rec, MappingSpec.gc01())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.n == n
+        assert peak / n <= 100, f"{peak / n:.0f} B/base"
 
     def test_huang_p_validated(self):
         with pytest.raises(ValueError):

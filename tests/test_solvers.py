@@ -81,6 +81,21 @@ class TestMaxDensityMinWidth:
         with pytest.raises(InfeasibleWidthWindow):
             max_density_min_width(build_sequence([(1, 1)] * 3), 4)
 
+    def test_queries_the_structure_once_per_left_index(self, monkeypatch):
+        # The one-endpoint query (lidx[i] == n) goes to the structure too.
+        calls = []
+        orig = solvers.find_match_min_width
+
+        def spy(state, i):
+            calls.append(i)
+            return orig(state, i)
+
+        monkeypatch.setattr(solvers, "find_match_min_width", spy)
+        seq = build_sequence([(v, 1) for v in (3, 1, 4, 1, 5, 9, 2, 6)])
+        seg = max_density_min_width(seq, 3)
+        assert calls == [6, 5, 4, 3, 2, 1]  # i0 = 6 down to 1
+        assert (seg.start, seg.end) == (6, 8)
+
     def test_oracle_agreement(self, rng):
         for _ in range(150):
             n = rng.randint(1, 60)
@@ -118,6 +133,22 @@ class TestMaxDensityUniform:
     def test_infeasible(self):
         with pytest.raises(InfeasibleWidthWindow):
             max_density_uniform(build_sequence([(1, 1)] * 3), 5, 7)
+        with pytest.raises(InfeasibleWidthWindow):
+            max_density_uniform(build_sequence([(1, 1)] * 3), math.inf, math.inf)
+
+    def test_unbounded_U_is_capped_at_total_width(self):
+        seq = build_sequence([(3, 1), (1, 1), (4, 1), (1, 1), (5, 1)])
+        seg = max_density_uniform(seq, 2, math.inf)
+        assert (seg.start, seg.end) == (3, 5)
+        want = max_density_general(seq, 2, math.inf)
+        assert (want.start, want.end) == (seg.start, seg.end)
+
+    def test_reversed_window_rejected_like_general(self):
+        seq = build_sequence([(3, 1), (1, 1), (4, 1), (1, 1), (5, 1)])
+        with pytest.raises(ValueError):
+            max_density_general(seq, 4, 3)
+        with pytest.raises(ValueError):
+            max_density_uniform(seq, 4, 3)
 
     def test_oracle_agreement(self, rng):
         for _ in range(200):

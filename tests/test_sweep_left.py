@@ -13,7 +13,7 @@ from conftest import general_seq, uniform_seq
 
 def make_state(seq, x, y, L, **kw):
     bounds = compute_bounds(seq, L, seq.prefix_weight[seq.n])
-    return initialize_min_width(seq, x, y, L, bounds, **kw)
+    return initialize_min_width(seq, x, y, bounds, **kw)
 
 
 class TestInitialize:
@@ -122,33 +122,43 @@ class TestFindMatch:
     def test_undefined_lidx_rejected(self):
         seq = uniform_seq(random.Random(1), 4)
         bounds = compute_bounds(seq, 3, 4)
-        st = initialize_min_width(seq, 1, 4, 3, bounds)
+        st = initialize_min_width(seq, 1, 4, bounds)
         with pytest.raises(InfeasibleQuery):
             find_match_min_width(st, 3)  # lidx[3] undefined for L=3, n=4
 
-    def test_lidx_at_range_end_rejected(self):
+    def test_lidx_at_range_end_answers_range_end(self):
         seq = uniform_seq(random.Random(1), 4)
         bounds = compute_bounds(seq, 4, 4)
-        st = initialize_min_width(seq, 1, 4, 4, bounds)
-        with pytest.raises(InfeasibleQuery):
-            find_match_min_width(st, 1)  # lidx[1] == 4 == y: caller's case
+        st = initialize_min_width(seq, 1, 4, bounds)
+        before = (st.lower, st.upper, st.bridge)
+        assert find_match_min_width(st, 1) == 4  # lidx[1] == 4 == y
+        assert (st.lower, st.upper, st.bridge) == before
 
     def test_singleton_range_returns_endpoint(self):
         seq = uniform_seq(random.Random(1), 6)
         bounds = compute_bounds(seq, 1, 6)
-        st = initialize_min_width(seq, 4, 4, 1, bounds)
+        st = initialize_min_width(seq, 4, 4, bounds)
         assert find_match_min_width(st, 3) == 4
         assert find_match_min_width(st, 2) == 4
+
+    def test_singleton_range_rejects_index_without_endpoint(self):
+        seq = uniform_seq(random.Random(1), 6)
+        bounds = compute_bounds(seq, 3, 6)  # lidx[i] = i + 2 for i <= 4
+        st = initialize_min_width(seq, 4, 4, bounds)
+        with pytest.raises(InfeasibleQuery):
+            find_match_min_width(st, 5)  # lidx[5] undefined
+        with pytest.raises(InfeasibleQuery):
+            find_match_min_width(st, 3)  # lidx[3] == 5 > y
+        assert find_match_min_width(st, 2) == 4  # lidx[2] == 4 == y
 
     def _query_all(self, seq, L, debug=False):
         n = seq.n
         counters = OpCounters()
         bounds = compute_bounds(seq, L, seq.prefix_weight[n])
-        st = initialize_min_width(seq, 1, n, L, bounds, counters=counters, debug=debug)
+        st = initialize_min_width(seq, 1, n, bounds, counters=counters, debug=debug)
         got = {}
         for i in range(bounds.i0 or 0, 0, -1):
-            li = bounds.lidx[i]
-            got[i] = n if li == n else find_match_min_width(st, i)
+            got[i] = find_match_min_width(st, i)
         return got, counters, bounds, st
 
     def test_returns_non_increasing_and_feasible(self, rng):
@@ -159,8 +169,6 @@ class TestFindMatch:
             got, _, bounds, _ = self._query_all(seq, L)
             prev = n
             for i in sorted(got, reverse=True):
-                if bounds.lidx[i] == n:
-                    continue  # answered without touching the structure
                 assert got[i] <= prev
                 assert got[i] >= bounds.lidx[i]
                 prev = got[i]
@@ -206,11 +214,9 @@ class TestFindMatch:
             seq = general_seq(rng, n)
             L = rng.randint(1, seq.prefix_weight[n])
             bounds = compute_bounds(seq, L, seq.prefix_weight[n])
-            st = initialize_min_width(seq, 1, n, L, bounds)
+            st = initialize_min_width(seq, 1, n, bounds)
             prev = (st.lower, st.upper)
             for i in range((bounds.i0 or 0), 0, -1):
-                if bounds.lidx[i] == n:
-                    continue
                 find_match_min_width(st, i)
                 assert st.lower <= prev[0] and st.upper <= prev[1]
                 assert 1 < st.lower <= n and 1 <= st.upper <= n

@@ -70,7 +70,7 @@ class TestInitialize:
             st_u = initialize_max_width(seq, x, y, bounds)
             rev = build_sequence([(0, 1)] + [(-v, w) for v, w in reversed(items)])
             rbounds = compute_bounds(rev, 1, rev.prefix_weight[n + 1])
-            st_l = initialize_min_width(rev, n + 1 - y, n + 1 - x, 1, rbounds)
+            st_l = initialize_min_width(rev, n + 1 - y, n + 1 - x, rbounds)
             for k in range(x + 1, y + 1):
                 assert st_u.pointer(k) == n + 2 - st_l.pointer(n + 2 - k)
 
