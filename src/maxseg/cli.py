@@ -122,6 +122,8 @@ def _load_records(args) -> Iterator[Tuple[str, WeightedSequence]]:
     if args.format == "tsv":
         if args.mapping != "gc":
             raise ValueError("--mapping applies to FASTA input only")
+        if args.strict:
+            raise ValueError("--strict applies to FASTA input only")
         yield "r1", parse_tsv(text)
         return
     spec = _mapping_from_flag(args.mapping)
@@ -261,12 +263,13 @@ def cmd_verify(args, out: IO[str], err: IO[str]) -> int:
 def _bench_sizes(text: str) -> List[int]:
     sizes = []
     for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        sizes.append(int(float(part)))
-    if not sizes:
-        raise ValueError("--sizes: no sizes given")
+        try:
+            size = float(part)
+        except ValueError:
+            size = 0.0  # refused below
+        if not (size.is_integer() and size >= 1):  # inf and NaN are not integers
+            raise ValueError(f"--sizes: expected whole numbers >= 1, got {part.strip()!r}")
+        sizes.append(int(size))
     return sizes
 
 
@@ -293,8 +296,11 @@ def bench_once(seq: WeightedSequence, algo: str, L: int, U: int) -> Tuple[int, i
 
 
 def cmd_bench(args, out: IO[str], err: IO[str]) -> int:
+    sizes = _bench_sizes(args.sizes)
+    if args.repeat < 1:
+        raise ValueError(f"--repeat: expected at least 1, got {args.repeat}")
     out.write("algo,n,L,U,wall_nanos,loop_iterations\n")
-    for n in _bench_sizes(args.sizes):
+    for n in sizes:
         rng = random.Random(args.seed)
         seq = _bench_instance(rng, n, args.algo)
         L = args.L if args.L is not None else max(1, n // 100)

@@ -25,7 +25,6 @@ from typing import Iterator, List, Optional, Tuple
 
 from . import fastpath
 from .core import (
-    DensityValue,
     FeasibilityBounds,
     Number,
     OpCounters,
@@ -36,23 +35,9 @@ from .core import (
     compute_bounds,
     make_segment,
 )
-from .errors import (
-    IndexOutOfRange,
-    InfeasibleWidthWindow,
-    NonUniformInput,
-)
+from .errors import InfeasibleWidthWindow, NonUniformInput
 from .sweep_left import find_match_min_width, initialize_min_width
 from .sweep_right import find_match_max_width, initialize_max_width
-
-@dataclass(frozen=True)
-class BlockId:
-    """Aligned dyadic block: 2**level indices starting at 1 + ordinal * 2**level."""
-
-    level: int
-    ordinal: int
-    start: int
-    end: int  # nominal end (ordinal+1) * 2**level, clipped to n
-
 
 @dataclass
 class SolveRequest:
@@ -92,27 +77,18 @@ class _Best:
             self.w = w
 
 
-def _minimize_end(seq: WeightedSequence, i: int, lo: int, hi: int,
-                  s: Number, w: Number) -> int:
-    """Smallest j in [lo, hi] with density(i, j) equal to s/w exactly."""
+def _finalize(seq: WeightedSequence, i: int, g: int, lo: int) -> Segment:
+    """Normalize the winning candidate (i, g) to the smallest equal-density end >= lo."""
     V = seq.prefix_value
     W = seq.prefix_weight
     vi = V[i - 1]
     wi = W[i - 1]
-    for j in range(lo, hi + 1):
-        if (V[j] - vi) * w == s * (W[j] - wi):
-            return j
-    raise AssertionError("winning candidate density not found on its own row")
-
-
-def _finalize(seq: WeightedSequence, i: int, g: int, lo: int) -> Segment:
-    """Normalize the winning candidate (i, g) to the smallest equal-density end."""
-    V = seq.prefix_value
-    W = seq.prefix_weight
-    s = V[g] - V[i - 1]
-    w = W[g] - W[i - 1]
-    j = _minimize_end(seq, i, lo, g, s, w)
-    return Segment(i, j, DensityValue(V[j] - V[i - 1], W[j] - W[i - 1]))
+    s = V[g] - vi
+    w = W[g] - wi
+    j = lo
+    while (V[j] - vi) * w != s * (W[j] - wi):
+        j += 1
+    return make_segment(seq, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -228,30 +204,24 @@ def max_density_uniform(
     )
     lidx = bounds.lidx
     size = Uc - Lc
-    blocks_l = []
-    blocks_u = []
-    for xs in range(1, n + 1, size):
-        ys = min(n, xs + size - 1)
-        blocks_l.append(initialize_min_width(seq, xs, ys, bounds, counters=c))
-        blocks_u.append(initialize_max_width(seq, xs, ys, bounds, counters=c))
+    blocks = [(xs, min(n, xs + size - 1)) for xs in range(1, n + 1, size)]
+    blocks_l = [initialize_min_width(seq, x, y, bounds, counters=c) for x, y in blocks]
+    # blocks_u[z] serves block z + 1: no endpoint range reaches block 0's high part
+    blocks_u = [initialize_max_width(seq, x, y, bounds, counters=c) for x, y in blocks[1:]]
 
     V = seq.prefix_value
     W = seq.prefix_weight
     best = _Best()
     for i in range(i0, 0, -1):
         zc = (lidx[i] - 1) // size
-        g = find_match_min_width(blocks_l[zc], i)
         vi = V[i - 1]
         wi = W[i - 1]
-        s = V[g] - vi
-        w = W[g] - wi
-        if zc + 1 < len(blocks_u):
-            g2 = find_match_max_width(blocks_u[zc + 1], i)
-            s2 = V[g2] - vi
-            w2 = W[g2] - wi
-            if s2 * w > s * w2:  # strictly better; ties keep the low side
-                g, s, w = g2, s2, w2
-        best.offer(i, g, s, w)
+        if zc < len(blocks_u):
+            g = find_match_max_width(blocks_u[zc], i)
+            best.offer(i, g, V[g] - vi, W[g] - wi)
+        # offered last, the low side wins a tie with the high side
+        g = find_match_min_width(blocks_l[zc], i)
+        best.offer(i, g, V[g] - vi, W[g] - wi)
     return _finalize(seq, best.start, best.end, lidx[best.start])
 
 
@@ -272,27 +242,13 @@ def _greedy_level(s: int, q: int, beta: int) -> int:
 
 
 def _iter_cover(p: int, q: int, beta: int) -> Iterator[Tuple[int, int]]:
-    """Yield (level, start) of disjoint aligned blocks tiling [p, q]."""
+    """Yield (level, start) of the aligned blocks of level <= beta tiling [p, q] in
+    order; at most 2 * (beta + 1) if q - p + 1 < 2**(beta+1) (levels rise, then fall)."""
     s = p
     while s <= q:
         k = _greedy_level(s, q, beta)
         yield k, s
         s += 1 << k
-
-
-def collect_blocks(p: int, q: int, beta: int, n: int) -> List[BlockId]:
-    """Disjoint aligned dyadic blocks, each of level <= beta, tiling [p, q].
-
-    For q - p + 1 <= 2**(beta+1) - 1 the cover holds at most 2 * (beta + 1)
-    blocks: levels ascend to at most one maximal block, then descend.
-    """
-    if not 1 <= p <= q <= n:
-        raise IndexOutOfRange(f"interval ({p},{q}) outside [1,{n}]")
-    out = []
-    for k, s in _iter_cover(p, q, beta):
-        out.append(BlockId(level=k, ordinal=(s - 1) >> k,
-                           start=s, end=min(n, s + (1 << k) - 1)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +289,8 @@ def max_density_general(
     lidx = bounds.lidx
     uidx = bounds.uidx
 
-    widest = 0
-    for i in range(1, i0 + 1):
-        span = uidx[i] - lidx[i] + 1
-        if span > widest:
-            widest = span
-    if widest == 0:
+    widest = max(uidx[i] - lidx[i] + 1 for i in range(1, i0 + 1))
+    if widest <= 0:
         raise InfeasibleWidthWindow(
             f"no left index admits an endpoint with width in [{L!r}, {U!r}]"
         )

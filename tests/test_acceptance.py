@@ -29,7 +29,7 @@ from maxseg import (
 from maxseg.cli import main as cli_main, random_general_instance, random_uniform_instance
 from maxseg.core import compute_bounds
 from maxseg.oracle import _is_right_skew
-from maxseg.solvers import collect_blocks
+from maxseg.solvers import _iter_cover
 from maxseg.sweep_left import initialize_min_width
 from maxseg.sweep_right import initialize_max_width
 
@@ -40,14 +40,19 @@ def _report(num, name, ok, detail):
     assert ok, line
 
 
+def _triple(seg):
+    # the tie rule is part of the answer: compare the endpoints too
+    return seg.start, seg.end, seg.density
+
+
 def test_c01_oracle_equivalence_uniform():
     t0 = time.perf_counter()
     failures = 0
     for seed in range(1000):
         rng = random.Random(seed)
         seq, L, U = random_uniform_instance(rng, 200)
-        got = solve(SolveRequest(seq, L, U)).density
-        want = brute_force_best(seq, L, U).density
+        got = _triple(solve(SolveRequest(seq, L, U)))
+        want = _triple(brute_force_best(seq, L, U))
         if got != want:
             failures += 1
     elapsed = time.perf_counter() - t0
@@ -61,16 +66,12 @@ def test_c02_oracle_equivalence_general():
     for seed in range(1000):
         rng = random.Random(10_000 + seed)
         seq, L, U = random_general_instance(rng, 200)
-        # the general solver requires every weight <= U (heavier items are
-        # the dispatcher's split-preprocessing concern), so U is drawn at
-        # or above the heaviest item
-        U = max(U, seq.max_weight)
         try:
-            got = max_density_general(seq, L, U).density
+            got = _triple(max_density_general(seq, L, U))
         except InfeasibleWidthWindow:
             got = None
         try:
-            want = brute_force_best(seq, L, U).density
+            want = _triple(brute_force_best(seq, L, U))
         except InfeasibleWidthWindow:
             want = None
         if got != want:
@@ -88,8 +89,8 @@ def test_c03_oracle_equivalence_min_width():
             [(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
         )
         L = rng.randint(1, seq.prefix_weight[n])
-        got = max_density_min_width(seq, L).density
-        want = brute_force_best(seq, L, None).density
+        got = _triple(max_density_min_width(seq, L))
+        want = _triple(brute_force_best(seq, L, None))
         if got != want:
             failures += 1
     _report(3, "oracle-equivalence-min-width", failures == 0,
@@ -156,18 +157,19 @@ def test_c05_shortest_optimum_width_bound():
 
 
 def test_c06_collect_blocks_exhaustive():
+    # the greedy aligned cover max_density_general walks for each left index
     checked = 0
     violations = 0
     for beta in range(5):
         max_len = 2 ** (beta + 1) - 1
         for p in range(1, 257):
             for q in range(p, min(256, p + max_len - 1) + 1):
-                blocks = collect_blocks(p, q, beta, 256)
+                blocks = list(_iter_cover(p, q, beta))
                 checked += 1
                 covered = []
-                for b in blocks:
-                    covered.extend(range(b.start, b.end + 1))
-                    if b.level > beta or b.start != 1 + b.ordinal * 2 ** b.level:
+                for level, start in blocks:
+                    covered.extend(range(start, start + 2 ** level))
+                    if level > beta or (start - 1) % 2 ** level:
                         violations += 1
                 if covered != list(range(p, q + 1)):
                     violations += 1
@@ -304,8 +306,8 @@ def test_c10_cross_algorithm_agreement():
         if L == U:
             continue
         compared += 1
-        a = max_density_uniform(seq, L, U).density
-        b = max_density_general(seq, L, U).density
+        a = _triple(max_density_uniform(seq, L, U))
+        b = _triple(max_density_general(seq, L, U))
         if a != b:
             failures += 1
     _report(10, "cross-algorithm-agreement", failures == 0,

@@ -196,7 +196,7 @@ class TestFind:
         assert "index\tpointer\tbucket" in err
         assert "index\tpointer" in err
 
-    def test_multi_record_order_with_threads(self, tmp_path):
+    def test_multi_record_order(self, tmp_path):
         path = tmp_path / "multi.fa"
         path.write_text(">a\nGGGG\n>b\nATAT\n>c\nGCGC\n")
         code, out, _ = run_cli(
@@ -272,6 +272,15 @@ class TestFind:
         )
         assert code == 1
         assert "FASTA" in err
+
+    def test_strict_rejected_for_tsv(self):
+        code, out, err = run_cli(
+            ["find", "--input", "-", "--format", "tsv", "--strict", "--L", "1"],
+            stdin="1\t1\n",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: ValueError: --strict applies to FASTA input only\n"
 
     def test_reported_density_recomputes_from_reported_fields(self):
         # rendered density always equals sum/width of the reported endpoints
@@ -389,6 +398,20 @@ class TestBench:
         code, out, _ = run_cli(["bench", "--sizes", "1", "--algo", "uniform-lu"])
         assert code == 0
         assert out.splitlines()[1].startswith("uniform-lu,1,")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--sizes", "1e400"], "--sizes"),
+        (["--sizes", "2.5"], "--sizes"),
+        (["--sizes", "1e3,0"], "--sizes"),
+        (["--sizes", "abc"], "--sizes"),
+        (["--sizes", "1e3,"], "--sizes"),
+        (["--sizes", "10", "--repeat", "0"], "--repeat"),
+    ])
+    def test_bad_sizes_and_repeat_refused_before_output(self, argv, flag):
+        code, out, err = run_cli(["bench", "--algo", "l-only", *argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: ValueError: {flag}: ")
 
     def test_general_and_baseline_algos(self):
         code, out, _ = run_cli(

@@ -267,7 +267,7 @@ class TestComputeBounds:
 
 
 class TestDecimalHelpers:
-    def test_decimal_places(self):
+    def test_exact_decimal_fewest_places(self):
         # (units, places) with the fewest places that write the value exactly
         assert exact_decimal("1.50") == (15, 1)
         assert exact_decimal("3") == (3, 0)
@@ -276,7 +276,7 @@ class TestDecimalHelpers:
         assert exact_decimal("-0.05") == (-5, 2)
         assert exact_decimal("0e-999999999") == (0, 0)
 
-    def test_pick_scale_caps_at_nine(self):
+    def test_exact_decimal_caps_at_nine_places(self):
         # nine places is the finest grid; finer values are refused, not rounded
         assert exact_decimal("0.123456789") == (123456789, 9)
         assert exact_decimal("1.0000000000") == (1, 0)
@@ -284,7 +284,7 @@ class TestDecimalHelpers:
             with pytest.raises(ValueError, match="more than 9 decimal places"):
                 exact_decimal(text)
 
-    def test_to_scaled_int(self):
+    def test_exact_decimal_expands_integers(self):
         # integers of any notation expand exactly, up to MAX_INTEGER_DIGITS digits
         assert exact_decimal("1" * 30) == (int("1" * 30), 0)
         assert exact_decimal("1e40") == (10**40, 0)

@@ -23,8 +23,7 @@ from maxseg import (
     sliding_window,
     solve,
 )
-from maxseg.errors import IndexOutOfRange
-from maxseg.solvers import collect_blocks
+from maxseg.solvers import _iter_cover
 
 from conftest import general_seq, uniform_seq
 
@@ -150,6 +149,23 @@ class TestMaxDensityUniform:
         with pytest.raises(ValueError):
             max_density_uniform(seq, 4, 3)
 
+    def test_first_block_gets_no_max_width_structure(self, rng, monkeypatch):
+        # Block z's endpoint ranges spill only into block z + 1, so the
+        # max-width structures start at the second block.
+        starts = []
+        orig = solvers.initialize_max_width
+
+        def spy(seq, x, y, *a, **kw):
+            starts.append(x)
+            return orig(seq, x, y, *a, **kw)
+
+        monkeypatch.setattr(solvers, "initialize_max_width", spy)
+        seq = uniform_seq(rng, 20)
+        seg = max_density_uniform(seq, 3, 7)  # blocks of 4 start at 1, 5, ..., 17
+        assert starts == [5, 9, 13, 17]
+        want = brute_force_best(seq, 3, 7)
+        assert (seg.start, seg.end, seg.density) == (want.start, want.end, want.density)
+
     def test_oracle_agreement(self, rng):
         for _ in range(200):
             n = rng.randint(2, 60)
@@ -178,38 +194,33 @@ class TestMaxDensityUniform:
 
 
 class TestCollectBlocks:
+    """The greedy aligned cover `_iter_cover` that max_density_general walks;
+    each block is (level, start) and spans 2**level indices."""
+
     def test_aligned_pair(self):
-        blocks = collect_blocks(5, 12, 3, 256)
-        assert [(b.start, b.end) for b in blocks] == [(5, 8), (9, 12)]
-        assert [(b.level, b.ordinal) for b in blocks] == [(2, 1), (2, 2)]
+        assert list(_iter_cover(5, 12, 3)) == [(2, 5), (2, 9)]
 
     def test_ascending_cover(self):
-        blocks = collect_blocks(2, 8, 3, 256)
-        assert [(b.start, b.end) for b in blocks] == [(2, 2), (3, 4), (5, 8)]
+        assert list(_iter_cover(2, 8, 3)) == [(0, 2), (1, 3), (2, 5)]
 
     def test_single_point(self):
-        blocks = collect_blocks(7, 7, 3, 256)
-        assert [(b.start, b.end, b.level) for b in blocks] == [(7, 7, 0)]
+        assert list(_iter_cover(7, 7, 3)) == [(0, 7)]
 
-    def test_bad_interval(self):
-        with pytest.raises(IndexOutOfRange):
-            collect_blocks(0, 4, 2, 16)
-        with pytest.raises(IndexOutOfRange):
-            collect_blocks(5, 4, 2, 16)
+    def test_empty_interval_yields_nothing(self):
+        assert list(_iter_cover(5, 4, 2)) == []
 
     @given(st.integers(0, 6), st.integers(1, 500), st.data())
     @settings(max_examples=200, deadline=None)
     def test_cover_properties(self, beta, p, data):
         length = data.draw(st.integers(1, 2 ** (beta + 1) - 1))
         q = p + length - 1
-        blocks = collect_blocks(p, q, beta, q + 10)
+        blocks = list(_iter_cover(p, q, beta))
         # disjoint, exact union, aligned, level-capped, count-bounded
         covered = []
-        for b in blocks:
-            assert 0 <= b.level <= beta
-            assert b.start == 1 + b.ordinal * 2 ** b.level
-            assert b.end == (b.ordinal + 1) * 2 ** b.level
-            covered.extend(range(b.start, b.end + 1))
+        for level, start in blocks:
+            assert 0 <= level <= beta
+            assert (start - 1) % 2 ** level == 0
+            covered.extend(range(start, start + 2 ** level))
         assert covered == list(range(p, q + 1))
         assert len(blocks) <= 2 * (beta + 1)
 
