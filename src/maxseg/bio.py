@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
+from . import fastpath
 from .core import WeightedSequence, build_sequence, exact_decimal
 from .errors import MalformedFasta, MalformedTsv, UnknownSymbol
 
@@ -104,7 +105,14 @@ def map_to_sequence(
 
     Every item weighs 1, so widths count bases.  Ambiguity codes such as N
     score as non-GC; strict mode rejects symbols outside A/C/G/T/U/N instead.
+    Records long enough for the numpy backend (``fastpath.MIN_FAST_N`` bases)
+    are mapped straight into int64 prefix arrays when every prefix fits;
+    shorter ones stream into prefix lists without importing numpy.
     """
+    n = len(rec.bases)
+    if n >= fastpath.MIN_FAST_N and \
+            n * max(abs(spec.gc_score), abs(spec.other_score)) < 1 << 63:
+        return _map_to_arrays(rec, spec, strict)
     if strict:
         for pos, ch in enumerate(rec.bases, start=1):
             if ch not in _KNOWN_BASES:
@@ -112,6 +120,28 @@ def map_to_sequence(
     gc_score, other_score = spec.gc_score, spec.other_score
     items = ((gc_score if ch in _GC_BASES else other_score, 1) for ch in rec.bases)
     return build_sequence(items, value_scale=spec.scale)
+
+
+def _map_to_arrays(rec: DnaRecord, spec: MappingSpec, strict: bool) -> WeightedSequence:
+    """map_to_sequence into int64 prefix arrays through 256-entry byte tables."""
+    import numpy as np
+
+    # One byte per symbol: every non-ASCII symbol becomes '?', neither GC nor known.
+    codes = np.frombuffer(rec.bases.encode("ascii", errors="replace"), dtype=np.uint8)
+    if strict:
+        known = np.zeros(256, dtype=bool)
+        known[[ord(ch) for ch in _KNOWN_BASES]] = True
+        bad = int(np.argmin(known[codes]))  # the first unknown symbol, if any
+        if not known[codes[bad]]:
+            raise UnknownSymbol(rec.bases[bad], bad + 1)
+    scores = np.full(256, spec.other_score, dtype=np.int64)
+    scores[[ord(ch) for ch in _GC_BASES]] = spec.gc_score
+    n = len(codes)
+    V = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(scores[codes], out=V[1:])
+    return WeightedSequence(V, np.arange(n + 1, dtype=np.int64),
+                            value_scale=spec.scale, is_uniform=True,
+                            min_weight=1, max_weight=1)
 
 
 def compress_runs(seq: WeightedSequence) -> WeightedSequence:

@@ -10,6 +10,11 @@ value), so prefix sums never round and density comparisons cross-multiply
 exact rationals.  Decimals the CLI scales onto a power-of-ten grid (see
 :func:`exact_decimal`) stay ints; ``Fraction`` input is much slower and runs
 the pure sweeps only.
+
+Storage model: a :class:`WeightedSequence` holds its prefix sums as Python
+lists (any exact number) or as int64 numpy arrays, whichever its builder
+made, and derives the other form lazily, once, for the reader that needs it:
+the pure sweeps read lists, the numpy backend reads arrays.
 """
 
 from __future__ import annotations
@@ -90,13 +95,32 @@ class Segment:
 class WeightedSequence:
     """Items (value, weight > 0) with precomputed prefix sums.
 
-    Width and density of any segment are O(1) queries.  The sequence is
-    immutable after construction and safe to share between threads.
+    Width and density of any segment are O(1) queries.  The prefix sums live
+    in one of two stores, fixed at construction:
+
+    * Python lists (``int`` or ``Fraction`` entries), as
+      :func:`build_sequence` makes them;
+    * int64 numpy arrays ``(V, W)``, as :func:`maxseg.bio.map_to_sequence`
+      makes them for long records.
+
+    :meth:`int64_prefixes` hands the numpy backend the arrays (built once
+    from the lists when every entry fits int64).  ``prefix_value`` and
+    ``prefix_weight`` hand the pure sweeps lists (filled once from the
+    arrays on first use).  ``n``, ``total_width`` and :func:`density` read
+    single entries, from the arrays when they exist and from the lists
+    otherwise, so a backend answer never fills the lists.
+
+    The sequence is immutable after construction and safe to share between
+    threads.  The lazy fills need no lock: each builds its result in full
+    before one attribute assignment publishes it, and each is idempotent,
+    so two threads that race on one compute equal contents and either
+    result is a complete and correct view.
     """
 
     __slots__ = (
-        "prefix_value",
-        "prefix_weight",
+        "_pv",
+        "_pw",
+        "_int64",
         "n",
         "value_scale",
         "weight_scale",
@@ -116,8 +140,13 @@ class WeightedSequence:
         min_weight: Number = 0,
         max_weight: Number = 0,
     ):
-        self.prefix_value = prefix_value
-        self.prefix_weight = prefix_weight
+        """prefix_value and prefix_weight are both lists or both int64 arrays."""
+        if isinstance(prefix_value, list):
+            self._pv, self._pw = prefix_value, prefix_weight
+            self._int64 = None  # not built yet; () once known not to fit
+        else:
+            self._pv = self._pw = None
+            self._int64 = (prefix_value, prefix_weight)
         self.n = len(prefix_value) - 1
         self.value_scale = value_scale
         self.weight_scale = weight_scale
@@ -125,16 +154,46 @@ class WeightedSequence:
         self.min_weight = min_weight
         self.max_weight = max_weight
 
+    @property
+    def prefix_value(self) -> List[Number]:
+        if self._pv is None:
+            self._pv = self._int64[0].tolist()
+        return self._pv
+
+    @property
+    def prefix_weight(self) -> List[Number]:
+        if self._pw is None:
+            self._pw = self._int64[1].tolist()
+        return self._pw
+
+    def int64_prefixes(self) -> Optional[tuple]:
+        """The prefix sums as int64 arrays ``(V, W)``, or None when a column
+        holds a ``Fraction`` or a value outside int64."""
+        if self._int64 is None:
+            self._int64 = _int64_arrays(self._pv, self._pw)
+        return self._int64 or None
+
+    def _span(self, i: int, j: int) -> Tuple[Number, Number]:
+        """(value sum, width) of items i..j as plain numbers, unchecked."""
+        arrays = self._int64
+        if arrays:
+            V, W = arrays
+            return int(V[j]) - int(V[i - 1]), int(W[j]) - int(W[i - 1])
+        pv, pw = self._pv, self._pw
+        return pv[j] - pv[i - 1], pw[j] - pw[i - 1]
+
     def __len__(self) -> int:
         return self.n
 
     def value(self, i: int) -> Number:
         """Value of item i (1-based)."""
-        return self.prefix_value[i] - self.prefix_value[i - 1]
+        pv = self.prefix_value
+        return pv[i] - pv[i - 1]
 
     def weight(self, i: int) -> Number:
         """Weight of item i (1-based)."""
-        return self.prefix_weight[i] - self.prefix_weight[i - 1]
+        pw = self.prefix_weight
+        return pw[i] - pw[i - 1]
 
     @property
     def items(self) -> List[WeightedItem]:
@@ -146,15 +205,30 @@ class WeightedSequence:
 
     @property
     def total_width(self) -> Number:
-        return self.prefix_weight[self.n]
+        return self._span(1, self.n)[1]
 
     def width(self, i: int, j: int) -> Number:
         if not 1 <= i <= j <= self.n:
             raise IndexOutOfRange(f"segment ({i},{j}) outside [1,{self.n}]")
-        return self.prefix_weight[j] - self.prefix_weight[i - 1]
+        return self._span(i, j)[1]
 
     def __repr__(self):
         return f"WeightedSequence(n={self.n}, total_width={self.total_width!r})"
+
+
+def _int64_arrays(pv: List[Number], pw: List[Number]) -> tuple:
+    """(V, W) as int64 arrays, or () when a column holds a Fraction or a value
+    outside int64; imports numpy unless a column is fractional."""
+    # One Fraction item makes every later prefix of its column a Fraction.
+    if not (isinstance(pv[-1], int) and isinstance(pw[-1], int)):
+        return ()
+    import numpy as np
+
+    try:
+        return (np.fromiter(pv, dtype=np.int64, count=len(pv)),
+                np.fromiter(pw, dtype=np.int64, count=len(pw)))
+    except OverflowError:
+        return ()
 
 
 def _exact(x: RealInput, idx: int, weight: bool = False) -> Number:
@@ -217,10 +291,7 @@ def density(seq: WeightedSequence, i: int, j: int) -> DensityValue:
     """Density of segment (i, j), inclusive 1-based, as an exact pair."""
     if not 1 <= i <= j <= seq.n:
         raise IndexOutOfRange(f"segment ({i},{j}) outside [1,{seq.n}]")
-    return DensityValue(
-        seq.prefix_value[j] - seq.prefix_value[i - 1],
-        seq.prefix_weight[j] - seq.prefix_weight[i - 1],
-    )
+    return DensityValue(*seq._span(i, j))
 
 
 def make_segment(seq: WeightedSequence, i: int, j: int) -> Segment:

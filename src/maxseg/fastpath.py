@@ -3,7 +3,10 @@
 The pure-Python sweeps are the reference implementations.  This backend finds
 the same segment by Dinkelbach's parametric iteration (Dinkelbach 1967; round
 bounds in Radzik, "Newton's method for fractional combinatorial
-optimization", FOCS 1992) over int64 prefix arrays ``V`` and ``W``:
+optimization", FOCS 1992) over the sequence's int64 prefix arrays ``V`` and
+``W``, read as they are from :meth:`WeightedSequence.int64_prefixes` (a
+long FASTA record is mapped straight into them; list-backed sequences
+build them once):
 
 * a round takes the density ``s/w`` of the current segment and forms the keys
   ``B = V*w - W*s``; segment ``(i, j)`` with ``k = i - 1`` is denser than
@@ -35,10 +38,11 @@ with ``spread = 2 * max|prefix value|``.  That bounds ``|B| < 3 * 2**61``
 and every gain below ``2**63``, so all arithmetic is exact in int64; block
 padding therefore uses the int64 maximum, which no key can reach.
 
-numpy is imported only once the kernel runs, so importing this module (and
-the CLI) stays numpy-free.  The kernel runs no sweep and leaves the sweep
-counters untouched; a solve that needs more than ``MAX_ROUNDS`` rounds
-returns None and the caller runs the pure sweeps instead.
+numpy is imported only for sequences of at least ``MIN_FAST_N`` items, so
+importing this module (and the CLI) stays numpy-free.  The kernel runs no
+sweep and leaves the sweep counters untouched; a solve that needs more than
+``MAX_ROUNDS`` rounds returns None and the caller runs the pure sweeps
+instead.
 """
 
 from __future__ import annotations
@@ -69,14 +73,14 @@ CHUNK = 16384
 
 def eligible(seq: WeightedSequence) -> bool:
     """True when the int64 kernel is exact and worthwhile for this sequence."""
-    pv, total_w = seq.prefix_value, seq.prefix_weight[seq.n]
-    # One Fraction item makes every later prefix of its column a Fraction.
-    if seq.n < MIN_FAST_N or not (isinstance(pv[-1], int) and isinstance(total_w, int)):
+    if seq.n < MIN_FAST_N:
         return False
-    spread = 2 * max(abs(min(pv)), abs(max(pv)))
-    if spread == 0:
-        spread = 1
-    return spread * total_w < _INT64_PRODUCT_BOUND
+    arrays = seq.int64_prefixes()
+    if arrays is None:
+        return False
+    V, W = arrays
+    spread = 2 * max(abs(int(V.min())), abs(int(V.max())))
+    return max(spread, 1) * int(W[-1]) < _INT64_PRODUCT_BOUND
 
 
 def _block_min(B, lo, hi):
@@ -120,7 +124,7 @@ def best(seq: WeightedSequence, L: RealInput,
     if not eligible(seq):
         return None
     n = seq.n
-    total = seq.prefix_weight[n]
+    total = seq.total_width
     # Widths are integers, so [L, U] admits the same segments as its integer
     # part; a U at or above the total width bounds nothing.
     if L > total or (U is not None and U < math.ceil(L)):
@@ -129,11 +133,7 @@ def best(seq: WeightedSequence, L: RealInput,
     U = None if U is None or U >= total else math.floor(U)
     import numpy as np
 
-    V = np.fromiter(seq.prefix_value, dtype=np.int64, count=n + 1)
-    if seq.is_uniform:
-        W = np.arange(n + 1, dtype=np.int64)
-    else:
-        W = np.fromiter(seq.prefix_weight, dtype=np.int64, count=n + 1)
+    V, W = seq.int64_prefixes()
 
     def windows():
         """(j0, lo, hi) per chunk of endpoints j0, j0+1, ... with some k."""

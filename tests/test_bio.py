@@ -21,6 +21,7 @@ from maxseg import (
     solve,
     write_fasta,
 )
+from maxseg import fastpath
 from maxseg.bio import DnaRecord
 
 
@@ -100,7 +101,10 @@ class TestMapping:
         assert seq.value(2) == 0
 
     def test_items_stream_into_the_sequence(self, rng):
-        # Only the prefix sums stay: no per-base item list is built first.
+        # Only the int64 prefix arrays stay: no per-base Python object is
+        # built.  numpy's one-off import is not a per-base cost.
+        import numpy  # noqa: F401
+
         n = 200_000
         rec = DnaRecord("s", "".join(rng.choice("ACGT") for _ in range(n)))
         tracemalloc.start()
@@ -110,7 +114,62 @@ class TestMapping:
         finally:
             tracemalloc.stop()
         assert seq.n == n
-        assert peak / n <= 100, f"{peak / n:.0f} B/base"
+        assert peak / n <= 40, f"{peak / n:.0f} B/base"
+
+    def test_backend_answer_leaves_the_list_views_unbuilt(self, rng):
+        import numpy  # noqa: F401
+
+        n = 200_000
+        rec = DnaRecord("s", "".join(rng.choice("ACGT") for _ in range(n)))
+        tracemalloc.start()
+        try:
+            seq = map_to_sequence(rec, MappingSpec.huang("0.45"))
+            seg = solve(SolveRequest(seq, 100, 200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 40, f"{peak / n:.0f} B/base"  # lists cost over 70
+        assert type(seg.sum) is int and type(seg.width) is int
+        assert (seg.sum, seg.width) == (sum(seq.value(i) for i in range(seg.start, seg.end + 1)),
+                                        seg.end - seg.start + 1)
+
+    # Every symbol class: GC, AT, N/U, lowercase, unknown ASCII, and
+    # non-ASCII up to the astral planes.
+    ALPHABET = "ACGTacgtNnUuRyX-*" + "\u00e9\u03a9\U0001f9ec"
+
+    @pytest.mark.parametrize("spec", [MappingSpec.gc01(), MappingSpec.huang("0.45")])
+    def test_array_and_list_paths_agree(self, rng, monkeypatch, spec):
+        for _ in range(40):
+            n = rng.randint(1, 300)
+            rec = DnaRecord("r", "".join(rng.choice(self.ALPHABET) for _ in range(n)))
+            paths = []
+            for min_fast_n in (1, n + 1):  # the array path, then the list path
+                monkeypatch.setattr(fastpath, "MIN_FAST_N", min_fast_n)
+                seq = map_to_sequence(rec, spec)
+                assert (seq._pv is None) == (min_fast_n == 1)
+                try:
+                    map_to_sequence(rec, spec, strict=True)
+                    refused = None
+                except UnknownSymbol as exc:
+                    refused = (exc.symbol, exc.position)
+                paths.append((seq.prefix_value, seq.prefix_weight, seq.value_scale,
+                              seq.is_uniform, seq.min_weight, seq.max_weight, refused))
+            assert paths[0] == paths[1]
+            assert all(type(x) is int for x in paths[0][0] + paths[0][1])
+
+    def test_non_ascii_symbol_is_one_non_gc_item(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
+        seq = map_to_sequence(DnaRecord("s", "G\u00e9\U0001f9ecC"), MappingSpec.gc01())
+        assert [seq.value(i) for i in range(1, seq.n + 1)] == [1, 0, 0, 1]
+        with pytest.raises(UnknownSymbol) as exc:
+            map_to_sequence(DnaRecord("s", "GA\U0001f9ecC"), MappingSpec.gc01(), strict=True)
+        assert (exc.value.symbol, exc.value.position) == ("\U0001f9ec", 3)
+
+    def test_scores_beyond_int64_keep_the_list_path(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
+        seq = map_to_sequence(DnaRecord("s", "GGGG"), MappingSpec(1 << 62, 0, 1))
+        assert seq.prefix_value == [0, 1 << 62, 1 << 63, 3 << 62, 1 << 64]
+        assert seq.int64_prefixes() is None
 
     def test_huang_p_validated(self):
         with pytest.raises(ValueError):

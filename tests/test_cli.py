@@ -39,6 +39,14 @@ def run_cli(argv, monkeypatch=None, stdin=None):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_python(script):
+    """Run a script in a fresh interpreter that imports maxseg from this tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 @pytest.fixture
 def fasta_file(tmp_path):
     path = tmp_path / "in.fa"
@@ -295,6 +303,23 @@ class TestFind:
         want = Decimal(total) / Decimal(width)
         assert abs(Decimal(dens) - want) <= Decimal("5e-10")
 
+    def test_find_on_short_fasta_never_imports_numpy(self, tmp_path):
+        # records below the backend's size are mapped and solved by the pure
+        # path, so find pays no numpy import for them
+        path = tmp_path / "short.fa"
+        path.write_text(">a\nACGTGGCCATATGCGC\n>b\n" + "GATC" * 1023 + "\n")
+        script = (
+            "import sys, maxseg.cli, maxseg.fastpath\n"
+            "assert 4 * 1023 < maxseg.fastpath.MIN_FAST_N\n"
+            f"code = maxseg.cli.main(['find', '--input', {str(path)!r}, '--format', 'fasta',"
+            " '--mapping', 'huang:0.45', '--L', '4', '--U', '8', '--strict'])\n"
+            "assert code == 0\n"
+            "assert 'numpy' not in sys.modules, 'find imported numpy'\n"
+        )
+        proc = run_python(script)
+        assert proc.returncode == 0, proc.stderr
+        assert [row.split("\t")[0] for row in proc.stdout.splitlines()] == ["record_id", "a", "b"]
+
 
 class TestVerify:
     def test_uniform_pass(self):
@@ -385,10 +410,7 @@ class TestBench:
             "assert code == 0\n"
             "assert 'numpy' not in sys.modules, 'bench imported numpy'\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, timeout=120)
+        proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
         row = proc.stdout.splitlines()[1].split(",")
         assert row[:2] == ["uniform-lu", "5000"]
@@ -413,7 +435,7 @@ class TestBench:
         assert out == ""
         assert err.startswith(f"error: ValueError: {flag}: ")
 
-    def test_general_and_baseline_algos(self):
+    def test_general_lu_counters_and_retired_baseline_refused(self):
         code, out, _ = run_cli(
             ["bench", "--sizes", "500", "--algo", "general-lu", "--L", "8", "--U", "39"]
         )

@@ -18,10 +18,12 @@ from maxseg import (
 )
 from maxseg.core import (
     MAX_INTEGER_DIGITS,
+    WeightedSequence,
     compute_bounds,
     density_decimal_str,
     exact_decimal,
     format_scaled,
+    make_segment,
 )
 from maxseg.errors import NonFiniteItem
 
@@ -96,6 +98,26 @@ class TestBuildSequence:
             build_sequence([("1", 1)])
         with pytest.raises(TypeError):
             build_sequence([(1, "1")])
+
+    def test_int64_prefixes_only_for_int64_columns(self):
+        seq = build_sequence([(2, 1), (-5, 3)])
+        V, W = seq.int64_prefixes()
+        assert (V.tolist(), W.tolist(), str(V.dtype)) == ([0, 2, -3], [0, 1, 4], "int64")
+        assert seq.int64_prefixes()[0] is V  # built once
+        assert build_sequence([(1, 1), (Fraction(1, 2), 1)]).int64_prefixes() is None
+        assert build_sequence([(1, 1 << 63)]).int64_prefixes() is None
+
+    def test_array_storage_answers_without_lists(self):
+        import numpy as np
+
+        seq = WeightedSequence(np.array([0, 2, -3], dtype=np.int64),
+                               np.array([0, 1, 4], dtype=np.int64), min_weight=1, max_weight=3)
+        seg = make_segment(seq, 2, 2)
+        assert (seq.n, seq.total_width, seq.width(1, 2), seg.sum, seg.width) == (2, 4, 4, -5, 3)
+        assert {type(x) for x in (seq.total_width, seg.sum, seg.width)} == {int}
+        assert seq._pv is None  # nothing above filled the list views
+        assert (seq.prefix_value, seq.prefix_weight) == ([0, 2, -3], [0, 1, 4])
+        assert seq.items == build_sequence([(2, 1), (-5, 3)]).items
 
     def test_decimals_are_not_rounded(self):
         seq = build_sequence([(Decimal("1e30"), 1), (Decimal(1), 1), (Decimal("-1e30"), 1)])
