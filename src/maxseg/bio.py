@@ -8,7 +8,7 @@ from decimal import Decimal
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 from . import fastpath
-from .core import WeightedSequence, build_sequence, exact_decimal
+from .core import SCALE_CAP_DIGITS, WeightedSequence, build_sequence, exact_decimal
 from .errors import MalformedFasta, MalformedTsv, UnknownSymbol
 
 _KNOWN_BASES = set("ACGTUNacgtun")
@@ -149,24 +149,29 @@ def compress_runs(seq: WeightedSequence) -> WeightedSequence:
 
     Any segment whose endpoints sit on run boundaries keeps its density
     exactly; segments that cut through a run are no longer expressible, so
-    this transform is always an explicit opt-in.
+    this transform is always an explicit opt-in.  The merged prefix sums are
+    the stored ones at the run ends: int64 arrays when every cross product
+    fits int64, the exact lists otherwise.
     """
     n = seq.n
-    items = []
-    run_v = seq.value(1)
-    run_w = seq.weight(1)
-    for i in range(2, n + 1):
-        v = seq.value(i)
-        w = seq.weight(i)
-        if v * run_w == run_v * w:  # equal density joins the run
-            run_v += v
-            run_w += w
-        else:
-            items.append((run_v, run_w))
-            run_v, run_w = v, w
-    items.append((run_v, run_w))
-    return build_sequence(items, value_scale=seq.value_scale,
-                          weight_scale=seq.weight_scale)
+    arrays = seq.int64_prefixes() if n >= fastpath.MIN_FAST_N else None
+    if arrays and fastpath.eligible(seq):  # so |item value| * weight < 2**62
+        import numpy as np
+
+        V, W = arrays
+        v, w = np.diff(V), np.diff(W)
+        ends = np.flatnonzero(v[:-1] * w[1:] != v[1:] * w[:-1]) + 1
+        keep = np.concatenate(([0], ends, [n]))
+        weights = np.diff(W[keep])
+        lo, hi = int(weights.min()), int(weights.max())
+        return WeightedSequence(V[keep], W[keep], value_scale=seq.value_scale,
+                                weight_scale=seq.weight_scale, is_uniform=lo == hi == 1,
+                                min_weight=lo, max_weight=hi)
+    pv, pw = seq.prefix_value, seq.prefix_weight
+    keep = [0] + [i for i in range(1, n) if (pv[i] - pv[i - 1]) * (pw[i + 1] - pw[i])
+                  != (pv[i + 1] - pv[i]) * (pw[i] - pw[i - 1])] + [n]
+    return build_sequence(((pv[b] - pv[a], pw[b] - pw[a]) for a, b in zip(keep, keep[1:])),
+                          value_scale=seq.value_scale, weight_scale=seq.weight_scale)
 
 
 def _on_common_grid(column: List[Tuple[int, int]]) -> Tuple[Iterator[int], int]:
@@ -184,7 +189,22 @@ def parse_tsv(stream: Union[str, IO[str], Iterable[str]]) -> WeightedSequence:
     finest its fields need.  A field that is not a finite decimal, needs
     more than 9 decimal places or has more than 1000 integer digits raises
     MalformedTsv with its line number; nothing is rounded.
+
+    Text of at least ``fastpath.MIN_FAST_N`` lines is first read straight
+    into int64 prefix arrays by a byte-level grammar: ASCII only; tokens
+    separated by space, tab or line feed (a CR only right before a LF);
+    every line that is not blank or a '#' comment holds exactly two tokens
+    of the form ``-?[0-9]+(.[0-9]+)?``, each with at most 18 digits and
+    SCALE_CAP_DIGITS fraction digits; positive weights; and every scaled
+    item and prefix sum inside int64.  Text outside that grammar, and every
+    other stream, takes the exact path, which gives the same sequence or
+    raises the same error; it imports no numpy.
     """
+    if isinstance(stream, str) and stream.count("\n") >= fastpath.MIN_FAST_N \
+            and stream.isascii():
+        seq = _tsv_to_arrays(stream)
+        if seq is not None:
+            return seq
     if isinstance(stream, str):
         stream = stream.splitlines()
     values: List[Tuple[int, int]] = []
@@ -206,3 +226,119 @@ def parse_tsv(stream: Union[str, IO[str], Iterable[str]]) -> WeightedSequence:
     vs, vscale = _on_common_grid(values)
     ws, wscale = _on_common_grid(weights)
     return build_sequence(zip(vs, ws), value_scale=vscale, weight_scale=wscale)
+
+
+# Characters of TSV text the array path scans at once, cut after a line
+# feed; bounds its per-byte scratch memory.
+TSV_CHUNK = 1 << 18
+
+# Byte classes of the array path: 0 is outside its grammar; TEXT may appear
+# in comments only.
+_SPACE, _DIGIT, _MINUS, _DOT, _HASH, _TEXT = 1, 2, 3, 4, 5, 6
+
+
+def _tsv_to_arrays(text: str) -> Optional[WeightedSequence]:
+    """parse_tsv's array path (ASCII text): the sequence, or None when the
+    text leaves the grammar parse_tsv states."""
+    import numpy as np
+
+    table = np.zeros(256, dtype=np.int8)
+    table[32:127] = _TEXT
+    table[[9, 10, 13, 32]] = _SPACE
+    table[48:58] = _DIGIT
+    table[[45, 46, 35]] = _MINUS, _DOT, _HASH
+    pow10 = 10 ** np.arange(19, dtype=np.int64)
+    chunks, pos = [], 0
+    while pos < len(text):
+        end = text.find("\n", pos + TSV_CHUNK) + 1 or len(text)  # 0: no later LF
+        chunk = text[pos:end] if text.endswith("\n", pos, end) else text[pos:end] + "\n"
+        chunks.append(_scan_tsv_chunk(table, pow10, np.frombuffer(chunk.encode(), np.uint8)))
+        if chunks[-1] is None:
+            return None
+        pos = end
+    # Rows of (value, weight) fields: units[0] and places[0] are the values.
+    units, places = (np.concatenate(parts).reshape(-1, 2).T for parts in zip(*chunks))
+    del chunks
+    if not units.shape[1]:
+        return None
+    (V, vscale), (W, wscale) = (_int64_grid(pow10, u, p) for u, p in zip(units, places))
+    if V is None or W is None:
+        return None
+    weights = np.diff(W)
+    lo, hi = int(weights.min()), int(weights.max())
+    if lo <= 0:
+        return None
+    return WeightedSequence(V, W, value_scale=vscale, weight_scale=wscale,
+                            is_uniform=lo == hi == 1, min_weight=lo, max_weight=hi)
+
+
+def _scan_tsv_chunk(table, pow10, b):
+    """(units, places) of every field in b, text ending in a line feed, in
+    reading order, or None when b leaves the grammar."""
+    import numpy as np
+
+    c = table[b]
+    cr = np.flatnonzero(b == 13)
+    if not c.all() or (b[cr + 1] != 10).any():
+        return None
+    tok = c != _SPACE
+    edges = np.flatnonzero(tok[1:] != tok[:-1]) + 1
+    if tok[0]:
+        edges = np.concatenate(([0], edges))
+    starts, ends = edges[0::2], edges[1::2]
+    lines = np.cumsum(b == 10, dtype=np.int32)  # a byte's line; a LF's is the next one
+    line = lines[starts]
+    if (c == _HASH).any():  # blank the lines whose first token opens a comment
+        first = np.concatenate(([True], line[1:] != line[:-1]))
+        note = np.zeros(int(lines[-1]) + 1, dtype=bool)
+        note[line[first & (b[starts] == 35)]] = True
+        c[note[lines]] = _SPACE
+        kept = ~note[line]
+        starts, ends, line = starts[kept], ends[kept], line[kept]
+    if (c > _DOT).any() or len(starts) % 2 or (line[0::2] != line[1::2]).any() \
+            or (line[2::2] == line[1:-1:2]).any():
+        return None
+    minus, dots = np.flatnonzero(c == _MINUS), np.flatnonzero(c == _DOT)
+    opens = np.zeros(len(b), dtype=bool)
+    opens[starts] = True
+    dot_tok = np.cumsum(opens, dtype=np.int32)[dots] - 1
+    if (c[minus - 1] != _SPACE).any() or (c[minus + 1] != _DIGIT).any() \
+            or (c[dots - 1] != _DIGIT).any() or (c[dots + 1] != _DIGIT).any() \
+            or (np.diff(dot_tok) == 0).any():
+        return None
+    places = np.zeros(len(starts), dtype=np.int64)
+    places[dot_tok] = ends[dot_tok] - dots - 1
+    neg = b[starts] == 45
+    ndig = ends - starts - neg - (places > 0)
+    if (ndig > 18).any() or (places > SCALE_CAP_DIGITS).any():
+        return None
+    # Every field ends in a digit; a digit's power of ten is the number of
+    # digits to its right in its field.
+    digits = np.flatnonzero(c == _DIGIT)
+    after = np.cumsum(c == _DIGIT, dtype=np.int32)[ends - 1]
+    power = np.repeat(after, ndig) - 1 - np.arange(len(digits))
+    units = np.add.reduceat(pow10[power] * (b[digits] - 48), after - ndig)
+    np.negative(units, out=units, where=neg)
+    return units, places.astype(np.int8)
+
+
+def _int64_grid(pow10, units, places):
+    """(prefix sums, scale) of one column's fields (units, places) on its
+    finest power-of-ten grid, or (None, None) when an item or the sum of
+    absolute items could leave int64."""
+    import numpy as np
+
+    top = int(places.max())
+    # Lower the grid while no field has a nonzero digit in place `top`.
+    while top and not (units % pow10[np.maximum(places - top + 1, 0)]).any():
+        top -= 1
+    if (places != top).any():
+        up = pow10[np.maximum(top - places, 0)]
+        if (np.abs(units) > np.iinfo(np.int64).max // up).any():
+            return None, None
+        units = units * up // pow10[np.maximum(places - top, 0)]  # exact: 1.50 -> 15
+    if np.abs(units).sum(dtype=np.float64) >= 2.0 ** 62:  # float error is far below 2x
+        return None, None
+    prefix = np.zeros(len(units) + 1, dtype=np.int64)
+    np.cumsum(units, out=prefix[1:])
+    return prefix, 10 ** top

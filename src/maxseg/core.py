@@ -13,8 +13,10 @@ the pure sweeps only.
 
 Storage model: a :class:`WeightedSequence` holds its prefix sums as Python
 lists (any exact number) or as int64 numpy arrays, whichever its builder
-made, and derives the other form lazily, once, for the reader that needs it:
-the pure sweeps read lists, the numpy backend reads arrays.
+made (:func:`build_sequence` makes lists; the parsers in :mod:`maxseg.bio`
+read long FASTA records and long TSV text straight into arrays), and
+derives the other form lazily, once, for the reader that needs it: the pure
+sweeps read lists, the numpy backend reads arrays.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ class WeightedSequence:
     * Python lists (``int`` or ``Fraction`` entries), as
       :func:`build_sequence` makes them;
     * int64 numpy arrays ``(V, W)``, as :func:`maxseg.bio.map_to_sequence`
-      makes them for long records.
+      makes them for long records and :func:`maxseg.bio.parse_tsv` for long
+      text.
 
     :meth:`int64_prefixes` hands the numpy backend the arrays (built once
     from the lists when every entry fits int64).  ``prefix_value`` and

@@ -5,8 +5,8 @@ the same segment by Dinkelbach's parametric iteration (Dinkelbach 1967; round
 bounds in Radzik, "Newton's method for fractional combinatorial
 optimization", FOCS 1992) over the sequence's int64 prefix arrays ``V`` and
 ``W``, read as they are from :meth:`WeightedSequence.int64_prefixes` (a
-long FASTA record is mapped straight into them; list-backed sequences
-build them once):
+long FASTA record or TSV text is read straight into them; list-backed
+sequences build them once):
 
 * a round takes the density ``s/w`` of the current segment and forms the keys
   ``B = V*w - W*s``; segment ``(i, j)`` with ``k = i - 1`` is denser than

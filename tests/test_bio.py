@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,10 @@ from maxseg import (
     MalformedFasta,
     MalformedTsv,
     MappingSpec,
+    MaxsegError,
     SolveRequest,
     UnknownSymbol,
+    WeightedSequence,
     brute_force_best,
     build_sequence,
     compress_runs,
@@ -21,8 +24,14 @@ from maxseg import (
     solve,
     write_fasta,
 )
-from maxseg import fastpath
+from maxseg import bio, fastpath
 from maxseg.bio import DnaRecord
+
+
+def stored(seq):
+    """A sequence's prefix lists, scales and weight profile, all it stores."""
+    return (seq.prefix_value, seq.prefix_weight, seq.value_scale, seq.weight_scale,
+            seq.min_weight, seq.max_weight, seq.is_uniform)
 
 
 class TestParseFasta:
@@ -240,6 +249,36 @@ class TestCompressRuns:
             if orig.start in starts and orig.end in boundaries:
                 assert comp_seg.density == orig.density
 
+    def test_array_and_list_stores_agree(self, rng, monkeypatch):
+        # Long records are compressed over their int64 arrays, short ones over
+        # their lists; both give the same runs, scales and weight profile.
+        import numpy as np
+
+        for _ in range(40):
+            n = rng.randint(1, 120)
+            items = [(rng.choice((-2, 0, 1, 3)) * w, w)
+                     for w in (rng.choice((1, 1, 2, 3)) for _ in range(n))]
+            listed = build_sequence(items, value_scale=10, weight_scale=100)
+            pv, pw = (np.array(col, dtype=np.int64) for col in (listed.prefix_value,
+                                                                listed.prefix_weight))
+            arrayed = WeightedSequence(pv, pw, value_scale=10, weight_scale=100,
+                                       is_uniform=listed.is_uniform, min_weight=listed.min_weight,
+                                       max_weight=listed.max_weight)
+            monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
+            comp = compress_runs(arrayed)
+            assert arrayed._pv is None and comp._pv is None  # no list was filled
+            monkeypatch.setattr(fastpath, "MIN_FAST_N", n + 1)
+            assert stored(comp) == stored(compress_runs(listed))
+
+    def test_products_beyond_int64_use_exact_ints(self, monkeypatch):
+        # Every prefix fits int64, but 2**60 * 16 wraps to 0 there, which
+        # would merge all four items; the runs are found over the lists.
+        monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
+        big = 1 << 60
+        seq = build_sequence([(big, 16), (big, 16), (-big, 16), (-big, 16)])
+        assert seq.int64_prefixes() is not None and not fastpath.eligible(seq)
+        assert compress_runs(seq).items == [(2 * big, 32), (-2 * big, 32)]
+
 
 class TestParseTsv:
     def test_basic(self):
@@ -279,6 +318,100 @@ class TestParseTsv:
             parse_tsv("a\tb\n")
         with pytest.raises(MalformedTsv):
             parse_tsv("# only comments\n")
+
+    def test_numbers_are_python_ints_and_lists_stay_unbuilt(self, rng):
+        n = fastpath.MIN_FAST_N
+        rows = [(rng.randint(-999, 999), rng.randint(10, 30)) for _ in range(n)]
+        text = "# value\tweight\n" + "".join(f"{a / 100:.2f}\t{w / 10:.1f}\n" for a, w in rows)
+        seq = parse_tsv(text)
+        seg = solve(SolveRequest(seq, 100, 200))
+        assert seq._pv is None  # read from the arrays, solved by the backend
+        assert type(seg.sum) is int and type(seg.width) is int
+        assert (seq.value_scale, seq.weight_scale) == (100, 10)
+        assert (seg.sum, seg.width) == tuple(
+            sum(col) for col in zip(*rows[seg.start - 1:seg.end]))
+
+    @staticmethod
+    def parse_on(text, min_fast_n, chunk=bio.TSV_CHUNK):
+        """What parse_tsv(text) stores, or its error's type, line and message,
+        with the array path's size gate and chunk set; and whether the array
+        path gave the answer."""
+        with mock.patch.object(fastpath, "MIN_FAST_N", min_fast_n), \
+                mock.patch.object(bio, "TSV_CHUNK", chunk):
+            try:
+                seq = parse_tsv(text)
+            except MaxsegError as exc:
+                return (type(exc), getattr(exc, "line", None), str(exc)), False
+            arrays_answered = seq._pv is None
+            return stored(seq), arrays_answered
+
+    def both_paths(self, text):
+        """parse_tsv(text) on the array path and on the exact path, and
+        whether the array path gave the answer."""
+        arrays, arrays_answered = self.parse_on(text, 1)
+        assert self.parse_on(text, 1, chunk=4) == (arrays, arrays_answered)  # many chunks
+        if arrays_answered:
+            assert all(type(x) is int for x in arrays[0] + arrays[1])
+        return arrays, self.parse_on(text, 1 << 62)[0], arrays_answered
+
+    IN_GRAMMAR = [
+        "1\t2\r\n3\t4\r\n",  # CRLF
+        "1\t2\t\n3 \t4\t \n",  # trailing tabs and spaces
+        "1\t2\n# mid-file comment: 1.5 \t x\n  \t# indented\n3\t4\n",
+        "-0\t1\n5\t1\n",
+        "-0.00\t1\n1\t1\n",
+        "007.50\t001.0\n-000\t1.000000000\n",  # leading and trailing zeros
+        "1.50\t2.50\n",
+        "123456789012345678\t1\n-999999999999999999\t1\n",  # 18 digits
+        "0.123456789\t0.000000001\n",  # 9 places
+        "999999999999999999\t1\n" * 4,  # absolute sum just under 2**62
+        "1\t1\n\n \t \n2\t3\n",  # blank lines
+        "1\t2\n3\t4",  # no final line feed
+        "5\t1\n#1\t1\n",
+    ]
+    OUTSIDE_GRAMMAR = [
+        "1.\t1\n", ".5\t1\n", "+1\t1\n", "1e3\t1\n", "1_0\t1\n", "-\t1\n", "-.5\t1\n",
+        "1-2\t1\n", "--1\t1\n", "1..2\t1\n", "1.2.3\t1\n", "1\t#1\n",
+        "1234567890123456789\t1\n",  # 19 digits
+        "0.1234567891\t1\n", "1.0000000000\t1\n",  # 10 places
+        "999999999999999999\t1\n" * 10, "1\t999999999999999999\n" * 10,  # sums past 2**63
+        "999999999999999999\t1\n" * 5,  # a sum inside int64 but past the 2**62 margin
+        "999999999999999999\t1\n0.5\t1\n",  # an item past int64 once scaled
+        "1\t0\n", "1\t-2\n", "1\t-0\n", "2\t1\n1\t0.0\n",  # weights not positive
+        "1\t2\v\n", "1\v2\n", "# a\vb c\n1\t1\n", "1\t2\f\n", "1\x00\t2\n", "1\t2\x7f\n",
+        "1\t2\n# caf\u00e9\n", "1\t\uff12\n",  # non-ASCII
+        "1\r\t2\n", "1\t2\r3\t4\n", "# a\rb\n1\t1\n",  # CR not before LF
+        "1\n", "1\t2\t3\n", "1\t2\n3\n", "1\t2\t3\t4\n",  # 1, 3 and 4 fields
+        "# only\n# comments\n", "\n \n", "a\tb\n",
+    ]
+
+    @pytest.mark.parametrize("text", IN_GRAMMAR + OUTSIDE_GRAMMAR)
+    def test_array_and_exact_paths_agree(self, text):
+        arrays, exact, arrays_answered = self.both_paths(text)
+        assert arrays == exact
+        assert arrays_answered == (text in self.IN_GRAMMAR)
+
+    # Mostly rows in the array path's grammar, so both paths answer often;
+    # the rest are fields, gaps and lines that leave it.
+    ODD_FIELDS = st.one_of(
+        st.from_regex(r"-?[0-9]{1,20}(\.[0-9]{1,11})?", fullmatch=True),
+        st.sampled_from(["-0", "1.50", "1.", ".5", "+1", "1e3", "#", "x", "-", "1..2"]),
+    )
+    VALUES = st.from_regex(r"-?[0-9]{1,6}(\.[0-9]{1,9})?", fullmatch=True)
+    WEIGHTS = st.from_regex(r"[0-9]{0,5}[1-9](\.[0-9]{1,9})?", fullmatch=True)
+    ROWS = st.tuples(VALUES, st.sampled_from(["\t", " ", " \t "]), WEIGHTS,
+                     st.sampled_from(["", "\t", " "])).map("".join)
+    ODD_ROWS = st.tuples(st.one_of(VALUES, ODD_FIELDS), st.sampled_from(["\t", "\r", "\v"]),
+                         st.one_of(WEIGHTS, ODD_FIELDS), st.sampled_from(["", "\r"])).map("".join)
+    LINES = st.one_of(ROWS, ODD_ROWS, st.sampled_from(
+        ["", "# note 1\t2", "  #x", "1", "1\t2\t3", "1 2 3 4", "\t", "0\t0"]))
+
+    @given(st.lists(st.one_of(ROWS, ROWS, ROWS, LINES), min_size=1, max_size=8),
+           st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=300, deadline=None)
+    def test_array_and_exact_paths_agree_on_random_text(self, lines, end):
+        arrays, exact, _ = self.both_paths(end.join(lines) + end)
+        assert arrays == exact
 
     @given(st.lists(st.tuples(st.integers(-99, 99), st.integers(1, 99)), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)

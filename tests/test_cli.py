@@ -320,6 +320,24 @@ class TestFind:
         assert proc.returncode == 0, proc.stderr
         assert [row.split("\t")[0] for row in proc.stdout.splitlines()] == ["record_id", "a", "b"]
 
+    def test_find_on_short_tsv_never_imports_numpy(self, tmp_path):
+        # text of fewer lines than the backend's size is parsed by the exact
+        # path and solved by the pure sweeps
+        path = tmp_path / "short.tsv"
+        rows = "".join(f"{k % 7 - 3}.{k % 10}5\t{1 + k % 3}.5\n" for k in range(4094))
+        path.write_text("# value\tweight\n" + rows)
+        script = (
+            "import sys, maxseg.cli, maxseg.fastpath\n"
+            f"assert open({str(path)!r}).read().count('\\n') < maxseg.fastpath.MIN_FAST_N\n"
+            f"code = maxseg.cli.main(['find', '--input', {str(path)!r}, '--format', 'tsv',"
+            " '--L', '4', '--U', '8', '--exact'])\n"
+            "assert code == 0\n"
+            "assert 'numpy' not in sys.modules, 'find imported numpy'\n"
+        )
+        proc = run_python(script)
+        assert proc.returncode == 0, proc.stderr
+        assert [row.split("\t")[0] for row in proc.stdout.splitlines()] == ["record_id", "r1"]
+
 
 class TestVerify:
     def test_uniform_pass(self):
