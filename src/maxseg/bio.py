@@ -200,9 +200,9 @@ def parse_tsv(stream: Union[str, IO[str], Iterable[str]]) -> WeightedSequence:
     other stream, takes the exact path, which gives the same sequence or
     raises the same error; it imports no numpy.
     """
-    if isinstance(stream, str) and stream.count("\n") >= fastpath.MIN_FAST_N \
-            and stream.isascii():
-        seq = _tsv_to_arrays(stream)
+    lines = stream.count("\n") if isinstance(stream, str) else 0
+    if lines >= fastpath.MIN_FAST_N and stream.isascii():
+        seq = _tsv_to_arrays(stream, lines)
         if seq is not None:
             return seq
     if isinstance(stream, str):
@@ -230,16 +230,16 @@ def parse_tsv(stream: Union[str, IO[str], Iterable[str]]) -> WeightedSequence:
 
 # Characters of TSV text the array path scans at once, cut after a line
 # feed; bounds its per-byte scratch memory.
-TSV_CHUNK = 1 << 18
+TSV_CHUNK = 1 << 16
 
 # Byte classes of the array path: 0 is outside its grammar; TEXT may appear
 # in comments only.
 _SPACE, _DIGIT, _MINUS, _DOT, _HASH, _TEXT = 1, 2, 3, 4, 5, 6
 
 
-def _tsv_to_arrays(text: str) -> Optional[WeightedSequence]:
-    """parse_tsv's array path (ASCII text): the sequence, or None when the
-    text leaves the grammar parse_tsv states."""
+def _tsv_to_arrays(text: str, lines: int) -> Optional[WeightedSequence]:
+    """parse_tsv's array path (ASCII text of ``lines`` line feeds): the
+    sequence, or None when the text leaves the grammar parse_tsv states."""
     import numpy as np
 
     table = np.zeros(256, dtype=np.int8)
@@ -248,27 +248,36 @@ def _tsv_to_arrays(text: str) -> Optional[WeightedSequence]:
     table[48:58] = _DIGIT
     table[[45, 46, 35]] = _MINUS, _DOT, _HASH
     pow10 = 10 ** np.arange(19, dtype=np.int64)
-    chunks, pos = [], 0
+    # Columns of (value, weight) fields after a leading 0, at most one row
+    # per line (the last may lack its line feed); the prefix sums are then
+    # summed in place: units[0] and places[0] are the values.
+    units = np.zeros((2, lines + 2), dtype=np.int64)
+    places = np.empty((2, lines + 1), dtype=np.int8)
+    tops, rows, pos = [0, 0], 0, 0
     while pos < len(text):
         end = text.find("\n", pos + TSV_CHUNK) + 1 or len(text)  # 0: no later LF
         chunk = text[pos:end] if text.endswith("\n", pos, end) else text[pos:end] + "\n"
-        chunks.append(_scan_tsv_chunk(table, pow10, np.frombuffer(chunk.encode(), np.uint8)))
-        if chunks[-1] is None:
+        fields = _scan_tsv_chunk(table, pow10, np.frombuffer(chunk.encode(), np.uint8))
+        if fields is None:
             return None
-        pos = end
-    # Rows of (value, weight) fields: units[0] and places[0] are the values.
-    units, places = (np.concatenate(parts).reshape(-1, 2).T for parts in zip(*chunks))
-    del chunks
-    if not units.shape[1]:
+        r = rows + len(fields[0]) // 2
+        units[:, rows + 1:r + 1], places[:, rows:r] = (f.reshape(-1, 2).T for f in fields)
+        for c, (u, p) in enumerate(zip(units[:, rows + 1:r + 1], places[:, rows:r])):
+            # the chunk's finest grid: places lowered while no digit there is nonzero
+            top = int(p.max(initial=0))
+            while top > tops[c] and not (u % pow10[np.maximum(p - top + 1, 0)]).any():
+                top -= 1
+            tops[c] = max(tops[c], top)
+        rows, pos = r, end
+    if not rows or not all(_int64_grid(pow10, u[1:rows + 1], p[:rows], t)
+                           for u, p, t in zip(units, places, tops)):
         return None
-    (V, vscale), (W, wscale) = (_int64_grid(pow10, u, p) for u, p in zip(units, places))
-    if V is None or W is None:
-        return None
+    V, W = units[:, :rows + 1]
     weights = np.diff(W)
     lo, hi = int(weights.min()), int(weights.max())
     if lo <= 0:
         return None
-    return WeightedSequence(V, W, value_scale=vscale, weight_scale=wscale,
+    return WeightedSequence(V, W, value_scale=10 ** tops[0], weight_scale=10 ** tops[1],
                             is_uniform=lo == hi == 1, min_weight=lo, max_weight=hi)
 
 
@@ -322,23 +331,19 @@ def _scan_tsv_chunk(table, pow10, b):
     return units, places.astype(np.int8)
 
 
-def _int64_grid(pow10, units, places):
-    """(prefix sums, scale) of one column's fields (units, places) on its
-    finest power-of-ten grid, or (None, None) when an item or the sum of
-    absolute items could leave int64."""
+def _int64_grid(pow10, units, places, top):
+    """Scale one column's fields (units, places) in place onto the grid of
+    10**-top and sum them in place into prefix sums; False when an item or
+    the sum of absolute items could leave int64."""
     import numpy as np
 
-    top = int(places.max())
-    # Lower the grid while no field has a nonzero digit in place `top`.
-    while top and not (units % pow10[np.maximum(places - top + 1, 0)]).any():
-        top -= 1
     if (places != top).any():
         up = pow10[np.maximum(top - places, 0)]
         if (np.abs(units) > np.iinfo(np.int64).max // up).any():
-            return None, None
-        units = units * up // pow10[np.maximum(places - top, 0)]  # exact: 1.50 -> 15
+            return False
+        np.multiply(units, up, out=units)
+        np.floor_divide(units, pow10[np.maximum(places - top, 0)], out=units)  # exact: 1.50 -> 15
     if np.abs(units).sum(dtype=np.float64) >= 2.0 ** 62:  # float error is far below 2x
-        return None, None
-    prefix = np.zeros(len(units) + 1, dtype=np.int64)
-    np.cumsum(units, out=prefix[1:])
-    return prefix, 10 ** top
+        return False
+    np.cumsum(units, out=units)
+    return True

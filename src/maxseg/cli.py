@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 parse/numeric error, 2 no feasible segment.
 from __future__ import annotations
 
 import argparse
+import gc
 import random
 import statistics
 import sys
@@ -381,5 +382,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
 
+def run() -> int:
+    """Entry point of ``python -m maxseg`` and the ``maxseg`` script: once
+    :func:`main` returns, freeze every live object so that interpreter exit
+    skips a full garbage collection over numpy and the records."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -27,16 +27,17 @@ smaller.  The same choice picks the next segment in every round.
 
 Window minima come from one pass over the endpoints in chunks of ``CHUNK``.
 Windows that start at 0 read a running minimum carried from chunk to chunk.
-The others are grouped by length in ``[b, 2b)``, ``b`` a power of two; such
-a window is the union of its first and last ``b`` keys, and a run of ``b``
-keys is the minimum of a block suffix and the next block's prefix in blocks
-of ``b`` (van Herk / Gil-Werman).  Beyond ``V``, ``W`` and ``B`` a round
-needs O(CHUNK + window) scratch memory.
+The others read one doubling per chunk: level ``b`` holds the minimum of
+every run of ``b`` keys and is one contiguous ``minimum`` of level ``b/2``
+with itself shifted (a sparse-table row; Bender and Farach-Colton, "The LCA
+Problem Revisited", LATIN 2000); a window of ``b`` to ``2b - 1`` keys is the
+minimum of its first and last ``b``.  Under unit weights every such window
+has ``U - L + 1`` keys, so a round reads both as slices.  Beyond ``V``,
+``W`` and ``B`` a round needs O(CHUNK + window) scratch memory.
 
 :func:`eligible` admits a sequence only when ``spread * total_width < 2**62``
 with ``spread = 2 * max|prefix value|``.  That bounds ``|B| < 3 * 2**61``
-and every gain below ``2**63``, so all arithmetic is exact in int64; block
-padding therefore uses the int64 maximum, which no key can reach.
+and every gain below ``2**63``, so all arithmetic is exact in int64.
 
 numpy is imported only for sequences of at least ``MIN_FAST_N`` items, so
 importing this module (and the CLI) stays numpy-free.  The kernel runs no
@@ -83,37 +84,108 @@ def eligible(seq: WeightedSequence) -> bool:
     return max(spread, 1) * int(W[-1]) < _INT64_PRODUCT_BOUND
 
 
+def _doubling(line):
+    """Yield ``(b, M)`` for b = 1, 2, 4, ... while b <= len(line), where
+    ``M[t] = min(line[t:t + b])``; each level is one contiguous pass."""
+    import numpy as np
+
+    b = 1
+    while True:
+        yield b, line
+        if len(line) <= b:  # level 2b would be empty
+            return
+        line = np.minimum(line[:-b], line[b:])
+        b *= 2
+
+
 def _block_min(B, lo, hi):
     """min(B[lo[t] .. hi[t]]) for nonempty windows with lo, hi nondecreasing."""
     import numpy as np
 
-    span = hi - lo  # window length - 1
-    g0, g1 = int(span.min() + 1).bit_length() - 1, int(span.max() + 1).bit_length() - 1
-    out = None if g0 == g1 else np.empty(len(lo), dtype=np.int64)
-    for g in range(g0, g1 + 1):
-        b = 1 << g
-        sel = slice(None) if g0 == g1 else (span >= b - 1) & (span < 2 * b - 1)
-        x, y = lo[sel], hi[sel]
-        if not len(x):
-            continue
-        a = int(x[0])
-        size = -(-(int(y[-1]) + 1 - a) // b) * b
-        line = B[a:a + size]
-        if len(line) < size:  # pad past the end with a key no window takes
-            line = np.full(size, np.iinfo(np.int64).max)
-            line[:len(B) - a] = B[a:]
-        rows = line.reshape(-1, b)
-        pre = np.minimum.accumulate(rows, axis=1).ravel()
-        suf = np.empty_like(pre)
-        np.minimum.accumulate(rows[:, ::-1], axis=1, out=suf.reshape(-1, b)[:, ::-1])
-        x, y = x - a, y - a
-        m = np.minimum(suf[x], pre[x + (b - 1)])
-        np.minimum(m, suf[y - (b - 1)], out=m)
-        np.minimum(m, pre[y], out=m)
-        if out is None:
-            return m
-        out[sel] = m
-    return out
+    a = int(lo[0])
+    x, y = lo - a, hi - a
+    size = y - x + 1
+    g0, g1 = int(size.min()).bit_length(), int(size.max()).bit_length()
+    out = np.empty(len(lo), dtype=np.int64)
+    for b, M in _doubling(B[a:int(hi[-1]) + 1]):
+        if b.bit_length() >= g0:
+            # a window of b to 2b - 1 keys: its first and last b keys
+            sel = slice(None) if g0 == g1 else (size >= b) & (size < 2 * b)
+            out[sel] = np.minimum(M[x[sel]], M[y[sel] - (b - 1)])
+        if b.bit_length() == g1:
+            return out
+
+
+def _uniform_scan(B, n, L, U):
+    """:func:`_general_scan` under unit weights, where endpoint ``j``'s window
+    is ``B[max(j - U, 0) .. j - L]``: a running minimum below ``j = U``,
+    beyond it ``m = U - L + 1`` keys read as slices of one doubling."""
+    import numpy as np
+
+    top, run_min = -1, B[0]
+    for j0 in range(L, n + 1, CHUNK):
+        j1 = min(j0 + CHUNK, n + 1)
+        p = j1 - j0 if U is None else min(max(U - j0, 0), j1 - j0)
+        gain = np.empty(j1 - j0, dtype=np.int64)
+        if p:
+            run = np.minimum.accumulate(B[j0 - L:j0 + p - L])
+            np.minimum(run, run_min, out=run)
+            run_min = run[-1]
+            np.subtract(B[j0:j0 + p], run, out=gain[:p])
+        if p < j1 - j0:
+            c, m = j1 - j0 - p, U - L + 1
+            for b, M in _doubling(B[j0 + p - U:j1 - L]):
+                if 2 * b > m:
+                    break
+            np.subtract(B[j0 + p:j1], M[:c] if b == m else
+                        np.minimum(M[:c], M[m - b:m - b + c]), out=gain[p:])
+        t = int(np.argmax(gain))
+        if gain[t] > top:
+            top, j = int(gain[t]), j0 + t
+    return top, j, 0 if U is None else max(j - U, 0), j - L
+
+
+def _windows(W, n, L, U):
+    """(j0, lo, hi) per chunk of endpoints j0, j0+1, ... with some k."""
+    import numpy as np
+
+    for j0 in range(int(np.searchsorted(W, L)), n + 1, CHUNK):
+        Wj = W[j0:j0 + CHUNK]
+        hi = np.searchsorted(W, Wj - L, side="right") - 1
+        lo = np.searchsorted(W, Wj - U) if U is not None else np.zeros_like(hi)
+        yield j0, lo, hi
+
+
+def _general_scan(B, W, n, L, U):
+    """(gain, j, lo, hi) of the first endpoint of largest gain and its window."""
+    import numpy as np
+
+    top = -1  # the current segment's own gain, 0, beats it
+    run_at, run_min = 0, B[0]  # run_min = min(B[:run_at + 1])
+    for j0, lo, hi in _windows(W, n, L, U):
+        ok = hi >= lo
+        full = ok.all()
+        p = int(np.searchsorted(lo, 0, side="right"))  # windows from 0
+        if full and not p:
+            mins = _block_min(B, lo, hi)
+        else:
+            mins = np.empty(len(hi), dtype=np.int64)
+            if p:
+                run = B[run_at:hi[p - 1] + 1].copy()
+                run[0] = run_min
+                np.minimum.accumulate(run, out=run)
+                mins[:p] = run[hi[:p] - run_at]
+                run_at, run_min = int(hi[p - 1]), run[-1]
+            rest = ok & (lo > 0)
+            if rest.any():
+                mins[rest] = _block_min(B, lo[rest], hi[rest])
+        gain = B[j0:j0 + len(hi)] - mins
+        if not full:
+            gain[~ok] = -1
+        t = int(np.argmax(gain))
+        if gain[t] > top:
+            top, j, a, z = int(gain[t]), j0 + t, int(lo[t]), int(hi[t])
+    return top, j, a, z
 
 
 def best(seq: WeightedSequence, L: RealInput,
@@ -134,28 +206,22 @@ def best(seq: WeightedSequence, L: RealInput,
     import numpy as np
 
     V, W = seq.int64_prefixes()
-
-    def windows():
-        """(j0, lo, hi) per chunk of endpoints j0, j0+1, ... with some k."""
-        for j0 in range(int(np.searchsorted(W, L)), n + 1, CHUNK):
-            j1 = min(j0 + CHUNK, n + 1)
-            if seq.is_uniform:
-                hi = np.arange(j0 - L, j1 - L)
-                lo = np.maximum(hi - (U - L), 0) if U is not None else np.zeros_like(hi)
-            else:
-                hi = np.searchsorted(W, W[j0:j1] - L, side="right") - 1
-                lo = np.searchsorted(W, W[j0:j1] - U) if U is not None else np.zeros_like(hi)
-            yield j0, lo, hi
-
-    # Start from the densest shortest feasible segment; float only picks it.
+    # Start from the densest shortest feasible segment.
     pick = -math.inf
-    for j0, lo, hi in windows():
-        js = slice(j0, j0 + len(hi))
-        dens = (V[js] - V[hi]) / (W[js] - W[hi])
-        dens[hi < lo] = -math.inf
-        t = int(np.argmax(dens))
-        if dens[t] > pick:
-            pick, k, j = dens[t], int(hi[t]), j0 + t
+    if seq.is_uniform:  # all of width L: the largest exact sum
+        for j0 in range(L, n + 1, CHUNK):
+            d = V[j0:j0 + CHUNK] - V[j0 - L:min(j0 + CHUNK, n + 1) - L]
+            t = int(np.argmax(d))
+            if d[t] > pick:
+                pick, k, j = d[t], j0 + t - L, j0 + t
+    else:  # float only picks it
+        for j0, lo, hi in _windows(W, n, L, U):
+            js = slice(j0, j0 + len(hi))
+            dens = (V[js] - V[hi]) / (W[js] - W[hi])
+            dens[hi < lo] = -math.inf
+            t = int(np.argmax(dens))
+            if dens[t] > pick:
+                pick, k, j = dens[t], int(hi[t]), j0 + t
     if pick == -math.inf:
         return None
 
@@ -164,31 +230,8 @@ def best(seq: WeightedSequence, L: RealInput,
         s, w = int(V[j] - V[k]), int(W[j] - W[k])
         for c in range(0, n + 1, CHUNK):
             np.subtract(V[c:c + CHUNK] * w, W[c:c + CHUNK] * s, out=B[c:c + CHUNK])
-        top = -1  # the current segment's own gain, 0, beats it
-        run_at, run_min = 0, B[0]  # run_min = min(B[:run_at + 1])
-        for j0, lo, hi in windows():
-            ok = hi >= lo
-            full = ok.all()
-            p = int(np.searchsorted(lo, 0, side="right"))  # windows from 0
-            if full and not p:
-                mins = _block_min(B, lo, hi)
-            else:
-                mins = np.empty(len(hi), dtype=np.int64)
-                if p:
-                    run = B[run_at:hi[p - 1] + 1].copy()
-                    run[0] = run_min
-                    np.minimum.accumulate(run, out=run)
-                    mins[:p] = run[hi[:p] - run_at]
-                    run_at, run_min = int(hi[p - 1]), run[-1]
-                rest = ok & (lo > 0)
-                if rest.any():
-                    mins[rest] = _block_min(B, lo[rest], hi[rest])
-            gain = B[j0:j0 + len(hi)] - mins
-            if not full:
-                gain[~ok] = -1
-            t = int(np.argmax(gain))
-            if gain[t] > top:
-                top, j, a, z = int(gain[t]), j0 + t, int(lo[t]), int(hi[t])
+        top, j, a, z = (_uniform_scan(B, n, L, U) if seq.is_uniform
+                        else _general_scan(B, W, n, L, U))
         k = a + int(np.argmin(B[a:z + 1]))
         if top == 0:
             return k + 1, j

@@ -331,6 +331,25 @@ class TestParseTsv:
         assert (seg.sum, seg.width) == tuple(
             sum(col) for col in zip(*rows[seg.start - 1:seg.end]))
 
+    def test_array_path_peak_stays_near_the_sequence(self):
+        # Fields go straight into the two columns the sequence keeps, so
+        # parsing needs little beyond them and one chunk's scratch.
+        import tracemalloc
+
+        import numpy  # noqa: F401  (its import is not the parse's memory)
+
+        rows = 200_000
+        text = "# value\tweight\n" + "".join(
+            f"{(k * 37) % 1999 - 999}.{k % 100:02d}\t{1 + k % 3}.{k % 10}\n" for k in range(rows))
+        tracemalloc.start()
+        try:
+            seq = parse_tsv(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seq._pv is None and seq.n == rows
+        assert kept >= 16 * rows and peak < 2.5 * kept
+
     @staticmethod
     def parse_on(text, min_fast_n, chunk=bio.TSV_CHUNK):
         """What parse_tsv(text) stores, or its error's type, line and message,
@@ -368,6 +387,8 @@ class TestParseTsv:
         "1\t1\n\n \t \n2\t3\n",  # blank lines
         "1\t2\n3\t4",  # no final line feed
         "5\t1\n#1\t1\n",
+        "1\t1\n2.5\t1\n3.25\t1.0\n",  # later chunks need a finer grid
+        "1.20\t1.0\n3.25\t2.00\n4.10\t1\n",  # trailing zeros in some chunks only
     ]
     OUTSIDE_GRAMMAR = [
         "1.\t1\n", ".5\t1\n", "+1\t1\n", "1e3\t1\n", "1_0\t1\n", "-\t1\n", "-.5\t1\n",

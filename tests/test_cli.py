@@ -1,5 +1,8 @@
+import gc
 import io
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -337,6 +340,63 @@ class TestFind:
         proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
         assert [row.split("\t")[0] for row in proc.stdout.splitlines()] == ["record_id", "r1"]
+
+
+class TestProcessExit:
+    # `python -m maxseg` and the `maxseg` script freeze the garbage collector
+    # once main returns, so interpreter exit skips a full collection; the
+    # output and exit codes are main's, and an in-process main freezes nothing.
+
+    @staticmethod
+    def _cases(tmp_path):
+        rng = random.Random(7)
+        fasta = tmp_path / "in.fa"
+        fasta.write_text("".join(
+            f">r{k}\n" + "".join(rng.choice("ACGT") for _ in range(5000)) + "\n"
+            for k in range(2)))
+        tsv = tmp_path / "in.tsv"
+        tsv.write_text("".join(f"{rng.randint(-99, 99) / 10}\t{rng.randint(10, 30) / 10}\n"
+                               for _ in range(5000)))
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("1\t2\t3\n")
+        return [
+            (["find", "--input", str(fasta), "--format", "fasta", "--L", "100", "--U", "200"], 0),
+            (["find", "--input", str(tsv), "--format", "tsv", "--L", "10", "--U", "50.5"], 0),
+            (["find", "--input", str(fasta), "--format", "fasta", "--L", "6000"], 2),
+            (["find", "--input", str(bad), "--format", "tsv", "--L", "1"], 1),
+        ]
+
+    def test_module_entry_matches_in_process_main(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        for argv, code in self._cases(tmp_path):
+            proc = subprocess.run([sys.executable, "-m", "maxseg"] + argv, capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert proc.returncode == code, proc.stderr
+            assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(argv)
+
+    def test_in_process_main_freezes_nothing(self, tmp_path):
+        argv, _ = self._cases(tmp_path)[0]
+        assert run_cli(argv)[0] == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_both_process_entries_freeze(self, tmp_path):
+        with open(os.path.join(os.path.dirname(SRC), "pyproject.toml")) as fh:
+            module, func = re.search(r'^maxseg = "([\w.]+):(\w+)"$', fh.read(), re.M).groups()
+        argv, _ = self._cases(tmp_path)[0]
+        want = run_cli(argv)[1]
+        for call in (f"from {module} import {func}\ncode = {func}()\n",
+                     "import runpy\n"
+                     "try:\n"
+                     "    runpy.run_module('maxseg', run_name='__main__')\n"
+                     "except SystemExit as exc:\n"
+                     "    code = exc.code\n"):
+            proc = run_python(
+                f"import gc, sys\nsys.argv = ['maxseg'] + {argv!r}\n{call}"
+                "assert gc.get_freeze_count() > 0, 'nothing frozen'\n"
+                "sys.exit(code)\n")
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == want
 
 
 class TestVerify:

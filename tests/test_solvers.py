@@ -626,6 +626,83 @@ class TestFastPathParity:
         assert seg.density == density(seq, 1, 2)
 
 
+def _uniform_lane_cases():
+    """(values, L, U) that put the unit-weight lane at its edges."""
+    cases = []
+    for n in (1, 2, 5, 17, 40):
+        for L, U in ((1, 1), (3, 3), (1, None), (2, None), (2, n), (2, n + 4), (1, n - 1)):
+            if 1 <= L <= n and (U is None or U >= L):
+                cases += [([4] * n, L, U), ([-3] * n, L, U),
+                          ([(-1) ** t * (t % 7) for t in range(n)], L, U)]
+    for m in (2, 4, 8, 16):  # U - L + 1 a power of two, and one off each side
+        for mm in (m - 1, m, m + 1):
+            cases.append(([(t * 5) % 11 - 5 for t in range(50)], 3, 3 + mm - 1))
+    return cases
+
+
+class TestUniformLane:
+    # The unit-weight lane of fastpath.best: a running minimum for endpoints
+    # below U, slices of one doubling beyond it, and an exact first pick.
+    @staticmethod
+    def _check(values, L, U):
+        seq = build_sequence([(v, 1) for v in values])
+        want = _oracle_pair(seq, L, U)
+        pure = max_density_uniform(seq, L, len(values) if U is None else U)
+        assert (pure.start, pure.end) == want
+        for chunk in (1, 3, fastpath.CHUNK):
+            with mock.patch.object(fastpath, "MIN_FAST_N", 1), \
+                    mock.patch.object(fastpath, "CHUNK", chunk):
+                assert fastpath.best(seq, L, U) == want, (chunk, values, L, U)
+
+    @pytest.mark.parametrize("values,L,U", _uniform_lane_cases())
+    def test_edge_cases(self, values, L, U):
+        self._check(values, L, U)
+
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=48), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_and_pure(self, values, data):
+        n = len(values)
+        L = data.draw(st.integers(1, n))
+        U = data.draw(st.one_of(st.none(), st.integers(L, n + 3)))
+        self._check(values, L, U)
+
+
+class TestBlockMin:
+    # fastpath._block_min against a brute-force minimum per window.
+    @staticmethod
+    def _check(B, lo, hi):
+        import numpy as np
+
+        B, lo, hi = (np.asarray(x, dtype=np.int64) for x in (B, lo, hi))
+        got = fastpath._block_min(B, lo, hi)
+        assert got.tolist() == [int(B[a:z + 1].min()) for a, z in zip(lo, hi)]
+
+    def test_several_power_of_two_classes_in_one_call(self, rng):
+        B = [rng.randint(-50, 50) for _ in range(200)]
+        lo = sorted(rng.randrange(0, 100) for _ in range(60))
+        hi = []
+        for a in lo:  # lengths 1 .. 70 keys, hi kept nondecreasing
+            hi.append(max(a + rng.randint(0, 69), hi[-1] if hi else 0))
+        self._check(B, lo, hi)
+
+    def test_single_key_windows(self, rng):
+        B = [rng.randint(-9, 9) for _ in range(30)]
+        self._check(B, list(range(30)), list(range(30)))
+
+    def test_windows_ending_at_the_last_key(self, rng):
+        for size in (1, 2, 3, 7, 8, 9, 31):
+            B = [rng.randint(-9, 9) for _ in range(40)]
+            self._check(B, [40 - size] * 3, [39] * 3)
+            self._check(B, list(range(40 - size, 40)), [39] * size)
+
+    def test_windows_longer_than_a_chunk(self, rng):
+        n = 3 * fastpath.CHUNK
+        B = [rng.randint(-10**6, 10**6) for _ in range(n)]
+        lo = [0, 5, 100, 101]
+        hi = [fastpath.CHUNK + 3, 2 * fastpath.CHUNK, n - 2, n - 1]
+        self._check(B, lo, hi)
+
+
 class TestEdgeProfiles:
     def test_all_negative_values_uniform(self, rng):
         for _ in range(60):
