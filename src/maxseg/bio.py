@@ -137,10 +137,13 @@ def _map_to_arrays(rec: DnaRecord, spec: MappingSpec, strict: bool) -> WeightedS
     scores = np.full(256, spec.other_score, dtype=np.int64)
     scores[[ord(ch) for ch in _GC_BASES]] = spec.gc_score
     n = len(codes)
-    V = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(scores[codes], out=V[1:])
-    return WeightedSequence(V, np.arange(n + 1, dtype=np.int64),
-                            value_scale=spec.scale, is_uniform=True,
+    V = np.empty(n + 1, dtype=np.int64)
+    V[0] = 0
+    for c in range(0, n, fastpath.CHUNK):  # scores a chunk at a time, into V
+        part = V[c + 1:c + 1 + fastpath.CHUNK]
+        np.cumsum(scores[codes[c:c + fastpath.CHUNK]], out=part)
+        part += V[c]
+    return WeightedSequence(V, None, value_scale=spec.scale, is_uniform=True,
                             min_weight=1, max_weight=1)
 
 
@@ -159,12 +162,17 @@ def compress_runs(seq: WeightedSequence) -> WeightedSequence:
         import numpy as np
 
         V, W = arrays
-        v, w = np.diff(V), np.diff(W)
-        ends = np.flatnonzero(v[:-1] * w[1:] != v[1:] * w[:-1]) + 1
+        v = np.diff(V)
+        if W is None:  # every weight is 1
+            ends = np.flatnonzero(v[:-1] != v[1:]) + 1
+        else:
+            w = np.diff(W)
+            ends = np.flatnonzero(v[:-1] * w[1:] != v[1:] * w[:-1]) + 1
         keep = np.concatenate(([0], ends, [n]))
-        weights = np.diff(W[keep])
+        W = keep if W is None else W[keep]
+        weights = np.diff(W)
         lo, hi = int(weights.min()), int(weights.max())
-        return WeightedSequence(V[keep], W[keep], value_scale=seq.value_scale,
+        return WeightedSequence(V[keep], W, value_scale=seq.value_scale,
                                 weight_scale=seq.weight_scale, is_uniform=lo == hi == 1,
                                 min_weight=lo, max_weight=hi)
     pv, pw = seq.prefix_value, seq.prefix_weight

@@ -118,20 +118,28 @@ def _dump_structures(seq: WeightedSequence, L_scaled, err: IO[str]) -> None:
 def _load_records(args) -> Iterator[Tuple[str, WeightedSequence]]:
     """Yield (record id, sequence) one record at a time: FASTA records are
     mapped only when asked for, so a caller that drops each sequence before
-    the next holds one at a time."""
+    the next holds one at a time.  The input text is dropped once it is
+    parsed, and each record's bases once they are mapped."""
     text = _read_input(args.input)
     if args.format == "tsv":
         if args.mapping != "gc":
             raise ValueError("--mapping applies to FASTA input only")
         if args.strict:
             raise ValueError("--strict applies to FASTA input only")
-        yield "r1", parse_tsv(text)
+        seq = parse_tsv(text)
+        del text
+        yield "r1", seq
         return
     spec = _mapping_from_flag(args.mapping)
     records = parse_fasta(text)
     del text
-    for rec in records:
-        yield rec.id, map_to_sequence(rec, spec, strict=args.strict)
+    records.reverse()  # popped from the end: first record first
+    while records:
+        rec = records.pop()
+        rid, seq = rec.id, map_to_sequence(rec, spec, strict=args.strict)
+        del rec
+        yield rid, seq
+        del seq  # before the next record is mapped
 
 
 def cmd_find(args, out: IO[str], err: IO[str]) -> int:

@@ -16,7 +16,9 @@ lists (any exact number) or as int64 numpy arrays, whichever its builder
 made (:func:`build_sequence` makes lists; the parsers in :mod:`maxseg.bio`
 read long FASTA records and long TSV text straight into arrays), and
 derives the other form lazily, once, for the reader that needs it: the pure
-sweeps read lists, the numpy backend reads arrays.
+sweeps read lists, the numpy backend reads arrays.  Under unit weights the
+paper's width ``w(i, j)`` is ``j - i + 1``, so the array store keeps no
+weight column: 8 bytes per item.
 """
 
 from __future__ import annotations
@@ -104,7 +106,8 @@ class WeightedSequence:
       :func:`build_sequence` makes them;
     * int64 numpy arrays ``(V, W)``, as :func:`maxseg.bio.map_to_sequence`
       makes them for long records and :func:`maxseg.bio.parse_tsv` for long
-      text.
+      text.  ``W`` is None exactly when every weight is 1 (``is_uniform``):
+      the prefix weight at ``j`` is then ``j`` itself.
 
     :meth:`int64_prefixes` hands the numpy backend the arrays (built once
     from the lists when every entry fits int64).  ``prefix_value`` and
@@ -143,13 +146,14 @@ class WeightedSequence:
         min_weight: Number = 0,
         max_weight: Number = 0,
     ):
-        """prefix_value and prefix_weight are both lists or both int64 arrays."""
+        """prefix_value and prefix_weight are both lists or both int64 arrays;
+        a uniform sequence keeps no weight array, so it may pass None."""
         if isinstance(prefix_value, list):
             self._pv, self._pw = prefix_value, prefix_weight
             self._int64 = None  # not built yet; () once known not to fit
         else:
             self._pv = self._pw = None
-            self._int64 = (prefix_value, prefix_weight)
+            self._int64 = (prefix_value, None if is_uniform else prefix_weight)
         self.n = len(prefix_value) - 1
         self.value_scale = value_scale
         self.weight_scale = weight_scale
@@ -166,14 +170,16 @@ class WeightedSequence:
     @property
     def prefix_weight(self) -> List[Number]:
         if self._pw is None:
-            self._pw = self._int64[1].tolist()
+            W = self._int64[1]
+            self._pw = list(range(self.n + 1)) if W is None else W.tolist()
         return self._pw
 
     def int64_prefixes(self) -> Optional[tuple]:
-        """The prefix sums as int64 arrays ``(V, W)``, or None when a column
-        holds a ``Fraction`` or a value outside int64."""
+        """The prefix sums as int64 arrays ``(V, W)``, with W None when every
+        weight is 1, or None when a column holds a ``Fraction`` or a value
+        outside int64."""
         if self._int64 is None:
-            self._int64 = _int64_arrays(self._pv, self._pw)
+            self._int64 = _int64_arrays(self._pv, None if self.is_uniform else self._pw)
         return self._int64 or None
 
     def _span(self, i: int, j: int) -> Tuple[Number, Number]:
@@ -181,7 +187,8 @@ class WeightedSequence:
         arrays = self._int64
         if arrays:
             V, W = arrays
-            return int(V[j]) - int(V[i - 1]), int(W[j]) - int(W[i - 1])
+            return (int(V[j]) - int(V[i - 1]),
+                    j - i + 1 if W is None else int(W[j]) - int(W[i - 1]))
         pv, pw = self._pv, self._pw
         return pv[j] - pv[i - 1], pw[j] - pw[i - 1]
 
@@ -219,17 +226,18 @@ class WeightedSequence:
         return f"WeightedSequence(n={self.n}, total_width={self.total_width!r})"
 
 
-def _int64_arrays(pv: List[Number], pw: List[Number]) -> tuple:
-    """(V, W) as int64 arrays, or () when a column holds a Fraction or a value
-    outside int64; imports numpy unless a column is fractional."""
+def _int64_arrays(pv: List[Number], pw: Optional[List[Number]]) -> tuple:
+    """(V, W) as int64 arrays, W None when pw is, or () when a column holds a
+    Fraction or a value outside int64; imports numpy unless a column is
+    fractional."""
     # One Fraction item makes every later prefix of its column a Fraction.
-    if not (isinstance(pv[-1], int) and isinstance(pw[-1], int)):
+    if not (isinstance(pv[-1], int) and (pw is None or isinstance(pw[-1], int))):
         return ()
     import numpy as np
 
     try:
         return (np.fromiter(pv, dtype=np.int64, count=len(pv)),
-                np.fromiter(pw, dtype=np.int64, count=len(pw)))
+                None if pw is None else np.fromiter(pw, dtype=np.int64, count=len(pw)))
     except OverflowError:
         return ()
 

@@ -32,6 +32,11 @@ class IndexOutOfRange(MaxsegError):
 class InfeasibleWidthWindow(MaxsegError):
     """No segment satisfies the requested width bounds."""
 
+    @classmethod
+    def no_segment(cls, L, U) -> "InfeasibleWidthWindow":
+        """The error a solve raises for bounds [L, U] (U=None: unbounded)."""
+        return cls(f"no segment with width in [{L!r}, {'unbounded' if U is None else repr(U)}]")
+
 
 class QueryOrderViolation(MaxsegError):
     """Sweep queries must use strictly decreasing left indices."""

@@ -6,10 +6,11 @@ bounds in Radzik, "Newton's method for fractional combinatorial
 optimization", FOCS 1992) over the sequence's int64 prefix arrays ``V`` and
 ``W``, read as they are from :meth:`WeightedSequence.int64_prefixes` (a
 long FASTA record or TSV text is read straight into them; list-backed
-sequences build them once):
+sequences build them once).  Under unit weights there is no ``W``: the
+prefix weight at ``k`` is ``k``.
 
-* a round takes the density ``s/w`` of the current segment and forms the keys
-  ``B = V*w - W*s``; segment ``(i, j)`` with ``k = i - 1`` is denser than
+* a round takes the density ``s/w`` of the current segment; its keys are
+  ``B = V*w - W*s``, and segment ``(i, j)`` with ``k = i - 1`` is denser than
   ``s/w`` exactly when its gain ``B[j] - B[k]`` is positive.  Every endpoint
   ``j`` pairs with the minimum of ``B`` over its feasible ``k``, and the
   pair of largest gain is the next segment;
@@ -32,8 +33,10 @@ every run of ``b`` keys and is one contiguous ``minimum`` of level ``b/2``
 with itself shifted (a sparse-table row; Bender and Farach-Colton, "The LCA
 Problem Revisited", LATIN 2000); a window of ``b`` to ``2b - 1`` keys is the
 minimum of its first and last ``b``.  Under unit weights every such window
-has ``U - L + 1`` keys, so a round reads both as slices.  Beyond ``V``,
-``W`` and ``B`` a round needs O(CHUNK + window) scratch memory.
+has ``U - L + 1`` keys, so a round reads both as slices.  No round holds
+``B`` whole: each chunk forms the keys of its endpoints and of the key range
+its windows read, so beyond ``V`` (and ``W`` when weights vary) a round
+needs O(CHUNK + window) scratch memory.
 
 :func:`eligible` admits a sequence only when ``spread * total_width < 2**62``
 with ``spread = 2 * max|prefix value|``.  That bounds ``|B| < 3 * 2**61``
@@ -43,7 +46,8 @@ numpy is imported only for sequences of at least ``MIN_FAST_N`` items, so
 importing this module (and the CLI) stays numpy-free.  The kernel runs no
 sweep and leaves the sweep counters untouched; a solve that needs more than
 ``MAX_ROUNDS`` rounds returns None and the caller runs the pure sweeps
-instead.
+instead.  An eligible sequence with no feasible segment raises
+:class:`InfeasibleWidthWindow` here, without a pure sweep.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import math
 from typing import Optional, Tuple
 
 from .core import RealInput, WeightedSequence
+from .errors import InfeasibleWidthWindow
 
 # Read by callers that record the machine configuration: no kernel in this
 # module is compiled.
@@ -79,9 +84,9 @@ def eligible(seq: WeightedSequence) -> bool:
     arrays = seq.int64_prefixes()
     if arrays is None:
         return False
-    V, W = arrays
+    V = arrays[0]
     spread = 2 * max(abs(int(V.min())), abs(int(V.max())))
-    return max(spread, 1) * int(W[-1]) < _INT64_PRODUCT_BOUND
+    return max(spread, 1) * seq.total_width < _INT64_PRODUCT_BOUND
 
 
 def _doubling(line):
@@ -116,29 +121,64 @@ def _block_min(B, lo, hi):
             return out
 
 
-def _uniform_scan(B, n, L, U):
+def _key_line(V, W, s, w):
+    """``keys(a, b)``: the round's keys ``B[a:b] = V[a:b]*w - W[a:b]*s`` as a
+    new array.  When W is None, ``W[a + t] = a + t``, subtracted as ``a*s``
+    plus ``t*s`` from a ramp that grows to the longest range read."""
+    import numpy as np
+
+    ramp = np.zeros(0, dtype=np.int64)
+
+    def keys(a, b):
+        nonlocal ramp
+        out = V[a:b] * w
+        if W is not None:
+            out -= W[a:b] * s
+            return out
+        if len(ramp) < b - a:
+            ramp = np.arange(b - a, dtype=np.int64) * s
+        out -= ramp[:b - a]
+        out -= a * s
+        return out
+
+    return keys
+
+
+def _argmin(keys, a, z):
+    """The leftmost k in a..z of least key, read CHUNK keys at a time."""
+    import numpy as np
+
+    least = None
+    for c in range(a, z + 1, CHUNK):
+        B = keys(c, min(c + CHUNK, z + 1))
+        t = int(np.argmin(B))
+        if least is None or B[t] < least:
+            least, k = B[t], c + t
+    return k
+
+
+def _uniform_scan(keys, n, L, U):
     """:func:`_general_scan` under unit weights, where endpoint ``j``'s window
     is ``B[max(j - U, 0) .. j - L]``: a running minimum below ``j = U``,
     beyond it ``m = U - L + 1`` keys read as slices of one doubling."""
     import numpy as np
 
-    top, run_min = -1, B[0]
+    top, run_min = -1, 0  # B[0] = 0
     for j0 in range(L, n + 1, CHUNK):
         j1 = min(j0 + CHUNK, n + 1)
         p = j1 - j0 if U is None else min(max(U - j0, 0), j1 - j0)
-        gain = np.empty(j1 - j0, dtype=np.int64)
+        gain = keys(j0, j1)
         if p:
-            run = np.minimum.accumulate(B[j0 - L:j0 + p - L])
+            run = np.minimum.accumulate(keys(j0 - L, j0 + p - L))
             np.minimum(run, run_min, out=run)
             run_min = run[-1]
-            np.subtract(B[j0:j0 + p], run, out=gain[:p])
+            gain[:p] -= run
         if p < j1 - j0:
             c, m = j1 - j0 - p, U - L + 1
-            for b, M in _doubling(B[j0 + p - U:j1 - L]):
+            for b, M in _doubling(keys(j0 + p - U, j1 - L)):
                 if 2 * b > m:
                     break
-            np.subtract(B[j0 + p:j1], M[:c] if b == m else
-                        np.minimum(M[:c], M[m - b:m - b + c]), out=gain[p:])
+            gain[p:] -= M[:c] if b == m else np.minimum(M[:c], M[m - b:m - b + c])
         t = int(np.argmax(gain))
         if gain[t] > top:
             top, j = int(gain[t]), j0 + t
@@ -156,30 +196,30 @@ def _windows(W, n, L, U):
         yield j0, lo, hi
 
 
-def _general_scan(B, W, n, L, U):
+def _general_scan(keys, W, n, L, U):
     """(gain, j, lo, hi) of the first endpoint of largest gain and its window."""
     import numpy as np
 
     top = -1  # the current segment's own gain, 0, beats it
-    run_at, run_min = 0, B[0]  # run_min = min(B[:run_at + 1])
+    run_at, run_min = 0, 0  # run_min = min(B[:run_at + 1]); B[0] = 0
     for j0, lo, hi in _windows(W, n, L, U):
         ok = hi >= lo
         full = ok.all()
         p = int(np.searchsorted(lo, 0, side="right"))  # windows from 0
-        if full and not p:
-            mins = _block_min(B, lo, hi)
-        else:
-            mins = np.empty(len(hi), dtype=np.int64)
-            if p:
-                run = B[run_at:hi[p - 1] + 1].copy()
-                run[0] = run_min
-                np.minimum.accumulate(run, out=run)
-                mins[:p] = run[hi[:p] - run_at]
-                run_at, run_min = int(hi[p - 1]), run[-1]
-            rest = ok & (lo > 0)
-            if rest.any():
-                mins[rest] = _block_min(B, lo[rest], hi[rest])
-        gain = B[j0:j0 + len(hi)] - mins
+        rest = slice(p, None) if full else ok & (lo > 0)  # windows from past 0
+        mins = np.empty(len(hi), dtype=np.int64)
+        if p:
+            run = keys(run_at, int(hi[p - 1]) + 1)
+            run[0] = run_min
+            np.minimum.accumulate(run, out=run)
+            mins[:p] = run[hi[:p] - run_at]
+            run_at, run_min = int(hi[p - 1]), run[-1]
+        lo_r, hi_r = lo[rest], hi[rest]
+        if len(lo_r):
+            first = int(lo_r[0])  # the first key these windows read
+            mins[rest] = _block_min(keys(first, int(hi_r[-1]) + 1), lo_r - first, hi_r - first)
+        gain = keys(j0, j0 + len(hi))
+        gain -= mins
         if not full:
             gain[~ok] = -1
         t = int(np.argmax(gain))
@@ -191,16 +231,18 @@ def _general_scan(B, W, n, L, U):
 def best(seq: WeightedSequence, L: RealInput,
          U: Optional[RealInput] = None) -> Optional[Tuple[int, int]]:
     """Densest segment of width in [L, U] (U=None: unbounded) as (start, end)
-    under the tie rule; None when the sequence is not eligible, no segment is
-    feasible or the rounds run out."""
+    under the tie rule; None when the sequence is not eligible or the rounds
+    run out.  Raises InfeasibleWidthWindow when the sequence is eligible and
+    no segment is feasible."""
     if not eligible(seq):
         return None
     n = seq.n
     total = seq.total_width
+    infeasible = InfeasibleWidthWindow.no_segment(L, U)
     # Widths are integers, so [L, U] admits the same segments as its integer
     # part; a U at or above the total width bounds nothing.
     if L > total or (U is not None and U < math.ceil(L)):
-        return None
+        raise infeasible
     L = math.ceil(L)
     U = None if U is None or U >= total else math.floor(U)
     import numpy as np
@@ -208,7 +250,7 @@ def best(seq: WeightedSequence, L: RealInput,
     V, W = seq.int64_prefixes()
     # Start from the densest shortest feasible segment.
     pick = -math.inf
-    if seq.is_uniform:  # all of width L: the largest exact sum
+    if W is None:  # all of width L: the largest exact sum
         for j0 in range(L, n + 1, CHUNK):
             d = V[j0:j0 + CHUNK] - V[j0 - L:min(j0 + CHUNK, n + 1) - L]
             t = int(np.argmax(d))
@@ -223,16 +265,13 @@ def best(seq: WeightedSequence, L: RealInput,
             if dens[t] > pick:
                 pick, k, j = dens[t], int(hi[t]), j0 + t
     if pick == -math.inf:
-        return None
+        raise infeasible
 
-    B = np.empty(n + 1, dtype=np.int64)
     for _ in range(MAX_ROUNDS):
-        s, w = int(V[j] - V[k]), int(W[j] - W[k])
-        for c in range(0, n + 1, CHUNK):
-            np.subtract(V[c:c + CHUNK] * w, W[c:c + CHUNK] * s, out=B[c:c + CHUNK])
-        top, j, a, z = (_uniform_scan(B, n, L, U) if seq.is_uniform
-                        else _general_scan(B, W, n, L, U))
-        k = a + int(np.argmin(B[a:z + 1]))
+        keys = _key_line(V, W, *seq._span(k + 1, j))
+        top, j, a, z = (_uniform_scan(keys, n, L, U) if W is None
+                        else _general_scan(keys, W, n, L, U))
+        k = _argmin(keys, a, z)
         if top == 0:
             return k + 1, j
     return None

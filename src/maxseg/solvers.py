@@ -362,10 +362,10 @@ def solve(req: SolveRequest, *, counters: Optional[OpCounters] = None) -> Segmen
     """Dispatching entry point.
 
     Input the numpy backend accepts (:func:`fastpath.best`) is solved there
-    in one call on the whole sequence.  Otherwise the sequence is split at
-    items wider than U, every piece goes to the sweep its weight profile
-    admits, and the best segment under the global tie rule (smallest start,
-    then smallest end) wins.
+    in one call on the whole sequence, or refused there when no segment is
+    feasible.  Otherwise the sequence is split at items wider than U, every
+    piece goes to the sweep its weight profile admits, and the best segment
+    under the global tie rule (smallest start, then smallest end) wins.
     """
     seq, L, U = req.seq, req.L, req.U
     res = fastpath.best(seq, L, U)
@@ -384,8 +384,6 @@ def solve(req: SolveRequest, *, counters: Optional[OpCounters] = None) -> Segmen
         if best is None or seg.density > best.density:
             best = seg  # later pieces start later, so ties keep the earlier
     if best is None:
-        raise InfeasibleWidthWindow(
-            f"no segment with width in [{L!r}, {'unbounded' if U is None else repr(U)}]"
-        )
+        raise InfeasibleWidthWindow.no_segment(L, U)
     return best
 

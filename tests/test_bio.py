@@ -110,8 +110,10 @@ class TestMapping:
         assert seq.value(2) == 0
 
     def test_items_stream_into_the_sequence(self, rng):
-        # Only the int64 prefix arrays stay: no per-base Python object is
-        # built.  numpy's one-off import is not a per-base cost.
+        # Only the int64 prefix values stay, 8 bytes per base (unit weights
+        # keep no weight column), beside the record's ASCII codes: no
+        # per-base Python object and no n-long scratch array is built.
+        # numpy's one-off import is not a per-base cost.
         import numpy  # noqa: F401
 
         n = 200_000
@@ -122,8 +124,8 @@ class TestMapping:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert seq.n == n
-        assert peak / n <= 40, f"{peak / n:.0f} B/base"
+        assert seq.n == n and seq.int64_prefixes()[1] is None
+        assert peak / n <= 12, f"{peak / n:.1f} B/base"
 
     def test_backend_answer_leaves_the_list_views_unbuilt(self, rng):
         import numpy  # noqa: F401
@@ -137,7 +139,8 @@ class TestMapping:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n <= 40, f"{peak / n:.0f} B/base"  # lists cost over 70
+        # the backend's rounds hold no n-long key array; lists cost over 70
+        assert peak / n <= 16, f"{peak / n:.1f} B/base"
         assert type(seg.sum) is int and type(seg.width) is int
         assert (seg.sum, seg.width) == (sum(seq.value(i) for i in range(seg.start, seg.end + 1)),
                                         seg.end - seg.start + 1)
@@ -151,6 +154,8 @@ class TestMapping:
         for _ in range(40):
             n = rng.randint(1, 300)
             rec = DnaRecord("r", "".join(rng.choice(self.ALPHABET) for _ in range(n)))
+            # the array path scores CHUNK bases at a time
+            monkeypatch.setattr(fastpath, "CHUNK", rng.choice((1, 7, 64, 16384)))
             paths = []
             for min_fast_n in (1, n + 1):  # the array path, then the list path
                 monkeypatch.setattr(fastpath, "MIN_FAST_N", min_fast_n)
@@ -252,6 +257,8 @@ class TestCompressRuns:
     def test_array_and_list_stores_agree(self, rng, monkeypatch):
         # Long records are compressed over their int64 arrays, short ones over
         # their lists; both give the same runs, scales and weight profile.
+        # Unit-weight arrays hold prefix values alone: built by hand below,
+        # and as map_to_sequence makes them.
         import numpy as np
 
         for _ in range(40):
@@ -269,6 +276,21 @@ class TestCompressRuns:
             assert arrayed._pv is None and comp._pv is None  # no list was filled
             monkeypatch.setattr(fastpath, "MIN_FAST_N", n + 1)
             assert stored(comp) == stored(compress_runs(listed))
+        for spec in (MappingSpec.gc01(), MappingSpec.huang("0.45")):
+            for _ in range(30):
+                n = rng.randint(1, 120)
+                symbols = rng.choice(("ACGTN", "GC", "AT", "GA"))
+                rec = DnaRecord("r", "".join(rng.choice(symbols) for _ in range(n)))
+                monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
+                arrayed = map_to_sequence(rec, spec)
+                comp = compress_runs(arrayed)
+                assert arrayed._pv is None and comp._pv is None
+                assert arrayed.int64_prefixes()[1] is None
+                assert (comp.int64_prefixes()[1] is None) == comp.is_uniform
+                monkeypatch.setattr(fastpath, "MIN_FAST_N", n + 1)
+                listed = map_to_sequence(rec, spec)
+                assert stored(arrayed) == stored(listed)
+                assert stored(comp) == stored(compress_runs(listed))
 
     def test_products_beyond_int64_use_exact_ints(self, monkeypatch):
         # Every prefix fits int64, but 2**60 * 16 wraps to 0 there, which

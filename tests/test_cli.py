@@ -241,6 +241,41 @@ class TestFind:
         assert code == 0
         assert seen == [1, 2, 3]  # the k-th solve follows exactly k mappings
 
+    def test_input_dropped_before_each_solve(self, tmp_path, monkeypatch):
+        # The input text is dropped once it is parsed, and each FASTA record
+        # once it is mapped: no solve runs while either is alive.
+        import weakref
+
+        fasta = tmp_path / "multi.fa"
+        fasta.write_text(">a\nGGGGAT\n>b\nATATGC\n>c\nGCGCAA\n")
+        tsv = tmp_path / "in.tsv"
+        tsv.write_text("1\t1\n-2\t1\n3\t2\n")
+        freed, mapped = [], []
+        real_read, real_map, real_solve = cli._read_input, cli.map_to_sequence, cli.solve
+
+        class Text(str):
+            def __del__(self):
+                freed.append(True)
+
+        def mapping(rec, *a, **kw):
+            mapped.append(weakref.ref(rec))
+            return real_map(rec, *a, **kw)
+
+        def solving(*a, **kw):
+            assert freed, "the input text is alive during a solve"
+            assert all(ref() is None for ref in mapped), "a record is alive during a solve"
+            return real_solve(*a, **kw)
+
+        monkeypatch.setattr(cli, "_read_input", lambda path: Text(real_read(path)))
+        monkeypatch.setattr(cli, "map_to_sequence", mapping)
+        monkeypatch.setattr(cli, "solve", solving)
+        for path, fmt in ((fasta, "fasta"), (tsv, "tsv")):
+            freed.clear()
+            code, out, _ = run_cli(["find", "--input", str(path), "--format", fmt,
+                                    "--L", "2", "--U", "4"])
+            assert code == 0 and len(out.splitlines()) == (4 if fmt == "fasta" else 2)
+        assert len(mapped) == 3
+
     def test_mixed_feasibility_with_debug_dump(self, tmp_path):
         path = tmp_path / "mixed.fa"
         path.write_text(">a\nGGCCAT\n>b\nAT\n>c\nGCGCAAAT\n")
@@ -340,6 +375,47 @@ class TestFind:
         proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
         assert [row.split("\t")[0] for row in proc.stdout.splitlines()] == ["record_id", "r1"]
+
+
+# Runs argv[1:] and prints its peak RSS in kB.  Linux carries a process's
+# resident high-water mark across exec, so a child started straight from the
+# test process would report at least the test process's own peak; started
+# from this small interpreter, the child's ru_maxrss is its own.
+_PEAK_RSS = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "assert os.waitstatus_to_exitcode(status) == 0\n"
+    "print(usage.ru_maxrss)\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in kB is Linux's")
+class TestPeakMemory:
+    def test_find_on_a_long_record_peaks_at_few_bytes_per_base(self, tmp_path):
+        # One 2e6-base record: the sequence keeps 8 bytes per base, and the
+        # input text, the record's bases and the backend's rounds add little
+        # on top of an interpreter that has imported numpy and the CLI.
+        n = 2_000_000
+        rng = random.Random(11)
+        bases = "".join(rng.choices("ACGT", k=n))
+        path = tmp_path / "long.fa"
+        path.write_text(">r\n" + "\n".join(bases[i:i + 60] for i in range(0, n, 60)) + "\n")
+        del bases
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+
+        def peak_kb(*argv):
+            proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout)
+
+        base = peak_kb("-c", "import numpy, maxseg.cli")
+        find = peak_kb("-m", "maxseg", "find", "--input", str(path), "--format", "fasta",
+                       "--L", "100", "--U", "200")
+        per_base = (find - base) * 1024 / n
+        assert per_base <= 14, f"{per_base:.1f} B/base above the import baseline"
 
 
 class TestProcessExit:

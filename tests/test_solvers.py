@@ -325,6 +325,32 @@ class TestMaxDensityGeneral:
 
 
 class TestSolveDispatch:
+    def test_infeasible_input_stops_at_the_backend(self, rng, monkeypatch):
+        # Weights 2 and 4 give even widths only, so [5, 5] admits none; the
+        # other bounds lie above the total width or hold no whole width.
+        # The backend proves each infeasible, no pure sweep runs, and the
+        # error is the one the pure path raises.
+        seq = build_sequence([(rng.randint(-9, 9), rng.choice((2, 4))) for _ in range(5000)])
+        assert fastpath.eligible(seq)
+        bounds = [(5, 5), (seq.total_width + 1, None), (5.5, 5.75)]
+        pure = []
+        with monkeypatch.context() as m:
+            m.setattr(fastpath, "MIN_FAST_N", seq.n + 1)
+            for L, U in bounds:
+                with pytest.raises(InfeasibleWidthWindow) as exc:
+                    solve(SolveRequest(seq, L, U))
+                pure.append(str(exc.value))
+
+        def no_sweep(*a, **kw):
+            raise AssertionError("a pure sweep ran")
+
+        for name in ("max_density_min_width", "max_density_uniform", "max_density_general"):
+            monkeypatch.setattr(solvers, name, no_sweep)
+        for (L, U), want in zip(bounds, pure):
+            with pytest.raises(InfeasibleWidthWindow) as exc:
+                solve(SolveRequest(seq, L, U))
+            assert str(exc.value) == want
+
     def test_unbounded_routes_to_min_width(self, monkeypatch):
         calls = []
         orig = solvers.max_density_min_width
@@ -460,6 +486,14 @@ def _oracle_pair(seq, L, U=None):
     return seg.start, seg.end
 
 
+def _backend_pair(seq, L, U=None):
+    """fastpath.best, with a proved infeasibility read as None."""
+    try:
+        return fastpath.best(seq, L, U)
+    except InfeasibleWidthWindow:
+        return None
+
+
 def _heavy_seq(rng, n):
     """Weights 1..3 with about one item in eight at weight 9 (wider than the
     U the tests draw, so the pure path splits there)."""
@@ -506,11 +540,13 @@ class TestFastPathParity:
                 L = rng.randint(1, 8) - rng.choice((0, 0.5))
                 U = rng.randint(math.ceil(L), 8) + rng.choice((0, 0.5))
                 want = _oracle_pair(seq, L, U)
-                assert fastpath.best(seq, L, U) == want
                 if want is None:
+                    with pytest.raises(InfeasibleWidthWindow):
+                        fastpath.best(seq, L, U)
                     with pytest.raises(InfeasibleWidthWindow):
                         solve(SolveRequest(seq, L, U))
                 else:
+                    assert fastpath.best(seq, L, U) == want
                     got = solve(SolveRequest(seq, L, U))
                     assert (got.start, got.end) == want
 
@@ -560,7 +596,7 @@ class TestFastPathParity:
             total = seq.prefix_weight[n]
             L = rng.randint(1, total - 1)
             U = rng.randint(max(L, 3), total + 1)
-            fell_back += fastpath.best(seq, L, U) is None
+            fell_back += _backend_pair(seq, L, U) is None
             try:
                 if U < total:
                     pure = max_density_general(seq, L, U)
@@ -615,7 +651,7 @@ class TestFastPathParity:
             pure = max_density_min_width(seq, L)
             assert (pure.start, pure.end) == want
             U = rng.randint(L, total)
-            assert fastpath.best(seq, L, U) == _oracle_pair(seq, L, U)
+            assert _backend_pair(seq, L, U) == _oracle_pair(seq, L, U)
 
     def test_large_values_fall_back_to_pure(self):
         big = 1 << 40
