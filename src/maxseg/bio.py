@@ -190,30 +190,37 @@ def _on_common_grid(column: List[Tuple[int, int]]) -> Tuple[Iterator[int], int]:
     return (units * factors[places] for units, places in column), 10 ** top
 
 
-def parse_tsv(stream: Union[str, IO[str], Iterable[str]]) -> WeightedSequence:
+def parse_tsv(stream: Union[str, bytes, IO[str], Iterable[str]]) -> WeightedSequence:
     """Weighted TSV: one "value<TAB>weight" item per line, '#' comments.
 
     Each column is scaled exactly onto one power-of-ten integer grid, the
     finest its fields need.  A field that is not a finite decimal, needs
     more than 9 decimal places or has more than 1000 integer digits raises
-    MalformedTsv with its line number; nothing is rounded.
+    MalformedTsv with its line number; nothing is rounded.  Bytes are read
+    as UTF-8.
 
-    Text of at least ``fastpath.MIN_FAST_N`` lines is first read straight
-    into int64 prefix arrays by a byte-level grammar: ASCII only; tokens
-    separated by space, tab or line feed (a CR only right before a LF);
-    every line that is not blank or a '#' comment holds exactly two tokens
-    of the form ``-?[0-9]+(.[0-9]+)?``, each with at most 18 digits and
-    SCALE_CAP_DIGITS fraction digits; positive weights; and every scaled
-    item and prefix sum inside int64.  Text outside that grammar, and every
-    other stream, takes the exact path, which gives the same sequence or
-    raises the same error; it imports no numpy.
+    Text or bytes of at least ``fastpath.MIN_FAST_N`` lines is first read
+    straight into int64 prefix arrays by a byte-level grammar: ASCII only;
+    tokens separated by space, tab or line feed (a CR only right before a
+    LF); every line that is not blank or a '#' comment holds exactly two
+    tokens of the form ``-?[0-9]+(.[0-9]+)?``, each with at most 18 digits
+    and SCALE_CAP_DIGITS fraction digits; positive weights; and every scaled
+    item and prefix sum inside int64.  Bytes are scanned where they lie and
+    text is encoded ``TSV_CHUNK`` characters at a time, so beyond the input
+    the array path holds the two prefix columns, one byte of places per
+    field and O(TSV_CHUNK) scratch: about 8 bytes per byte of a chunk.  Text
+    outside that grammar, and every other stream, takes the exact path,
+    which gives the same sequence or raises the same error; it imports no
+    numpy.
     """
-    lines = stream.count("\n") if isinstance(stream, str) else 0
-    if lines >= fastpath.MIN_FAST_N and stream.isascii():
-        seq = _tsv_to_arrays(stream, lines)
-        if seq is not None:
-            return seq
-    if isinstance(stream, str):
+    if isinstance(stream, (str, bytes)):
+        lines = stream.count(b"\n" if isinstance(stream, bytes) else "\n")
+        if lines >= fastpath.MIN_FAST_N and stream.isascii():
+            seq = _tsv_to_arrays(stream, lines)
+            if seq is not None:
+                return seq
+        if isinstance(stream, bytes):
+            stream = stream.decode("utf-8")
         stream = stream.splitlines()
     values: List[Tuple[int, int]] = []
     weights: List[Tuple[int, int]] = []
@@ -237,7 +244,7 @@ def parse_tsv(stream: Union[str, IO[str], Iterable[str]]) -> WeightedSequence:
 
 
 # Characters of TSV text the array path scans at once, cut after a line
-# feed; bounds its per-byte scratch memory.
+# feed; bounds its scratch memory.
 TSV_CHUNK = 1 << 16
 
 # Byte classes of the array path: 0 is outside its grammar; TEXT may appear
@@ -245,9 +252,9 @@ TSV_CHUNK = 1 << 16
 _SPACE, _DIGIT, _MINUS, _DOT, _HASH, _TEXT = 1, 2, 3, 4, 5, 6
 
 
-def _tsv_to_arrays(text: str, lines: int) -> Optional[WeightedSequence]:
-    """parse_tsv's array path (ASCII text of ``lines`` line feeds): the
-    sequence, or None when the text leaves the grammar parse_tsv states."""
+def _tsv_to_arrays(text: Union[str, bytes], lines: int) -> Optional[WeightedSequence]:
+    """parse_tsv's array path (ASCII text or bytes of ``lines`` line feeds):
+    the sequence, or None when the text leaves the grammar parse_tsv states."""
     import numpy as np
 
     table = np.zeros(256, dtype=np.int8)
@@ -256,102 +263,173 @@ def _tsv_to_arrays(text: str, lines: int) -> Optional[WeightedSequence]:
     table[48:58] = _DIGIT
     table[[45, 46, 35]] = _MINUS, _DOT, _HASH
     pow10 = 10 ** np.arange(19, dtype=np.int64)
-    # Columns of (value, weight) fields after a leading 0, at most one row
-    # per line (the last may lack its line feed); the prefix sums are then
-    # summed in place: units[0] and places[0] are the values.
-    units = np.zeros((2, lines + 2), dtype=np.int64)
+    # The value and weight columns after a leading 0, at most one row per
+    # line (the last may lack its line feed), summed in place into the
+    # prefix sums the sequence keeps; places[0] and places[1] are the
+    # fields' decimal places.
+    V = np.zeros(lines + 2, dtype=np.int64)
+    W = np.zeros(lines + 2, dtype=np.int64)
     places = np.empty((2, lines + 1), dtype=np.int8)
     tops, rows, pos = [0, 0], 0, 0
+    lf = b"\n" if isinstance(text, bytes) else "\n"
     while pos < len(text):
-        end = text.find("\n", pos + TSV_CHUNK) + 1 or len(text)  # 0: no later LF
-        chunk = text[pos:end] if text.endswith("\n", pos, end) else text[pos:end] + "\n"
-        fields = _scan_tsv_chunk(table, pow10, np.frombuffer(chunk.encode(), np.uint8))
+        end = text.find(lf, pos + TSV_CHUNK) + 1 or len(text)  # 0: no later LF
+        fields = _scan_tsv_chunk(table, pow10, _tsv_bytes(text, pos, end))
         if fields is None:
             return None
         r = rows + len(fields[0]) // 2
-        units[:, rows + 1:r + 1], places[:, rows:r] = (f.reshape(-1, 2).T for f in fields)
-        for c, (u, p) in enumerate(zip(units[:, rows + 1:r + 1], places[:, rows:r])):
+        for c, col in enumerate((V, W)):
+            u, p = col[rows + 1:r + 1], places[c, rows:r]
+            u[:], p[:] = fields[0][c::2], fields[1][c::2]
             # the chunk's finest grid: places lowered while no digit there is nonzero
             top = int(p.max(initial=0))
             while top > tops[c] and not (u % pow10[np.maximum(p - top + 1, 0)]).any():
                 top -= 1
             tops[c] = max(tops[c], top)
         rows, pos = r, end
-    if not rows or not all(_int64_grid(pow10, u[1:rows + 1], p[:rows], t)
-                           for u, p, t in zip(units, places, tops)):
+        del fields  # before the next chunk is scanned
+    if not rows or _int64_grid(pow10, V[1:rows + 1], places[0, :rows], tops[0]) is None:
         return None
-    V, W = units[:, :rows + 1]
-    weights = np.diff(W)
-    lo, hi = int(weights.min()), int(weights.max())
-    if lo <= 0:
+    weights = _int64_grid(pow10, W[1:rows + 1], places[1, :rows], tops[1])
+    if weights is None or weights[0] <= 0:
         return None
+    lo, hi = weights
+    # Blank and comment lines leave rows unfilled: give their memory back.
+    # No view of either column is used after this.
+    V.resize(rows + 1, refcheck=False)
+    W.resize(rows + 1, refcheck=False)
     return WeightedSequence(V, W, value_scale=10 ** tops[0], weight_scale=10 ** tops[1],
                             is_uniform=lo == hi == 1, min_weight=lo, max_weight=hi)
 
 
+def _tsv_bytes(text: Union[str, bytes], pos: int, end: int):
+    """text[pos:end], cut after a line feed or at the end of the text, as
+    uint8 bytes ending in a line feed: bytes are read where they lie, text
+    is encoded, and a last line without its line feed gains one."""
+    import numpy as np
+
+    lf = b"\n" if isinstance(text, bytes) else "\n"
+    if not text.endswith(lf, pos, end):
+        return _tsv_bytes(text[pos:end] + lf, 0, end - pos + 1)
+    if isinstance(text, str):
+        return np.frombuffer(text[pos:end].encode(), np.uint8)
+    return np.frombuffer(text, np.uint8, end - pos, pos)
+
+
 def _scan_tsv_chunk(table, pow10, b):
-    """(units, places) of every field in b, text ending in a line feed, in
-    reading order, or None when b leaves the grammar."""
+    """(units, places) of every field in b, bytes ending in a line feed, in
+    reading order, or None when b leaves the grammar.  Beyond b's byte
+    classes and a few byte masks, the scratch is per token: lines, dots and
+    digits are found from token starts and ends."""
     import numpy as np
 
     c = table[b]
     cr = np.flatnonzero(b == 13)
     if not c.all() or (b[cr + 1] != 10).any():
         return None
-    tok = c != _SPACE
-    edges = np.flatnonzero(tok[1:] != tok[:-1]) + 1
-    if tok[0]:
-        edges = np.concatenate(([0], edges))
-    starts, ends = edges[0::2], edges[1::2]
-    lines = np.cumsum(b == 10, dtype=np.int32)  # a byte's line; a LF's is the next one
-    line = lines[starts]
+    del cr
+    tok = np.zeros(len(b) + 1, dtype=bool)  # tok[i + 1]: b[i] is in a token
+    np.not_equal(c, _SPACE, out=tok[1:])
+    starts = np.flatnonzero(tok[1:] > tok[:-1])
+    ends = np.flatnonzero(tok[1:] < tok[:-1])  # b ends in a LF, so every token ends
+    del tok
+    lfs = np.flatnonzero(b == 10)
+    opens = np.zeros(len(starts) + 1, dtype=bool)  # opens[t]: token t starts a line
+    opens[np.searchsorted(starts, lfs)] = True  # the token after each LF; len(starts): none
+    opens[0] = True  # b starts a line
     if (c == _HASH).any():  # blank the lines whose first token opens a comment
-        first = np.concatenate(([True], line[1:] != line[:-1]))
-        note = np.zeros(int(lines[-1]) + 1, dtype=bool)
-        note[line[first & (b[starts] == 35)]] = True
-        c[note[lines]] = _SPACE
-        kept = ~note[line]
-        starts, ends, line = starts[kept], ends[kept], line[kept]
-    if (c > _DOT).any() or len(starts) % 2 or (line[0::2] != line[1::2]).any() \
-            or (line[2::2] == line[1:-1:2]).any():
+        note = starts[opens[:-1] & (b[starts] == 35)]
+        span = np.zeros(len(b), dtype=np.int8)  # 1 from a comment's '#' to its LF
+        span[note] = 1
+        span[lfs[np.searchsorted(lfs, note)]] = -1
+        np.add.accumulate(span, out=span)
+        c[span.view(bool)] = _SPACE
+        kept = span[starts] == 0  # whole lines go, so every kept token keeps its opens
+        del span, note
+        starts = starts[kept]
+        ends = ends[kept]
+        opens = np.append(opens[:-1][kept], True)
+        del kept
+    del lfs
+    # Two tokens per line: even tokens open a line, odd ones do not.
+    if (c > _DOT).any() or len(starts) % 2 or opens[1::2].any() or not opens[0::2].all():
         return None
-    minus, dots = np.flatnonzero(c == _MINUS), np.flatnonzero(c == _DOT)
-    opens = np.zeros(len(b), dtype=bool)
-    opens[starts] = True
-    dot_tok = np.cumsum(opens, dtype=np.int32)[dots] - 1
-    if (c[minus - 1] != _SPACE).any() or (c[minus + 1] != _DIGIT).any() \
-            or (c[dots - 1] != _DIGIT).any() or (c[dots + 1] != _DIGIT).any() \
-            or (np.diff(dot_tok) == 0).any():
-        return None
-    places = np.zeros(len(starts), dtype=np.int64)
-    places[dot_tok] = ends[dot_tok] - dots - 1
+    del opens
+    # A minus only opens a field, right before a digit.
     neg = b[starts] == 45
-    ndig = ends - starts - neg - (places > 0)
-    if (ndig > 18).any() or (places > SCALE_CAP_DIGITS).any():
+    if np.count_nonzero(c == _MINUS) != np.count_nonzero(neg) \
+            or (c[starts[neg] + 1] != _DIGIT).any():
         return None
-    # Every field ends in a digit; a digit's power of ten is the number of
-    # digits to its right in its field.
-    digits = np.flatnonzero(c == _DIGIT)
-    after = np.cumsum(c == _DIGIT, dtype=np.int32)[ends - 1]
-    power = np.repeat(after, ndig) - 1 - np.arange(len(digits))
-    units = np.add.reduceat(pow10[power] * (b[digits] - 48), after - ndig)
+    # At most one dot per field, between two digits.
+    dot = c == _DOT
+    if np.count_nonzero(dot) > len(starts):
+        return None
+    dots = np.flatnonzero(dot)
+    del dot
+    if (c[dots - 1] != _DIGIT).any() or (c[dots + 1] != _DIGIT).any():
+        return None
+    del c
+    dot_tok = np.searchsorted(starts, dots, side="right")
+    dot_tok -= 1
+    if (dot_tok[1:] == dot_tok[:-1]).any():
+        return None
+    frac = ends[dot_tok]  # the digits after each dot
+    frac -= dots
+    del dots
+    frac -= 1
+    if (frac > SCALE_CAP_DIGITS).any():
+        return None
+    places = np.zeros(len(starts), dtype=np.int8)
+    places[dot_tok] = frac
+    del dot_tok, frac
+    ndig = ends - starts
+    ndig -= neg
+    ndig -= places > 0
+    if (ndig > 18).any():
+        return None
+    most = int(ndig.max(initial=0))
+    del ndig
+    # Horner from each field's last digit leftwards, one power of ten per
+    # pass: pos steps over the dot and stops at the byte before the first
+    # digit, a minus or a separator, which sorts below '0' and reads as 0.
+    pos, low = ends, starts
+    pos -= 1
+    low += neg
+    low -= 1
+    units = np.zeros(len(pos), dtype=np.int64)
+    for k in range(most):
+        d = np.subtract(b[pos], 48, dtype=np.int64)
+        np.maximum(d, 0, out=d)
+        d *= pow10[k]
+        units += d
+        del d
+        pos -= 1
+        pos -= places == k + 1
+        np.maximum(pos, low, out=pos)
     np.negative(units, out=units, where=neg)
-    return units, places.astype(np.int8)
+    return units, places
 
 
 def _int64_grid(pow10, units, places, top):
     """Scale one column's fields (units, places) in place onto the grid of
-    10**-top and sum them in place into prefix sums; False when an item or
-    the sum of absolute items could leave int64."""
+    10**-top and sum them in place into prefix sums: the least and greatest
+    scaled item, or None when an item or the sum of absolute items could
+    leave int64.  Items are checked and scaled ``fastpath.CHUNK`` at a time."""
     import numpy as np
 
-    if (places != top).any():
-        up = pow10[np.maximum(top - places, 0)]
-        if (np.abs(units) > np.iinfo(np.int64).max // up).any():
-            return False
-        np.multiply(units, up, out=units)
-        np.floor_divide(units, pow10[np.maximum(places - top, 0)], out=units)  # exact: 1.50 -> 15
-    if np.abs(units).sum(dtype=np.float64) >= 2.0 ** 62:  # float error is far below 2x
-        return False
+    big = np.iinfo(np.int64).max
+    total, lo, hi = 0.0, big, -big
+    for a in range(0, len(units), fastpath.CHUNK):
+        u, p = units[a:a + fastpath.CHUNK], places[a:a + fastpath.CHUNK]
+        if (p != top).any():
+            up = pow10[np.maximum(top - p, 0)]
+            if (np.abs(u) > big // up).any():
+                return None
+            np.multiply(u, up, out=u)
+            np.floor_divide(u, pow10[np.maximum(p - top, 0)], out=u)  # exact: 1.50 -> 15
+        total += float(np.abs(u).sum(dtype=np.float64))
+        lo, hi = min(lo, int(u.min())), max(hi, int(u.max()))
+    if total >= 2.0 ** 62:  # float error is far below 2x
+        return None
     np.cumsum(units, out=units)
-    return True
+    return lo, hi

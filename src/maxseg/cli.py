@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
-from typing import IO, Iterator, List, Optional, Tuple
+from typing import IO, Iterator, List, Optional, Tuple, Union
 
 from .bio import MappingSpec, compress_runs, map_to_sequence, parse_fasta, parse_tsv
 from .core import (
@@ -56,11 +56,18 @@ def _snap(bound: Decimal, scale: int, rounding: str) -> int:
     return int(ctx.multiply(bound, scale).to_integral_value(rounding=rounding))
 
 
-def _read_input(path: str) -> str:
+def _read_input(path: str, binary: bool = False) -> Union[str, bytes]:
+    """The input's text.  With binary, a file comes as its bytes when they
+    are ASCII, and as their strict UTF-8 decoding otherwise; stdin is always
+    read as text."""
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    if not binary:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data if data.isascii() else data.decode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +126,9 @@ def _load_records(args) -> Iterator[Tuple[str, WeightedSequence]]:
     """Yield (record id, sequence) one record at a time: FASTA records are
     mapped only when asked for, so a caller that drops each sequence before
     the next holds one at a time.  The input text is dropped once it is
-    parsed, and each record's bases once they are mapped."""
-    text = _read_input(args.input)
+    parsed, and each record's bases once they are mapped.  TSV files are
+    parsed from their bytes."""
+    text = _read_input(args.input, binary=args.format == "tsv")
     if args.format == "tsv":
         if args.mapping != "gc":
             raise ValueError("--mapping applies to FASTA input only")

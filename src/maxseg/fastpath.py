@@ -103,22 +103,34 @@ def _doubling(line):
         b *= 2
 
 
-def _block_min(B, lo, hi):
-    """min(B[lo[t] .. hi[t]]) for nonempty windows with lo, hi nondecreasing."""
+def _block_min(B, lo, hi, out):
+    """``out[t] = min(B[lo[t] .. hi[t]])`` for nonempty windows with lo, hi
+    nondecreasing.  The doubling's levels are built in place in B, which
+    the call overwrites, so beyond B the call holds a few window arrays."""
     import numpy as np
 
-    a = int(lo[0])
-    x, y = lo - a, hi - a
-    size = y - x + 1
-    g0, g1 = int(size.min()).bit_length(), int(size.max()).bit_length()
-    out = np.empty(len(lo), dtype=np.int64)
-    for b, M in _doubling(B[a:int(hi[-1]) + 1]):
+    g0 = (int((hi - lo).min()) + 1).bit_length()
+    g1 = (int((hi - lo).max()) + 1).bit_length()
+    b = 1
+    while True:
         if b.bit_length() >= g0:
             # a window of b to 2b - 1 keys: its first and last b keys
-            sel = slice(None) if g0 == g1 else (size >= b) & (size < 2 * b)
-            out[sel] = np.minimum(M[x[sel]], M[y[sel] - (b - 1)])
+            at = slice(None)
+            if g0 != g1:
+                extra = hi - lo
+                extra -= b - 1  # keys beyond the first b
+                at = np.flatnonzero((extra >= 0) & (extra < b))
+                del extra
+            m = B[lo[at]]
+            k = hi[at] - (b - 1)
+            np.minimum(m, B[k], out=m)
+            out[at] = m
+            del m, k, at
         if b.bit_length() == g1:
-            return out
+            return
+        np.minimum(B[:-b], B[b:], out=B[:-b])  # level 2b; numpy copies the overlapping B[b:]
+        B = B[:-b]
+        b *= 2
 
 
 def _key_line(V, W, s, w):
@@ -186,13 +198,23 @@ def _uniform_scan(keys, n, L, U):
 
 
 def _windows(W, n, L, U):
-    """(j0, lo, hi) per chunk of endpoints j0, j0+1, ... with some k."""
+    """(j0, lo, hi) per chunk of endpoints j0, j0+1, ... with some k.  Both
+    window ends never move left, so a chunk searches W only from the
+    previous chunk's last ends up to its own endpoints."""
     import numpy as np
 
+    lo0 = hi0 = 0
     for j0 in range(int(np.searchsorted(W, L)), n + 1, CHUNK):
-        Wj = W[j0:j0 + CHUNK]
-        hi = np.searchsorted(W, Wj - L, side="right") - 1
-        lo = np.searchsorted(W, Wj - U) if U is not None else np.zeros_like(hi)
+        j1 = min(j0 + CHUNK, n + 1)
+        hi = np.searchsorted(W[hi0:j1], W[j0:j1] - L, side="right")
+        hi += hi0 - 1
+        hi0 = int(hi[-1])
+        if U is None:
+            lo = np.zeros_like(hi)
+        else:
+            lo = np.searchsorted(W[lo0:j1], W[j0:j1] - U)
+            lo += lo0
+            lo0 = int(lo[-1])
         yield j0, lo, hi
 
 
@@ -204,9 +226,8 @@ def _general_scan(keys, W, n, L, U):
     run_at, run_min = 0, 0  # run_min = min(B[:run_at + 1]); B[0] = 0
     for j0, lo, hi in _windows(W, n, L, U):
         ok = hi >= lo
-        full = ok.all()
+        np.minimum(lo, hi, out=lo)  # an empty window reads one key; its gain is dropped
         p = int(np.searchsorted(lo, 0, side="right"))  # windows from 0
-        rest = slice(p, None) if full else ok & (lo > 0)  # windows from past 0
         mins = np.empty(len(hi), dtype=np.int64)
         if p:
             run = keys(run_at, int(hi[p - 1]) + 1)
@@ -214,14 +235,21 @@ def _general_scan(keys, W, n, L, U):
             np.minimum.accumulate(run, out=run)
             mins[:p] = run[hi[:p] - run_at]
             run_at, run_min = int(hi[p - 1]), run[-1]
-        lo_r, hi_r = lo[rest], hi[rest]
-        if len(lo_r):
-            first = int(lo_r[0])  # the first key these windows read
-            mins[rest] = _block_min(keys(first, int(hi_r[-1]) + 1), lo_r - first, hi_r - first)
+            del run
+        if p < len(hi):  # windows from past 0, read from the first key they need
+            first = int(lo[p])
+            B = keys(first, int(hi[-1]) + 1)
+            lo_r, hi_r = lo[p:], hi[p:]
+            lo_r -= first
+            hi_r -= first
+            _block_min(B, lo_r, hi_r, mins[p:])
+            del B
+            lo_r += first
+            hi_r += first
         gain = keys(j0, j0 + len(hi))
         gain -= mins
-        if not full:
-            gain[~ok] = -1
+        del mins
+        gain[~ok] = -1
         t = int(np.argmax(gain))
         if gain[t] > top:
             top, j, a, z = int(gain[t]), j0 + t, int(lo[t]), int(hi[t])
@@ -259,7 +287,11 @@ def best(seq: WeightedSequence, L: RealInput,
     else:  # float only picks it
         for j0, lo, hi in _windows(W, n, L, U):
             js = slice(j0, j0 + len(hi))
-            dens = (V[js] - V[hi]) / (W[js] - W[hi])
+            num, den = V[hi], W[hi]
+            np.subtract(V[js], num, out=num)
+            np.subtract(W[js], den, out=den)
+            dens = np.divide(num, den)
+            del num, den
             dens[hi < lo] = -math.inf
             t = int(np.argmax(dens))
             if dens[t] > pick:

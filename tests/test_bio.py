@@ -353,16 +353,19 @@ class TestParseTsv:
         assert (seg.sum, seg.width) == tuple(
             sum(col) for col in zip(*rows[seg.start - 1:seg.end]))
 
+    @staticmethod
+    def _long_text(rows):
+        return "# value\tweight\n" + "".join(
+            f"{(k * 37) % 1999 - 999}.{k % 100:02d}\t{1 + k % 3}.{k % 10}\n" for k in range(rows))
+
     def test_array_path_peak_stays_near_the_sequence(self):
         # Fields go straight into the two columns the sequence keeps, so
-        # parsing needs little beyond them and one chunk's scratch.
-        import tracemalloc
-
+        # parsing needs little beyond them, a byte of places per field and
+        # one chunk's scratch.
         import numpy  # noqa: F401  (its import is not the parse's memory)
 
         rows = 200_000
-        text = "# value\tweight\n" + "".join(
-            f"{(k * 37) % 1999 - 999}.{k % 100:02d}\t{1 + k % 3}.{k % 10}\n" for k in range(rows))
+        text = self._long_text(rows)
         tracemalloc.start()
         try:
             seq = parse_tsv(text)
@@ -370,7 +373,39 @@ class TestParseTsv:
         finally:
             tracemalloc.stop()
         assert seq._pv is None and seq.n == rows
-        assert kept >= 16 * rows and peak < 2.5 * kept
+        assert kept >= 16 * rows and peak < 1.35 * kept
+
+    def test_array_path_on_bytes_peaks_near_text_and_sequence(self):
+        # Bytes are scanned where they lie: no decoded copy of the text, so
+        # the text and the sequence are nearly all the parse holds.
+        import numpy  # noqa: F401
+
+        rows = 200_000
+        text = self._long_text(rows)
+        tracemalloc.start()
+        try:
+            data = text.encode()
+            seq = parse_tsv(data)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seq._pv is None and seq.n == rows
+        assert kept >= len(data) + 16 * rows and peak < 1.25 * kept
+        assert stored(seq) == stored(parse_tsv(text))
+
+    def test_unit_weights_keep_one_column_of_exact_size(self):
+        # Blank and comment lines leave no slack, and a unit-weight
+        # sequence keeps no weight column, not even as the base of V.
+        n = fastpath.MIN_FAST_N + 7
+        text = "# value\tweight\n\n" + "".join(f"{k % 19 - 9}\t1\n# note\n" for k in range(n))
+        for data in (text, text.encode()):
+            seq = parse_tsv(data)
+            V, W = seq.int64_prefixes()
+            assert seq._pv is None and seq.n == n and W is None
+            assert (V if V.base is None else V.base).nbytes <= (n + 1) * 8
+        seq = parse_tsv(text.replace("\t1\n", "\t2\n"))
+        for col in seq.int64_prefixes():
+            assert (col if col.base is None else col.base).nbytes <= (n + 1) * 8
 
     @staticmethod
     def parse_on(text, min_fast_n, chunk=bio.TSV_CHUNK):
@@ -388,9 +423,14 @@ class TestParseTsv:
 
     def both_paths(self, text):
         """parse_tsv(text) on the array path and on the exact path, and
-        whether the array path gave the answer."""
+        whether the array path gave the answer; the text's UTF-8 bytes give
+        the same on both paths."""
         arrays, arrays_answered = self.parse_on(text, 1)
         assert self.parse_on(text, 1, chunk=4) == (arrays, arrays_answered)  # many chunks
+        data = text.encode()
+        assert self.parse_on(data, 1) == (arrays, arrays_answered)
+        assert self.parse_on(data, 1, chunk=4) == (arrays, arrays_answered)
+        assert self.parse_on(data, 1 << 62)[0] == self.parse_on(text, 1 << 62)[0]
         if arrays_answered:
             assert all(type(x) is int for x in arrays[0] + arrays[1])
         return arrays, self.parse_on(text, 1 << 62)[0], arrays_answered

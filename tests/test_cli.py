@@ -257,6 +257,14 @@ class TestFind:
             def __del__(self):
                 freed.append(True)
 
+        class Data(bytes):  # a TSV file comes as its bytes
+            def __del__(self):
+                freed.append(True)
+
+        def reading(path, *args, **kwargs):
+            data = real_read(path, *args, **kwargs)
+            return (Data if isinstance(data, bytes) else Text)(data)
+
         def mapping(rec, *a, **kw):
             mapped.append(weakref.ref(rec))
             return real_map(rec, *a, **kw)
@@ -266,7 +274,7 @@ class TestFind:
             assert all(ref() is None for ref in mapped), "a record is alive during a solve"
             return real_solve(*a, **kw)
 
-        monkeypatch.setattr(cli, "_read_input", lambda path: Text(real_read(path)))
+        monkeypatch.setattr(cli, "_read_input", reading)
         monkeypatch.setattr(cli, "map_to_sequence", mapping)
         monkeypatch.setattr(cli, "solve", solving)
         for path, fmt in ((fasta, "fasta"), (tsv, "tsv")):
@@ -377,6 +385,50 @@ class TestFind:
         assert [row.split("\t")[0] for row in proc.stdout.splitlines()] == ["record_id", "r1"]
 
 
+def _tsv_rows(n):
+    """n rows of (hundredths, tenths) decimals, the same for every n."""
+    return [f"{'-' if v < 0 else ''}{abs(v) // 100}.{abs(v) % 100:02d}\t{1 + k % 3}.{(k * 7) % 10}"
+            for k, v in ((k, (k * 7919) % 1801 - 900) for k in range(n))]
+
+
+class TestTsvFiles:
+    # A TSV file is read as bytes.  Line ends, comments and encodings give
+    # the stdout, stderr and exit code that reading it as text gave.
+    BODY = "\n".join(_tsv_rows(5000))
+    ARGV = ["--format", "tsv", "--L", "10", "--U", "50.5"]
+    ANSWER = ("record_id\tstart\tend\twidth\tsum\tdensity\n"
+              "r1\t4937\t4940\t10\t14.12\t1.412000000\n")
+    CASES = {
+        "lf": ("# value\tweight\n" + BODY + "\n").encode(),
+        "crlf": ("# value\tweight\r\n" + BODY.replace("\n", "\r\n") + "\r\n").encode(),
+        "cr": ("# value\tweight\r" + BODY.replace("\n", "\r") + "\r").encode(),
+        "non-ascii comment": ("# valeur \u00e9t\u00e9\tpoids\n" + BODY + "\n").encode(),
+        "no final lf": ("# value\tweight\n" + BODY).encode(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_line_ends_and_comments(self, tmp_path, name):
+        path = tmp_path / "in.tsv"
+        path.write_bytes(self.CASES[name])
+        assert run_cli(["find", "--input", str(path)] + self.ARGV) == (0, self.ANSWER, "")
+        assert run_cli(["find", "--input", "-"] + self.ARGV,
+                       stdin=self.CASES[name].decode()) == (0, self.ANSWER, "")
+
+    @pytest.mark.parametrize("mapping", [[], ["--mapping", "huang:0.4"]])
+    def test_invalid_utf8_is_refused_before_the_flags(self, tmp_path, mapping):
+        path = tmp_path / "in.tsv"
+        path.write_bytes(self.CASES["lf"] + b"# \xff bad\n")
+        assert run_cli(["find", "--input", str(path)] + self.ARGV + mapping) == (
+            1, "", "error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff "
+                   "in position 47515: invalid start byte\n")
+
+    def test_mapping_refused_on_a_valid_file(self, tmp_path):
+        path = tmp_path / "in.tsv"
+        path.write_bytes(self.CASES["lf"])
+        assert run_cli(["find", "--input", str(path), "--mapping", "huang:0.4"] + self.ARGV) == (
+            1, "", "error: ValueError: --mapping applies to FASTA input only\n")
+
+
 # Runs argv[1:] and prints its peak RSS in kB.  Linux carries a process's
 # resident high-water mark across exec, so a child started straight from the
 # test process would report at least the test process's own peak; started
@@ -392,6 +444,16 @@ _PEAK_RSS = (
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in kB is Linux's")
 class TestPeakMemory:
+    @staticmethod
+    def _peak_kb(*argv):
+        """Peak RSS in kB of a fresh interpreter run with argv."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
     def test_find_on_a_long_record_peaks_at_few_bytes_per_base(self, tmp_path):
         # One 2e6-base record: the sequence keeps 8 bytes per base, and the
         # input text, the record's bases and the backend's rounds add little
@@ -402,20 +464,32 @@ class TestPeakMemory:
         path = tmp_path / "long.fa"
         path.write_text(">r\n" + "\n".join(bases[i:i + 60] for i in range(0, n, 60)) + "\n")
         del bases
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-
-        def peak_kb(*argv):
-            proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, *argv],
-                                  capture_output=True, text=True, env=env, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            return int(proc.stdout)
-
-        base = peak_kb("-c", "import numpy, maxseg.cli")
-        find = peak_kb("-m", "maxseg", "find", "--input", str(path), "--format", "fasta",
-                       "--L", "100", "--U", "200")
+        base = self._peak_kb("-c", "import numpy, maxseg.cli")
+        find = self._peak_kb("-m", "maxseg", "find", "--input", str(path), "--format", "fasta",
+                             "--L", "100", "--U", "200")
         per_base = (find - base) * 1024 / n
         assert per_base <= 14, f"{per_base:.1f} B/base above the import baseline"
+
+    def test_find_on_a_long_weighted_tsv_peaks_at_few_bytes_per_row(self, tmp_path):
+        # 5e5 decimal rows, weights 1.0-3.0 and one in a thousand wider than
+        # U: the file's bytes (about 9.5 per row), the two prefix columns
+        # (16), a byte of places per field (2) and one chunk's scratch.
+        n = 500_000
+        rng = random.Random(12)
+        rows = ["# value\tweight"]
+        for _ in range(n):
+            v = rng.randint(-900, 900)
+            w = rng.randint(11010, 20000) if rng.random() < 0.001 else rng.randint(10, 30)
+            rows.append(f"{'-' if v < 0 else ''}{abs(v) // 100}.{abs(v) % 100:02d}"
+                        f"\t{w // 10}.{w % 10}")
+        path = tmp_path / "long.tsv"
+        path.write_text("\n".join(rows) + "\n")
+        del rows
+        base = self._peak_kb("-c", "import numpy, maxseg.cli")
+        find = self._peak_kb("-m", "maxseg", "find", "--input", str(path), "--format", "tsv",
+                             "--L", "100", "--U", "1100")
+        per_row = (find - base) * 1024 / n
+        assert per_row <= 34, f"{per_row:.1f} B/row above the import baseline"
 
 
 class TestProcessExit:

@@ -703,14 +703,39 @@ class TestUniformLane:
         self._check(values, L, U)
 
 
+class TestWeightedLane:
+    # The weighted lane of fastpath.best: windows searched from the last
+    # chunk's ends, empty windows behind items wider than U - L, and levels
+    # built in place; against the oracle at several chunk sizes.
+    @given(st.lists(st.tuples(st.integers(-9, 9),
+                              st.one_of(st.integers(1, 3), st.integers(1, 3), st.integers(9, 30))),
+                    min_size=1, max_size=60),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle(self, items, data):
+        seq = build_sequence(items)
+        total = seq.prefix_weight[seq.n]
+        L = data.draw(st.integers(1, total)) - data.draw(st.sampled_from((0, 0.5)))
+        U = data.draw(st.one_of(st.none(), st.integers(math.ceil(L), total + 3)))
+        if U is not None:
+            U += data.draw(st.sampled_from((0, 0.5)))
+        want = _oracle_pair(seq, L, U)
+        for chunk in (1, 3, 7, fastpath.CHUNK):
+            with mock.patch.object(fastpath, "MIN_FAST_N", 1), \
+                    mock.patch.object(fastpath, "CHUNK", chunk):
+                assert _backend_pair(seq, L, U) == want, (chunk, items, L, U)
+
+
 class TestBlockMin:
-    # fastpath._block_min against a brute-force minimum per window.
+    # fastpath._block_min against a brute-force minimum per window; it
+    # builds its levels in the keys it is given, so it gets a copy.
     @staticmethod
     def _check(B, lo, hi):
         import numpy as np
 
         B, lo, hi = (np.asarray(x, dtype=np.int64) for x in (B, lo, hi))
-        got = fastpath._block_min(B, lo, hi)
+        got = np.empty(len(lo), dtype=np.int64)
+        fastpath._block_min(B.copy(), lo, hi, got)
         assert got.tolist() == [int(B[a:z + 1].min()) for a, z in zip(lo, hi)]
 
     def test_several_power_of_two_classes_in_one_call(self, rng):
