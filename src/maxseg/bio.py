@@ -157,11 +157,10 @@ def compress_runs(seq: WeightedSequence) -> WeightedSequence:
     fits int64, the exact lists otherwise.
     """
     n = seq.n
-    arrays = seq.int64_prefixes() if n >= fastpath.MIN_FAST_N else None
-    if arrays and fastpath.eligible(seq):  # so |item value| * weight < 2**62
+    if fastpath.eligible(seq):  # so |item value| * weight < 2**62
         import numpy as np
 
-        V, W = arrays
+        V, W = seq.int64_prefixes()
         v = np.diff(V)
         if W is None:  # every weight is 1
             ends = np.flatnonzero(v[:-1] != v[1:]) + 1

@@ -56,18 +56,13 @@ def _snap(bound: Decimal, scale: int, rounding: str) -> int:
     return int(ctx.multiply(bound, scale).to_integral_value(rounding=rounding))
 
 
-def _read_input(path: str, binary: bool = False) -> Union[str, bytes]:
-    """The input's text.  With binary, a file comes as its bytes when they
-    are ASCII, and as their strict UTF-8 decoding otherwise; stdin is always
-    read as text."""
-    if path == "-":
-        return sys.stdin.read()
-    if not binary:
-        with open(path, "r", encoding="utf-8") as fh:
+def _read_input(path: str) -> Union[str, bytes]:
+    """The input's bytes, from the file or from stdin's binary buffer; a
+    stdin with no buffer (an in-memory text stream) is read as text."""
+    if path != "-":
+        with open(path, "rb") as fh:
             return fh.read()
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return data if data.isascii() else data.decode("utf-8")
+    return getattr(sys.stdin, "buffer", sys.stdin).read()
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +121,12 @@ def _load_records(args) -> Iterator[Tuple[str, WeightedSequence]]:
     """Yield (record id, sequence) one record at a time: FASTA records are
     mapped only when asked for, so a caller that drops each sequence before
     the next holds one at a time.  The input text is dropped once it is
-    parsed, and each record's bases once they are mapped.  TSV files are
-    parsed from their bytes."""
-    text = _read_input(args.input, binary=args.format == "tsv")
+    parsed, and each record's bases once they are mapped.  ASCII TSV input
+    is parsed from its bytes; any other input is decoded as strict UTF-8
+    first, so a file and stdin give the same answer or the same error."""
+    text = _read_input(args.input)
+    if isinstance(text, bytes) and not (args.format == "tsv" and text.isascii()):
+        text = text.decode("utf-8")
     if args.format == "tsv":
         if args.mapping != "gc":
             raise ValueError("--mapping applies to FASTA input only")

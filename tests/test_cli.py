@@ -250,27 +250,33 @@ class TestFind:
         fasta.write_text(">a\nGGGGAT\n>b\nATATGC\n>c\nGCGCAA\n")
         tsv = tmp_path / "in.tsv"
         tsv.write_text("1\t1\n-2\t1\n3\t2\n")
-        freed, mapped = [], []
+        alive, mapped = set(), []
         real_read, real_map, real_solve = cli._read_input, cli.map_to_sequence, cli.solve
+
+        def tracked(obj):
+            alive.add(id(obj))
+            return obj
 
         class Text(str):
             def __del__(self):
-                freed.append(True)
+                alive.discard(id(self))
 
-        class Data(bytes):  # a TSV file comes as its bytes
+        class Data(bytes):  # a file comes as its bytes; FASTA is decoded
             def __del__(self):
-                freed.append(True)
+                alive.discard(id(self))
 
-        def reading(path, *args, **kwargs):
-            data = real_read(path, *args, **kwargs)
-            return (Data if isinstance(data, bytes) else Text)(data)
+            def decode(self, *args, **kwargs):
+                return tracked(Text(super().decode(*args, **kwargs)))
+
+        def reading(path):
+            return tracked(Data(real_read(path)))
 
         def mapping(rec, *a, **kw):
             mapped.append(weakref.ref(rec))
             return real_map(rec, *a, **kw)
 
         def solving(*a, **kw):
-            assert freed, "the input text is alive during a solve"
+            assert not alive, "the input text is alive during a solve"
             assert all(ref() is None for ref in mapped), "a record is alive during a solve"
             return real_solve(*a, **kw)
 
@@ -278,7 +284,6 @@ class TestFind:
         monkeypatch.setattr(cli, "map_to_sequence", mapping)
         monkeypatch.setattr(cli, "solve", solving)
         for path, fmt in ((fasta, "fasta"), (tsv, "tsv")):
-            freed.clear()
             code, out, _ = run_cli(["find", "--input", str(path), "--format", fmt,
                                     "--L", "2", "--U", "4"])
             assert code == 0 and len(out.splitlines()) == (4 if fmt == "fasta" else 2)
@@ -427,6 +432,39 @@ class TestTsvFiles:
         path.write_bytes(self.CASES["lf"])
         assert run_cli(["find", "--input", str(path), "--mapping", "huang:0.4"] + self.ARGV) == (
             1, "", "error: ValueError: --mapping applies to FASTA input only\n")
+
+
+class TestStdinMatchesFile:
+    # `find --input -` reads stdin's bytes under the rule a file's bytes get,
+    # so the same bytes give the same stdout, stderr and exit code either way.
+    CASES = [
+        ("tsv", b"# \xff bad\n1\t1\n-2\t1\n3\t2\n"),
+        ("tsv", "# poids \u00e9t\u00e9\r\n1\t1\r\n-2\t1\r\n3.5\t2\r\n".encode()),
+        ("fasta", b">r\nAC\xffGT\n"),
+        ("fasta", ">r \u00e9\r\nACGGC\r\nTA\rGC\n".encode()),
+    ]
+
+    @pytest.mark.parametrize("fmt,data", CASES, ids=[
+        "tsv-invalid-utf8", "tsv-crlf-non-ascii", "fasta-invalid-utf8", "fasta-cr-non-ascii"])
+    def test_same_bytes_same_result(self, tmp_path, fmt, data):
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+
+        def find(source, stdin):
+            proc = subprocess.run(
+                [sys.executable, "-m", "maxseg", "find", "--input", source,
+                 "--format", fmt, "--L", "2", "--U", "4"],
+                input=stdin, capture_output=True, env=env, timeout=120)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        from_file = find(str(path), b"")
+        assert find("-", data) == from_file
+        if b"\xff" in data:
+            assert from_file[0] == 1 and b"UnicodeDecodeError" in from_file[2]
+        else:
+            assert from_file[0] == 0 and from_file[1].count(b"\n") == 2
 
 
 # Runs argv[1:] and prints its peak RSS in kB.  Linux carries a process's

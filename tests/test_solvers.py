@@ -705,8 +705,9 @@ class TestUniformLane:
 
 class TestWeightedLane:
     # The weighted lane of fastpath.best: windows searched from the last
-    # chunk's ends, empty windows behind items wider than U - L, and levels
-    # built in place; against the oracle at several chunk sizes.
+    # chunk's ends, empty windows behind items wider than U - L, and window
+    # minima from one doubling per chunk; against the oracle at several
+    # chunk sizes.
     @given(st.lists(st.tuples(st.integers(-9, 9),
                               st.one_of(st.integers(1, 3), st.integers(1, 3), st.integers(9, 30))),
                     min_size=1, max_size=60),
@@ -728,15 +729,17 @@ class TestWeightedLane:
 
 class TestBlockMin:
     # fastpath._block_min against a brute-force minimum per window; it
-    # builds its levels in the keys it is given, so it gets a copy.
+    # reads its levels from fresh arrays and leaves the keys as they were.
     @staticmethod
     def _check(B, lo, hi):
         import numpy as np
 
+        keys = list(B)
         B, lo, hi = (np.asarray(x, dtype=np.int64) for x in (B, lo, hi))
         got = np.empty(len(lo), dtype=np.int64)
-        fastpath._block_min(B.copy(), lo, hi, got)
-        assert got.tolist() == [int(B[a:z + 1].min()) for a, z in zip(lo, hi)]
+        fastpath._block_min(B, lo, hi, got)
+        assert B.tolist() == keys
+        assert got.tolist() == [min(keys[a:z + 1]) for a, z in zip(lo, hi)]
 
     def test_several_power_of_two_classes_in_one_call(self, rng):
         B = [rng.randint(-50, 50) for _ in range(200)]
@@ -762,6 +765,41 @@ class TestBlockMin:
         lo = [0, 5, 100, 101]
         hi = [fastpath.CHUNK + 3, 2 * fastpath.CHUNK, n - 2, n - 1]
         self._check(B, lo, hi)
+
+
+class TestRoundScratch:
+    # A round forms its keys a chunk at a time, so beyond the sequence's own
+    # prefix arrays fastpath.best holds O(CHUNK + window) memory, whatever n.
+    @staticmethod
+    def _peak(n, weighted, L, U):
+        import tracemalloc
+
+        import numpy as np
+
+        from maxseg.core import WeightedSequence
+
+        rng = np.random.default_rng(5)
+        V = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(rng.integers(-9, 10, n), out=V[1:])
+        if weighted:
+            W = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(rng.integers(1, 4, n), out=W[1:])
+            seq = WeightedSequence(V, W, min_weight=1, max_weight=3)
+        else:
+            seq = WeightedSequence(V, None, is_uniform=True, min_weight=1, max_weight=1)
+        tracemalloc.start()
+        try:
+            assert fastpath.best(seq, L, U) is not None
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("weighted,L,U", [(True, 100, 20000), (False, 100, 200),
+                                              (False, 1000, None)])
+    def test_peak_is_flat_in_n(self, weighted, L, U):
+        small, large = (self._peak(n, weighted, L, U) for n in (10**5, 10**6))
+        assert max(small, large) <= 3_000_000, (small, large)
+        assert large <= 1.5 * small, (small, large)
 
 
 class TestEdgeProfiles:
