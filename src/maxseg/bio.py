@@ -106,45 +106,181 @@ def map_to_sequence(
     Every item weighs 1, so widths count bases.  Ambiguity codes such as N
     score as non-GC; strict mode rejects symbols outside A/C/G/T/U/N instead.
     Records long enough for the numpy backend (``fastpath.MIN_FAST_N`` bases)
-    are mapped straight into int64 prefix arrays when every prefix fits;
-    shorter ones stream into prefix lists without importing numpy.
+    are mapped straight into a prefix array, int32 when every prefix fits
+    int32 and int64 when every prefix fits int64; shorter ones stream into
+    prefix lists without importing numpy.
     """
     n = len(rec.bases)
-    if n >= fastpath.MIN_FAST_N and \
-            n * max(abs(spec.gc_score), abs(spec.other_score)) < 1 << 63:
-        return _map_to_arrays(rec, spec, strict)
+    dtype = prefix_dtype(n, spec)
+    if dtype is not None:
+        # One byte per symbol: every non-ASCII symbol becomes '?', neither
+        # GC nor known, and a refusal names the symbol itself.
+        pieces = (rec.bases[c:c + FASTA_BLOCK].encode("ascii", errors="replace")
+                  for c in range(0, n, FASTA_BLOCK))
+        try:
+            return bases_to_sequence(pieces, n, spec, strict, dtype)
+        except UnknownSymbol as exc:
+            raise UnknownSymbol(rec.bases[exc.position - 1], exc.position) from None
+    return _bases_to_lists(rec.bases, spec, strict)
+
+
+def _bases_to_lists(bases: str, spec: MappingSpec, strict: bool) -> WeightedSequence:
+    """map_to_sequence's list path: the bases scored one at a time into
+    prefix lists, with no numpy."""
     if strict:
-        for pos, ch in enumerate(rec.bases, start=1):
+        for pos, ch in enumerate(bases, start=1):
             if ch not in _KNOWN_BASES:
                 raise UnknownSymbol(ch, pos)
     gc_score, other_score = spec.gc_score, spec.other_score
-    items = ((gc_score if ch in _GC_BASES else other_score, 1) for ch in rec.bases)
+    items = ((gc_score if ch in _GC_BASES else other_score, 1) for ch in bases)
     return build_sequence(items, value_scale=spec.scale)
 
 
-def _map_to_arrays(rec: DnaRecord, spec: MappingSpec, strict: bool) -> WeightedSequence:
-    """map_to_sequence into int64 prefix arrays through 256-entry byte tables."""
+def prefix_dtype(n: int, spec: MappingSpec) -> Optional[str]:
+    """The narrowest exact dtype of an n-base record's prefix array: 'int32'
+    or 'int64' when every prefix fits it, None for a record shorter than
+    ``fastpath.MIN_FAST_N`` or one whose prefixes may leave int64, which
+    map_to_sequence keeps in lists."""
+    top = n * max(abs(spec.gc_score), abs(spec.other_score))
+    if n < fastpath.MIN_FAST_N or top >= 1 << 63:
+        return None
+    return "int32" if top < 1 << 31 else "int64"
+
+
+def bases_to_sequence(pieces: Iterable[bytes], n: int, spec: MappingSpec, strict: bool,
+                      dtype: str) -> WeightedSequence:
+    """The unit-weight sequence of n bases that arrive as one-byte symbol
+    codes in pieces, scored through 256-entry tables into one prefix array
+    of ``dtype`` allocated at its exact size, ``fastpath.CHUNK`` codes at a
+    time with a carry.  Strict mode raises UnknownSymbol at the first code
+    outside A/C/G/T/U/N."""
     import numpy as np
 
-    # One byte per symbol: every non-ASCII symbol becomes '?', neither GC nor known.
-    codes = np.frombuffer(rec.bases.encode("ascii", errors="replace"), dtype=np.uint8)
-    if strict:
-        known = np.zeros(256, dtype=bool)
-        known[[ord(ch) for ch in _KNOWN_BASES]] = True
-        bad = int(np.argmin(known[codes]))  # the first unknown symbol, if any
-        if not known[codes[bad]]:
-            raise UnknownSymbol(rec.bases[bad], bad + 1)
-    scores = np.full(256, spec.other_score, dtype=np.int64)
+    scores = np.full(256, spec.other_score, dtype=dtype)
     scores[[ord(ch) for ch in _GC_BASES]] = spec.gc_score
-    n = len(codes)
-    V = np.empty(n + 1, dtype=np.int64)
-    V[0] = 0
-    for c in range(0, n, fastpath.CHUNK):  # scores a chunk at a time, into V
-        part = V[c + 1:c + 1 + fastpath.CHUNK]
-        np.cumsum(scores[codes[c:c + fastpath.CHUNK]], out=part)
-        part += V[c]
+    known = np.zeros(256, dtype=bool)
+    known[[ord(ch) for ch in _KNOWN_BASES]] = True
+    V = np.empty(n + 1, dtype=dtype)
+    V[0] = at = 0
+    for piece in pieces:
+        codes = np.frombuffer(piece, dtype=np.uint8)
+        for c in range(0, len(codes), fastpath.CHUNK):
+            part = codes[c:c + fastpath.CHUNK]
+            if strict and not known[part].all():
+                bad = int(np.argmin(known[part]))
+                raise UnknownSymbol(chr(part[bad]), at + c + bad + 1)
+            out = V[at + c + 1:at + c + 1 + len(part)]
+            np.cumsum(scores[part], dtype=dtype, out=out)
+            out += V[at + c]
+        at += len(codes)
     return WeightedSequence(V, None, value_scale=spec.scale, is_uniform=True,
                             min_weight=1, max_weight=1)
+
+
+# Bytes of FASTA input scan_fasta and fasta_bases read at once.  It bounds
+# the ingest scratch: on a 250k-base record, 64 KiB blocks peaked 0.3 MB
+# higher in RSS than 16 KiB ones, and smaller blocks saved nothing more.
+FASTA_BLOCK = 1 << 14
+
+# What str.strip() and str.split() strip from ASCII FASTA text here: every
+# other ASCII byte they treat as whitespace or a line break sends the input
+# to parse_fasta.
+_FASTA_SPACE = b"\n \t\r"
+_OTHER_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def scan_fasta(read) -> Optional[List[Tuple[str, int, int, int]]]:
+    """Find the records of FASTA bytes without holding them: ``(id, start,
+    end, n)`` per record in order, where bytes ``start`` to ``end`` hold its
+    sequence lines and n bases, or None when the input is not one that
+    parse_fasta reads to the same records.
+
+    ``read(at, size)`` returns up to size bytes from offset at; the input is
+    read ``FASTA_BLOCK`` bytes at a time with plain bytes operations.  A line
+    whose first byte other than space or tab is '>' is a header, and every
+    other byte but whitespace is a base.  None means parse_fasta must decide:
+    a non-ASCII byte, one of the ASCII bytes outside space, tab, CR and LF
+    that parse_fasta reads as whitespace or a line break, a base before the
+    first header, a record with no bases, or no record at all.
+    """
+    found = []
+    rid, start, n = None, 0, 0  # the open record; before the first, n counts stray bases
+    head = None  # the header line read so far, while one is open
+    blank = True  # no base yet on the current line
+    off = 0
+    while True:
+        b = read(off, FASTA_BLOCK)
+        if not b:
+            break
+        if not b.isascii() or any(c in b for c in _OTHER_BREAKS):
+            return None
+        space = [bytes([c]) for c in _FASTA_SPACE if c in b]
+        breaks = [c for c in (b"\n", b"\r") if c in space]
+        i = 0
+        while i < len(b):
+            if head is not None:  # up to the header's line break
+                e = len(b)
+                for c in breaks:
+                    x = b.find(c, i, e)
+                    e = e if x < 0 else x
+                head += b[i:e]
+                if e < len(b):
+                    rid, start, n, blank = head.strip().decode("ascii"), off + e, 0, True
+                    head = None
+                i = e
+                continue
+            p = b.find(b">", i)
+            e = len(b) if p < 0 else p
+            n += e - i
+            r = -1
+            for c in space:
+                n -= b.count(c, i, e)
+            for c in breaks:
+                r = max(r, b.rfind(c, i, e))
+            s = max(r + 1, i)  # the current line's bytes in this stretch
+            blank = (blank or r >= 0) and not b[s:e].strip(b" \t")
+            if p < 0:
+                break
+            if not blank:  # a '>' inside a line is a base
+                n += 1
+            elif rid is None and n or rid is not None and not n:
+                return None  # a base before the first header, or an empty record
+            else:  # a header: the open record ends here
+                if rid is not None:
+                    found.append((rid, start, off + p, n))
+                head = b""
+            i = p + 1
+        off += len(b)
+    if head is not None or rid is None or not n:
+        return None  # a header with no bases after it, or no header
+    found.append((rid, start, off, n))
+    return found
+
+
+def fasta_bases(read, start: int, end: int) -> Iterator[bytes]:
+    """The bases in bytes start to end of a FASTA input that holds only
+    sequence lines there, ``FASTA_BLOCK`` bytes of input at a time."""
+    for at in range(start, end, FASTA_BLOCK):
+        yield read(at, min(FASTA_BLOCK, end - at)).translate(None, _FASTA_SPACE)
+
+
+def stream_fasta(read, index: List[Tuple[str, int, int, int]], spec: MappingSpec,
+                 strict: bool = False) -> Iterator[Tuple[str, WeightedSequence]]:
+    """Yield (id, sequence) per record of the FASTA input that
+    ``scan_fasta(read)`` indexed, each mapped only when asked for and as
+    map_to_sequence maps it: a record's bases are read again through
+    :func:`fasta_bases`, and a long record goes straight into its prefix
+    array, so a caller that drops each sequence before the next holds one
+    record at a time."""
+    for rid, start, end, n in index:
+        pieces = fasta_bases(read, start, end)
+        dtype = prefix_dtype(n, spec)
+        if dtype is None:
+            seq = _bases_to_lists(b"".join(pieces).decode("ascii"), spec, strict)
+        else:
+            seq = bases_to_sequence(pieces, n, spec, strict, dtype)
+        yield rid, seq
+        del seq  # before the next record is mapped
 
 
 def compress_runs(seq: WeightedSequence) -> WeightedSequence:
@@ -153,19 +289,19 @@ def compress_runs(seq: WeightedSequence) -> WeightedSequence:
     Any segment whose endpoints sit on run boundaries keeps its density
     exactly; segments that cut through a run are no longer expressible, so
     this transform is always an explicit opt-in.  The merged prefix sums are
-    the stored ones at the run ends: int64 arrays when every cross product
-    fits int64, the exact lists otherwise.
+    the stored ones at the run ends: arrays of the stored dtypes when every
+    cross product fits int64, the exact lists otherwise.
     """
     n = seq.n
     if fastpath.eligible(seq):  # so |item value| * weight < 2**62
         import numpy as np
 
-        V, W = seq.int64_prefixes()
-        v = np.diff(V)
+        V, W = seq.prefix_arrays()
+        v = np.subtract(V[1:], V[:-1], dtype=np.int64)
         if W is None:  # every weight is 1
             ends = np.flatnonzero(v[:-1] != v[1:]) + 1
         else:
-            w = np.diff(W)
+            w = np.subtract(W[1:], W[:-1], dtype=np.int64)
             ends = np.flatnonzero(v[:-1] * w[1:] != v[1:] * w[:-1]) + 1
         keep = np.concatenate(([0], ends, [n]))
         W = keep if W is None else W[keep]

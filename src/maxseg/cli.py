@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 parse/numeric error, 2 no feasible segment.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import random
 import statistics
 import sys
@@ -15,7 +17,15 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from typing import IO, Iterator, List, Optional, Tuple, Union
 
-from .bio import MappingSpec, compress_runs, map_to_sequence, parse_fasta, parse_tsv
+from .bio import (
+    MappingSpec,
+    compress_runs,
+    map_to_sequence,
+    parse_fasta,
+    parse_tsv,
+    scan_fasta,
+    stream_fasta,
+)
 from .core import (
     MAX_INTEGER_DIGITS,
     SCALE_CAP_DIGITS,
@@ -122,9 +132,29 @@ def _load_records(args) -> Iterator[Tuple[str, WeightedSequence]]:
     mapped only when asked for, so a caller that drops each sequence before
     the next holds one at a time.  The input text is dropped once it is
     parsed, and each record's bases once they are mapped.  ASCII TSV input
-    is parsed from its bytes; any other input is decoded as strict UTF-8
+    is parsed from its bytes, and FASTA bytes that :func:`scan_fasta`
+    accepts are streamed (:func:`stream_fasta`): a file that can seek is
+    read in blocks and never held whole; stdin, a pipe or a FIFO is read
+    whole first.  Any other input is read whole and decoded as strict UTF-8
     first, so a file and stdin give the same answer or the same error."""
-    text = _read_input(args.input)
+    text = _read_input("-") if args.input == "-" else None
+    if args.format == "fasta" and not isinstance(text, str):
+        with open(args.input, "rb") if text is None else contextlib.nullcontext() as fh:
+            if text is None and not fh.seekable():  # a pipe or a FIFO
+                text = fh.read()
+            src = fh if text is None else io.BytesIO(text)
+
+            def read(at: int, size: int) -> bytes:
+                src.seek(at)
+                return src.read(size)
+
+            index = scan_fasta(read)
+            if index is not None:
+                spec = _mapping_from_flag(args.mapping)
+                yield from stream_fasta(read, index, spec, args.strict)
+                return
+    if text is None:
+        text = _read_input(args.input)
     if isinstance(text, bytes) and not (args.format == "tsv" and text.isascii()):
         text = text.decode("utf-8")
     if args.format == "tsv":

@@ -12,13 +12,13 @@ exact rationals.  Decimals the CLI scales onto a power-of-ten grid (see
 the pure sweeps only.
 
 Storage model: a :class:`WeightedSequence` holds its prefix sums as Python
-lists (any exact number) or as int64 numpy arrays, whichever its builder
-made (:func:`build_sequence` makes lists; the parsers in :mod:`maxseg.bio`
-read long FASTA records and long TSV text straight into arrays), and
-derives the other form lazily, once, for the reader that needs it: the pure
-sweeps read lists, the numpy backend reads arrays.  Under unit weights the
-paper's width ``w(i, j)`` is ``j - i + 1``, so the array store keeps no
-weight column: 8 bytes per item.
+lists (any exact number) or as int32 or int64 numpy arrays, whichever its
+builder made (:func:`build_sequence` makes lists; the parsers in
+:mod:`maxseg.bio` read long FASTA records and long TSV text straight into
+arrays), and derives the other form lazily, once, for the reader that needs
+it: the pure sweeps read lists, the numpy backend reads arrays.  Under unit
+weights the paper's width ``w(i, j)`` is ``j - i + 1``, so the array store
+keeps no weight column: 4 bytes per FASTA base whose prefixes fit int32.
 """
 
 from __future__ import annotations
@@ -104,15 +104,17 @@ class WeightedSequence:
 
     * Python lists (``int`` or ``Fraction`` entries), as
       :func:`build_sequence` makes them;
-    * int64 numpy arrays ``(V, W)``, as :func:`maxseg.bio.map_to_sequence`
-      makes them for long records and :func:`maxseg.bio.parse_tsv` for long
-      text.  ``W`` is None exactly when every weight is 1 (``is_uniform``):
-      the prefix weight at ``j`` is then ``j`` itself.
+    * int32 or int64 numpy arrays ``(V, W)``, as
+      :func:`maxseg.bio.map_to_sequence` makes them for long records (int32
+      when every prefix fits) and :func:`maxseg.bio.parse_tsv` for long
+      text (int64).  ``W`` is None exactly when every weight is 1
+      (``is_uniform``): the prefix weight at ``j`` is then ``j`` itself.
+      Readers widen to int64 before any arithmetic that could leave int32.
 
-    :meth:`int64_prefixes` hands the numpy backend the arrays (built once
-    from the lists when every entry fits int64).  ``prefix_value`` and
-    ``prefix_weight`` hand the pure sweeps lists (filled once from the
-    arrays on first use).  ``n``, ``total_width`` and :func:`density` read
+    :meth:`prefix_arrays` hands the numpy backend the arrays (built once,
+    as int64, from the lists when every entry fits int64).
+    ``prefix_value`` and ``prefix_weight`` hand the pure sweeps lists
+    (filled once from the arrays on first use).  ``n``, ``total_width`` and :func:`density` read
     single entries, from the arrays when they exist and from the lists
     otherwise, so a backend answer never fills the lists.
 
@@ -126,7 +128,7 @@ class WeightedSequence:
     __slots__ = (
         "_pv",
         "_pw",
-        "_int64",
+        "_arrays",
         "n",
         "value_scale",
         "weight_scale",
@@ -146,14 +148,15 @@ class WeightedSequence:
         min_weight: Number = 0,
         max_weight: Number = 0,
     ):
-        """prefix_value and prefix_weight are both lists or both int64 arrays;
-        a uniform sequence keeps no weight array, so it may pass None."""
+        """prefix_value and prefix_weight are both lists or both int32 or
+        int64 arrays; a uniform sequence keeps no weight array, so it may
+        pass None."""
         if isinstance(prefix_value, list):
             self._pv, self._pw = prefix_value, prefix_weight
-            self._int64 = None  # not built yet; () once known not to fit
+            self._arrays = None  # not built yet; () once known not to fit
         else:
             self._pv = self._pw = None
-            self._int64 = (prefix_value, None if is_uniform else prefix_weight)
+            self._arrays = (prefix_value, None if is_uniform else prefix_weight)
         self.n = len(prefix_value) - 1
         self.value_scale = value_scale
         self.weight_scale = weight_scale
@@ -164,27 +167,27 @@ class WeightedSequence:
     @property
     def prefix_value(self) -> List[Number]:
         if self._pv is None:
-            self._pv = self._int64[0].tolist()
+            self._pv = self._arrays[0].tolist()
         return self._pv
 
     @property
     def prefix_weight(self) -> List[Number]:
         if self._pw is None:
-            W = self._int64[1]
+            W = self._arrays[1]
             self._pw = list(range(self.n + 1)) if W is None else W.tolist()
         return self._pw
 
-    def int64_prefixes(self) -> Optional[tuple]:
-        """The prefix sums as int64 arrays ``(V, W)``, with W None when every
-        weight is 1, or None when a column holds a ``Fraction`` or a value
-        outside int64."""
-        if self._int64 is None:
-            self._int64 = _int64_arrays(self._pv, None if self.is_uniform else self._pw)
-        return self._int64 or None
+    def prefix_arrays(self) -> Optional[tuple]:
+        """The prefix sums as int32 or int64 arrays ``(V, W)``, with W None
+        when every weight is 1, or None when a column holds a ``Fraction`` or
+        a value outside int64."""
+        if self._arrays is None:
+            self._arrays = _int64_arrays(self._pv, None if self.is_uniform else self._pw)
+        return self._arrays or None
 
     def _span(self, i: int, j: int) -> Tuple[Number, Number]:
         """(value sum, width) of items i..j as plain numbers, unchecked."""
-        arrays = self._int64
+        arrays = self._arrays
         if arrays:
             V, W = arrays
             return (int(V[j]) - int(V[i - 1]),

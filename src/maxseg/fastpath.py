@@ -3,11 +3,14 @@
 The pure-Python sweeps are the reference implementations.  This backend finds
 the same segment by Dinkelbach's parametric iteration (Dinkelbach 1967; round
 bounds in Radzik, "Newton's method for fractional combinatorial
-optimization", FOCS 1992) over the sequence's int64 prefix arrays ``V`` and
-``W``, read as they are from :meth:`WeightedSequence.int64_prefixes` (a
+optimization", FOCS 1992) over the sequence's prefix arrays ``V`` and
+``W``, read as they are from :meth:`WeightedSequence.prefix_arrays` (a
 long FASTA record or TSV text is read straight into them; list-backed
-sequences build them once).  Under unit weights there is no ``W``: the
-prefix weight at ``k`` is ``k``.
+sequences build them once).  They may be int32 or int64; every key and
+every difference is formed in int64 (``V[a:b].astype(np.int64)``,
+``np.subtract(..., dtype=np.int64)``), since numpy keeps ``int32 * int`` in
+int32, where it wraps.  Under unit weights there is no ``W``: the prefix
+weight at ``k`` is ``k``.
 
 * a round takes the density ``s/w`` of the current segment; its keys are
   ``B = V*w - W*s``, and segment ``(i, j)`` with ``k = i - 1`` is denser than
@@ -35,9 +38,12 @@ Problem Revisited", LATIN 2000); a window of ``b`` to ``2b - 1`` keys is the
 minimum of its first and last ``b``.  Under unit weights every such window
 has ``U - L + 1`` keys, so a round reads both as slices.  No round holds
 ``B`` whole: each chunk forms the keys of its endpoints and of the key range
-its windows read, so beyond ``V`` (and ``W`` when weights vary) a round
-needs O(CHUNK + window) scratch memory: about 1.8 MB, traced, at
-``CHUNK = 16384`` with windows of up to 20000 keys, at 1e5 and 1e6 items.
+its windows read, and a chunk's doubling is freed before the next chunk's
+keys are formed, so beyond ``V`` (and ``W`` when weights vary) a round
+needs O(CHUNK + window) scratch memory.  Traced at ``CHUNK = 16384``, at
+1e5 and 1e6 items: 0.40 MB under unit weights and ``[100, 200]``, about
+three chunk-long int64 arrays; 1.8 MB with weights 1..3 and
+``[100, 20000]``.
 
 :func:`eligible` admits a sequence only when ``spread * total_width < 2**62``
 with ``spread = 2 * max|prefix value|``.  That bounds ``|B| < 3 * 2**61``
@@ -79,10 +85,11 @@ CHUNK = 16384
 
 
 def eligible(seq: WeightedSequence) -> bool:
-    """True when the int64 kernel is exact and worthwhile for this sequence."""
+    """True when the kernel's int64 arithmetic is exact and worthwhile for
+    this sequence."""
     if seq.n < MIN_FAST_N:
         return False
-    arrays = seq.int64_prefixes()
+    arrays = seq.prefix_arrays()
     if arrays is None:
         return False
     V = arrays[0]
@@ -122,22 +129,15 @@ def _block_min(B, lo, hi, out):
 
 def _key_line(V, W, s, w):
     """``keys(a, b)``: the round's keys ``B[a:b] = V[a:b]*w - W[a:b]*s`` as a
-    new array.  When W is None, ``W[a + t] = a + t``, subtracted as ``a*s``
-    plus ``t*s`` from a ramp that grows to the longest range read."""
+    new int64 array; when W is None, ``W[a:b]`` is ``a, a + 1, ..., b - 1``."""
     import numpy as np
 
-    ramp = np.zeros(0, dtype=np.int64)
-
     def keys(a, b):
-        nonlocal ramp
-        out = V[a:b] * w
-        if W is not None:
-            out -= W[a:b] * s
-            return out
-        if len(ramp) < b - a:
-            ramp = np.arange(b - a, dtype=np.int64) * s
-        out -= ramp[:b - a]
-        out -= a * s
+        out = V[a:b].astype(np.int64)
+        out *= w
+        widths = np.arange(a, b, dtype=np.int64) if W is None else W[a:b].astype(np.int64)
+        widths *= s
+        out -= widths
         return out
 
     return keys
@@ -173,11 +173,12 @@ def _uniform_scan(keys, n, L, U):
             run_min = run[-1]
             gain[:p] -= run
         if p < j1 - j0:
-            c, m = j1 - j0 - p, U - L + 1
+            m, c = U - L + 1, j1 - j0 - p
             for b, M in _doubling(keys(j0 + p - U, j1 - L)):
                 if 2 * b > m:
                     break
             gain[p:] -= M[:c] if b == m else np.minimum(M[:c], M[m - b:m - b + c])
+            del M  # the last level, before the next chunk's keys are formed
         t = int(np.argmax(gain))
         if gain[t] > top:
             top, j = int(gain[t]), j0 + t
@@ -229,6 +230,32 @@ def _general_scan(keys, W, n, L, U):
     return top, j, a, z
 
 
+def _first_pick(V, W, n, L, U):
+    """(k, j) of the densest shortest feasible segment ``k + 1 .. j``, or
+    None when no segment is feasible; its chunk arrays are freed before
+    the rounds start."""
+    import numpy as np
+
+    pick = -math.inf
+    if W is None:  # all of width L: the largest exact sum
+        for j0 in range(L, n + 1, CHUNK):
+            d = np.subtract(V[j0:j0 + CHUNK], V[j0 - L:min(j0 + CHUNK, n + 1) - L],
+                            dtype=np.int64)
+            t = int(np.argmax(d))
+            if d[t] > pick:
+                pick, k, j = d[t], j0 + t - L, j0 + t
+    else:  # float only picks it
+        for j0, lo, hi in _windows(W, n, L, U):
+            js = slice(j0, j0 + len(hi))
+            dens = (np.subtract(V[js], V[hi], dtype=np.int64)
+                    / np.subtract(W[js], W[hi], dtype=np.int64))
+            dens[hi < lo] = -math.inf
+            t = int(np.argmax(dens))
+            if dens[t] > pick:
+                pick, k, j = dens[t], int(hi[t]), j0 + t
+    return None if pick == -math.inf else (k, j)
+
+
 def best(seq: WeightedSequence, L: RealInput,
          U: Optional[RealInput] = None) -> Optional[Tuple[int, int]]:
     """Densest segment of width in [L, U] (U=None: unbounded) as (start, end)
@@ -246,28 +273,11 @@ def best(seq: WeightedSequence, L: RealInput,
         raise infeasible
     L = math.ceil(L)
     U = None if U is None or U >= total else math.floor(U)
-    import numpy as np
-
-    V, W = seq.int64_prefixes()
-    # Start from the densest shortest feasible segment.
-    pick = -math.inf
-    if W is None:  # all of width L: the largest exact sum
-        for j0 in range(L, n + 1, CHUNK):
-            d = V[j0:j0 + CHUNK] - V[j0 - L:min(j0 + CHUNK, n + 1) - L]
-            t = int(np.argmax(d))
-            if d[t] > pick:
-                pick, k, j = d[t], j0 + t - L, j0 + t
-    else:  # float only picks it
-        for j0, lo, hi in _windows(W, n, L, U):
-            js = slice(j0, j0 + len(hi))
-            dens = (V[js] - V[hi]) / (W[js] - W[hi])
-            dens[hi < lo] = -math.inf
-            t = int(np.argmax(dens))
-            if dens[t] > pick:
-                pick, k, j = dens[t], int(hi[t]), j0 + t
-    if pick == -math.inf:
+    V, W = seq.prefix_arrays()
+    picked = _first_pick(V, W, n, L, U)
+    if picked is None:
         raise infeasible
-
+    k, j = picked
     for _ in range(MAX_ROUNDS):
         keys = _key_line(V, W, *seq._span(k + 1, j))
         top, j, a, z = (_uniform_scan(keys, n, L, U) if W is None

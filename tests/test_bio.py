@@ -110,9 +110,9 @@ class TestMapping:
         assert seq.value(2) == 0
 
     def test_items_stream_into_the_sequence(self, rng):
-        # Only the int64 prefix values stay, 8 bytes per base (unit weights
-        # keep no weight column), beside the record's ASCII codes: no
-        # per-base Python object and no n-long scratch array is built.
+        # Only the int32 prefix values stay, 4 bytes per base (unit weights
+        # keep no weight column): no per-base Python object and no n-long
+        # scratch array or encoded copy of the record is built.
         # numpy's one-off import is not a per-base cost.
         import numpy  # noqa: F401
 
@@ -124,8 +124,25 @@ class TestMapping:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert seq.n == n and seq.int64_prefixes()[1] is None
+        assert seq.n == n and seq.prefix_arrays()[1] is None
         assert peak / n <= 12, f"{peak / n:.1f} B/base"
+
+    def test_prefix_array_is_the_narrowest_exact_dtype(self):
+        # int32 while n * max |score| < 2**31, int64 from there; one array
+        # of exactly n + 1 entries either way.
+        n = fastpath.MIN_FAST_N  # 2**12
+        edge = (1 << 31) // n
+        for spec, dtype in ((MappingSpec.gc01(), "int32"),
+                            (MappingSpec.huang("0.45"), "int32"),
+                            (MappingSpec(edge - 1, 1 - edge, 1), "int32"),
+                            (MappingSpec(edge, 0, 1), "int64"),
+                            (MappingSpec(3, -edge, 1), "int64")):
+            for bases in ("G" * n, "A" * n):
+                seq = map_to_sequence(DnaRecord("s", bases), spec)
+                V, W = seq.prefix_arrays()
+                assert (V.dtype.name, V.base, V.shape, W) == (dtype, None, (n + 1,), None)
+                score = spec.gc_score if bases[0] == "G" else spec.other_score
+                assert seq.prefix_value[-1] == n * score
 
     def test_backend_answer_leaves_the_list_views_unbuilt(self, rng):
         import numpy  # noqa: F401
@@ -183,7 +200,7 @@ class TestMapping:
         monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
         seq = map_to_sequence(DnaRecord("s", "GGGG"), MappingSpec(1 << 62, 0, 1))
         assert seq.prefix_value == [0, 1 << 62, 1 << 63, 3 << 62, 1 << 64]
-        assert seq.int64_prefixes() is None
+        assert seq.prefix_arrays() is None
 
     def test_huang_p_validated(self):
         with pytest.raises(ValueError):
@@ -192,6 +209,37 @@ class TestMapping:
             with pytest.raises(ValueError):
                 MappingSpec.huang(bad)
         assert MappingSpec.huang("0.123456789").scale == 10**9
+
+
+class TestScanFasta:
+    # bio.scan_fasta indexes FASTA bytes without holding them, and
+    # bio.fasta_bases reads a record's bases back; the records are the ones
+    # parse_fasta reads from the decoded text, at every block size.
+    def test_records_match_parse_fasta(self, monkeypatch):
+        data = (b"\n \t>a x \r\nAC G\r\n\r\n\tT>g\n>b\rgg\rNN \n"
+                b" >c\n" + b"ACGTN" * 30 + b"\n")
+        want = [(rec.id, rec.bases) for rec in parse_fasta(data.decode())]
+        for block in (1, 2, 7, 64, bio.FASTA_BLOCK):
+            monkeypatch.setattr(bio, "FASTA_BLOCK", block)
+            reads = []
+
+            def read(at, size):
+                reads.append(size)
+                return data[at:at + size]
+
+            index = bio.scan_fasta(read)
+            assert max(reads) <= block
+            assert [(rid, b"".join(bio.fasta_bases(read, start, end)).decode())
+                    for rid, start, end, _ in index] == want
+            assert [n for *_, n in index] == [len(bases) for _, bases in want]
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\n \n", b"AC\n>a\nGG\n", b">a\n>b\nGG\n", b">a\nGG\n>b", b">a\nGG\n>b\n \n",
+        b">a\nG\x0bG\n", b">a\nG\x0cG\n", b">a\nG\x1cG\n", b">a\nG\x1fG\n",
+        ">a \u00e9\nGG\n".encode(), b">a\nG\xffG\n",
+    ])
+    def test_inputs_parse_fasta_must_read_are_refused(self, data):
+        assert bio.scan_fasta(lambda at, size: data[at:at + size]) is None
 
 
 class TestCompressRuns:
@@ -285,8 +333,8 @@ class TestCompressRuns:
                 arrayed = map_to_sequence(rec, spec)
                 comp = compress_runs(arrayed)
                 assert arrayed._pv is None and comp._pv is None
-                assert arrayed.int64_prefixes()[1] is None
-                assert (comp.int64_prefixes()[1] is None) == comp.is_uniform
+                assert arrayed.prefix_arrays()[1] is None
+                assert (comp.prefix_arrays()[1] is None) == comp.is_uniform
                 monkeypatch.setattr(fastpath, "MIN_FAST_N", n + 1)
                 listed = map_to_sequence(rec, spec)
                 assert stored(arrayed) == stored(listed)
@@ -298,7 +346,7 @@ class TestCompressRuns:
         monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
         big = 1 << 60
         seq = build_sequence([(big, 16), (big, 16), (-big, 16), (-big, 16)])
-        assert seq.int64_prefixes() is not None and not fastpath.eligible(seq)
+        assert seq.prefix_arrays() is not None and not fastpath.eligible(seq)
         assert compress_runs(seq).items == [(2 * big, 32), (-2 * big, 32)]
 
 
@@ -400,11 +448,11 @@ class TestParseTsv:
         text = "# value\tweight\n\n" + "".join(f"{k % 19 - 9}\t1\n# note\n" for k in range(n))
         for data in (text, text.encode()):
             seq = parse_tsv(data)
-            V, W = seq.int64_prefixes()
+            V, W = seq.prefix_arrays()
             assert seq._pv is None and seq.n == n and W is None
             assert (V if V.base is None else V.base).nbytes <= (n + 1) * 8
         seq = parse_tsv(text.replace("\t1\n", "\t2\n"))
-        for col in seq.int64_prefixes():
+        for col in seq.prefix_arrays():
             assert (col if col.base is None else col.base).nbytes <= (n + 1) * 8
 
     @staticmethod

@@ -5,9 +5,10 @@ import random
 import re
 import subprocess
 import sys
-
+import threading
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,18 +223,25 @@ class TestFind:
         path.write_text(">a\nGGGG\n>b\nATAT\n>c\nGCGC\n")
         mapped = 0
         seen = []
-        real_map, real_solve = cli.map_to_sequence, cli.solve
+        real_map, real_stream, real_solve = cli.map_to_sequence, cli.stream_fasta, cli.solve
 
         def counting_map(*a, **kw):
             nonlocal mapped
             mapped += 1
             return real_map(*a, **kw)
 
+        def counting_stream(*a, **kw):  # ASCII FASTA is mapped as it streams
+            nonlocal mapped
+            for rid, seq in real_stream(*a, **kw):
+                mapped += 1
+                yield rid, seq
+
         def recording_solve(*a, **kw):
             seen.append(mapped)
             return real_solve(*a, **kw)
 
         monkeypatch.setattr(cli, "map_to_sequence", counting_map)
+        monkeypatch.setattr(cli, "stream_fasta", counting_stream)
         monkeypatch.setattr(cli, "solve", recording_solve)
         code, _, _ = run_cli(
             ["find", "--input", str(path), "--format", "fasta", "--L", "2", "--U", "4"]
@@ -243,11 +251,15 @@ class TestFind:
 
     def test_input_dropped_before_each_solve(self, tmp_path, monkeypatch):
         # The input text is dropped once it is parsed, and each FASTA record
-        # once it is mapped: no solve runs while either is alive.
+        # once it is mapped: no solve runs while either is alive.  ASCII
+        # FASTA is streamed and holds neither, so it is never read whole;
+        # a non-ASCII header sends the same records through parse_fasta.
         import weakref
 
         fasta = tmp_path / "multi.fa"
         fasta.write_text(">a\nGGGGAT\n>b\nATATGC\n>c\nGCGCAA\n")
+        parsed = tmp_path / "parsed.fa"
+        parsed.write_text(">a \u00e9\nGGGGAT\n>b\nATATGC\n>c\nGCGCAA\n")
         tsv = tmp_path / "in.tsv"
         tsv.write_text("1\t1\n-2\t1\n3\t2\n")
         alive, mapped = set(), []
@@ -269,6 +281,7 @@ class TestFind:
                 return tracked(Text(super().decode(*args, **kwargs)))
 
         def reading(path):
+            assert path != str(fasta), "streamed FASTA is read whole"
             return tracked(Data(real_read(path)))
 
         def mapping(rec, *a, **kw):
@@ -283,7 +296,7 @@ class TestFind:
         monkeypatch.setattr(cli, "_read_input", reading)
         monkeypatch.setattr(cli, "map_to_sequence", mapping)
         monkeypatch.setattr(cli, "solve", solving)
-        for path, fmt in ((fasta, "fasta"), (tsv, "tsv")):
+        for path, fmt in ((fasta, "fasta"), (parsed, "fasta"), (tsv, "tsv")):
             code, out, _ = run_cli(["find", "--input", str(path), "--format", fmt,
                                     "--L", "2", "--U", "4"])
             assert code == 0 and len(out.splitlines()) == (4 if fmt == "fasta" else 2)
@@ -467,6 +480,147 @@ class TestStdinMatchesFile:
             assert from_file[0] == 0 and from_file[1].count(b"\n") == 2
 
 
+def _find_fasta(tmp_path, data, argv, via, block, exact):
+    """(exit code, stdout, stderr) of `find --format fasta` on data read
+    from a file, from stdin's bytes or from a FIFO that a thread writes,
+    with bio.FASTA_BLOCK set to block, and whether the streamed path
+    answered; exact=True sends the input to the exact path (parse_fasta +
+    map_to_sequence) instead."""
+    from maxseg import bio
+
+    streamed = []
+    real_scan = cli.scan_fasta
+
+    def scan(read):
+        index = None if exact else real_scan(read)
+        streamed.append(index is not None)
+        return index
+
+    writer = None
+    if via == "file":
+        path = tmp_path / "in.fa"
+        path.write_bytes(data)
+        source, stdin = str(path), None
+    elif via == "fifo":  # a path that cannot seek, as <(zcat in.fa.gz) gives
+        path = tmp_path / "in.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        source, stdin = str(path), None
+    else:
+        source, stdin = "-", io.TextIOWrapper(io.BytesIO(data))
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdout, sys.stderr, sys.stdin
+    sys.stdout, sys.stderr = out, err
+    if stdin is not None:
+        sys.stdin = stdin
+    try:
+        with mock.patch.object(bio, "FASTA_BLOCK", block), \
+                mock.patch.object(cli, "scan_fasta", scan):
+            code = main(["find", "--input", source, "--format", "fasta"] + argv)
+    finally:
+        sys.stdout, sys.stderr, sys.stdin = saved
+        if writer is not None:
+            writer.join(timeout=30)
+            assert not writer.is_alive(), "find did not read the FIFO to its end"
+            path.unlink()
+    return (code, out.getvalue(), err.getvalue()), streamed == [True]
+
+
+class TestFastaBytes:
+    # FASTA bytes that bio.scan_fasta accepts are streamed into prefix
+    # arrays; the rest take the exact path.  Either way stdout, stderr and
+    # the exit code are the exact path's on a file, through stdin and
+    # through a FIFO (read whole first, since it cannot seek), at every
+    # block size and with every flag.
+    FLAGS = [[], ["--strict"], ["--compress"],
+             ["--strict", "--compress", "--mapping", "huang:0.45", "--exact"]]
+    VIAS = ("file", "stdin") + (("fifo",) if hasattr(os, "mkfifo") else ())
+    LONG = "".join("GCATTAGC"[(k * k) % 8] for k in range(2 * 4096))
+    STREAMED = {
+        "crlf": b">a x\r\nACGTG\r\nGCCAT\r\n>b\r\nGGGCC\r\n",
+        "lone cr": b">a\rACG\rTGC\r>b\rGGA\r",
+        "tabs and spaces": b"\t>a  desc \t\n  AC GT\tGG  \n\t\nGC C \n> b\n A T \n",
+        "space before header": b" >id\nACGT\n  >b\nGGCC\n",
+        "'>' inside a line": b">a\nAC>GT\nGG>\n>b\nG>C\n",
+        "blank lines and lowercase": b"\n\n>a\n\nacgtn\n\nGcGc\n\n>b\nuU\n",
+        "unknown symbols": b">a\nACXGT\n>b\nGG*C\x00\n",
+        "both sides of MIN_FAST_N": (
+            f">short\n{LONG[:4095]}\n>long\n{LONG[:4096]}\n>longer\n{LONG}\n").encode(),
+        "no final line break": b">a\nACGGC",
+    }
+    EXACT = {
+        "vertical tab": b">a\nAC\x0bGT\n",
+        "form feed": b">a\nAC\x0cGT\n",
+        **{f"separator {c:#x}": b">a\nAC" + bytes([c]) + b"GT\n" for c in range(0x1c, 0x20)},
+        "valid non-ascii": ">a é\nACGT\n>b\nGGéC\n".encode(),
+        "invalid utf-8": b">a\nAC\xffGT\n",
+        "empty record": b">a\n>b\nACGT\n",
+        "empty last record": b">a\nACGT\n>b\n  \n",
+        "data before the first header": b"ACGT\n>a\nGG\n",
+        "empty file": b"",
+        "blank file": b" \n\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(STREAMED) + sorted(EXACT))
+    def test_same_output_as_the_exact_path(self, tmp_path, name):
+        data = self.STREAMED.get(name, self.EXACT.get(name))
+        for flags in self.FLAGS:
+            argv = ["--L", "2", "--U", "4"] + flags
+            want, _ = _find_fasta(tmp_path, data, argv, "file", 1 << 16, exact=True)
+            for via in self.VIAS:
+                assert _find_fasta(tmp_path, data, argv, via, 1 << 16, exact=True)[0] == want
+                for block in (1, 7, 64):
+                    got, streamed = _find_fasta(tmp_path, data, argv, via, block, exact=False)
+                    assert got == want, (flags, via, block)
+                    assert streamed == (name in self.STREAMED)
+
+    TOKENS = [b">", b">r", b" >id x", b"\n", b"\r\n", b"\r", b" ", b"\t", b"ACGT", b"GGCC",
+              b"acgtn", b"X", b"\x0b", b"\x1e", "é".encode(), b"\xff", b"\x00"]
+
+    @given(st.lists(st.sampled_from(TOKENS), max_size=40), st.booleans(),
+           st.sampled_from(FLAGS), st.sampled_from(VIAS),
+           st.sampled_from((1, 7, 64)), st.sampled_from((1, 8, 4096)))
+    @settings(max_examples=300, deadline=None)
+    def test_random_bytes_match_the_exact_path(self, tmp_path_factory, tokens, header,
+                                               flags, via, block, min_fast_n):
+        from maxseg import fastpath
+
+        data = (b">r0\n" if header else b"") + b"".join(tokens)
+        argv = ["--L", "2", "--U", "4"] + flags
+        tmp_path = tmp_path_factory.mktemp("fa")
+        with mock.patch.object(fastpath, "MIN_FAST_N", min_fast_n):
+            want, _ = _find_fasta(tmp_path, data, argv, via, block, exact=True)
+            assert _find_fasta(tmp_path, data, argv, via, block, exact=False)[0] == want
+
+    def test_a_file_is_never_held_whole(self, tmp_path):
+        # The first record of a 1e6-base file is mapped at 4 bytes per base
+        # plus a few blocks of scratch: neither the file's bytes (1 byte per
+        # base) nor its text is ever held.
+        import tracemalloc
+
+        import numpy  # noqa: F401  (its one-off import is not ingest)
+
+        n = 10**6
+        rng = random.Random(3)
+        bases = "".join(rng.choices("ACGT", k=n))
+        path = tmp_path / "long.fa"
+        path.write_text(">a\n" + "\n".join(bases[i:i + 60] for i in range(0, n, 60)) + "\n>b\nAC\n")
+        del bases
+        args = cli.build_parser().parse_args(
+            ["find", "--input", str(path), "--format", "fasta", "--L", "2"])
+        tracemalloc.start()
+        try:
+            records = cli._load_records(args)
+            rid, seq = next(records)
+            peak = tracemalloc.get_traced_memory()[1]
+            records.close()
+        finally:
+            tracemalloc.stop()
+        assert (rid, seq.n, seq.prefix_arrays()[0].dtype.name) == ("a", n, "int32")
+        assert peak < 4 * n + 600_000, f"{(peak - 4 * n) / 1e3:.0f} kB above the prefix array"
+
+
 # Runs argv[1:] and prints its peak RSS in kB.  Linux carries a process's
 # resident high-water mark across exec, so a child started straight from the
 # test process would report at least the test process's own peak; started
@@ -493,9 +647,9 @@ class TestPeakMemory:
         return int(proc.stdout)
 
     def test_find_on_a_long_record_peaks_at_few_bytes_per_base(self, tmp_path):
-        # One 2e6-base record: the sequence keeps 8 bytes per base, and the
-        # input text, the record's bases and the backend's rounds add little
-        # on top of an interpreter that has imported numpy and the CLI.
+        # One 2e6-base record: the sequence keeps 4 bytes per base, and the
+        # file is read in blocks, so the input and the backend's rounds add
+        # little on top of an interpreter that has imported numpy and the CLI.
         n = 2_000_000
         rng = random.Random(11)
         bases = "".join(rng.choices("ACGT", k=n))
@@ -506,7 +660,7 @@ class TestPeakMemory:
         find = self._peak_kb("-m", "maxseg", "find", "--input", str(path), "--format", "fasta",
                              "--L", "100", "--U", "200")
         per_base = (find - base) * 1024 / n
-        assert per_base <= 14, f"{per_base:.1f} B/base above the import baseline"
+        assert per_base <= 6, f"{per_base:.1f} B/base above the import baseline"
 
     def test_find_on_a_long_weighted_tsv_peaks_at_few_bytes_per_row(self, tmp_path):
         # 5e5 decimal rows, weights 1.0-3.0 and one in a thousand wider than

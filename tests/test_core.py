@@ -101,11 +101,11 @@ class TestBuildSequence:
 
     def test_int64_prefixes_only_for_int64_columns(self):
         seq = build_sequence([(2, 1), (-5, 3)])
-        V, W = seq.int64_prefixes()
+        V, W = seq.prefix_arrays()
         assert (V.tolist(), W.tolist(), str(V.dtype)) == ([0, 2, -3], [0, 1, 4], "int64")
-        assert seq.int64_prefixes()[0] is V  # built once
-        assert build_sequence([(1, 1), (Fraction(1, 2), 1)]).int64_prefixes() is None
-        assert build_sequence([(1, 1 << 63)]).int64_prefixes() is None
+        assert seq.prefix_arrays()[0] is V  # built once
+        assert build_sequence([(1, 1), (Fraction(1, 2), 1)]).prefix_arrays() is None
+        assert build_sequence([(1, 1 << 63)]).prefix_arrays() is None
 
     def test_array_storage_answers_without_lists(self):
         import numpy as np

@@ -767,6 +767,93 @@ class TestBlockMin:
         self._check(B, lo, hi)
 
 
+class TestNarrowStore:
+    # A sequence may keep its prefix arrays as int32.  The backend forms
+    # every key and every difference in int64, so an int32 store gives the
+    # int64 store's answer, even with prefixes within 1000 of +-(2**31 - 1),
+    # where a key or difference formed in int32 would wrap.
+    EDGE = (1 << 31) - 1
+
+    @classmethod
+    def _walk(cls, rng, n):
+        """n + 1 prefix values from 0 that jump near both edges of int32."""
+        V = [0]
+        for _ in range(n):
+            r = rng.random()
+            if r < 0.1:
+                V.append(rng.choice((1, -1)) * (cls.EDGE - rng.randrange(1000)))
+            else:
+                V.append(max(-cls.EDGE, min(cls.EDGE, V[-1] + rng.randint(-9, 9))))
+        return V
+
+    @staticmethod
+    def _stores(V, W, weights):
+        """The same sequence stored as int64 and as int32 arrays."""
+        import numpy as np
+
+        from maxseg.core import WeightedSequence
+
+        lo, hi = min(weights), max(weights)
+        return [WeightedSequence(np.array(V, dtype=dt),
+                                 None if W is None else np.array(W, dtype=dt),
+                                 is_uniform=W is None, min_weight=lo, max_weight=hi)
+                for dt in (np.int64, np.int32)]
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_best_equal_on_both_stores(self, rng, monkeypatch, weighted):
+        monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
+        for chunk in (1, 7, fastpath.CHUNK):
+            monkeypatch.setattr(fastpath, "CHUNK", chunk)
+            for _ in range(40):
+                n = rng.randint(2, 160)
+                weights = [rng.choice((1, 2, 3)) if weighted else 1 for _ in range(n)]
+                W = [0]
+                for w in weights:
+                    W.append(W[-1] + w)
+                wide, narrow = self._stores(self._walk(rng, n), W if weighted else None, weights)
+                assert fastpath.eligible(wide) and fastpath.eligible(narrow)
+                L = rng.randint(1, W[-1])
+                U = rng.choice((None, rng.randint(L, W[-1] + 2)))
+                want = fastpath.best(wide, L, U)
+                assert want is not None
+                assert fastpath.best(narrow, L, U) == want, (chunk, n, L, U)
+                # the rounds would mend a wrong first pick: check it apart
+                U = None if U is None or U >= W[-1] else U
+                assert fastpath._first_pick(*narrow.prefix_arrays(), n, L, U) == \
+                    fastpath._first_pick(*wide.prefix_arrays(), n, L, U)
+
+    def test_span_density_and_compress_runs_on_an_int32_store(self, rng, monkeypatch):
+        from maxseg import compress_runs
+
+        monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
+        # -5 and 2**32 - 5 are one int32 value apart from each other: runs
+        # found in int32 would merge items 2 and 3.
+        edge = -self.EDGE + 1
+        cases = [([0, edge, edge + (1 << 32) - 5, edge + (1 << 32) - 10], None, [1] * 3)]
+        for _ in range(30):
+            n = rng.randint(2, 60)
+            weights = [rng.choice((1, 2)) for _ in range(n)]
+            W = [0]
+            for w in weights:
+                W.append(W[-1] + w)
+            cases.append((self._walk(rng, n), rng.choice((None, W)), weights))
+        for V, W, weights in cases:
+            if W is None:
+                weights = [1] * (len(V) - 1)
+            wide, narrow = self._stores(V, W, weights)
+            n = wide.n
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    assert narrow._span(i, j) == wide._span(i, j) == (
+                        V[j] - V[i - 1], j - i + 1 if W is None else W[j] - W[i - 1])
+                    assert density(narrow, i, j) == density(wide, i, j)
+            merged = compress_runs(narrow)
+            assert merged.prefix_arrays()[0].dtype.name == "int32"
+            assert (merged.prefix_value, merged.prefix_weight) == (
+                compress_runs(wide).prefix_value, compress_runs(wide).prefix_weight)
+        assert compress_runs(self._stores(*cases[0])[1]).n == 3
+
+
 class TestRoundScratch:
     # A round forms its keys a chunk at a time, so beyond the sequence's own
     # prefix arrays fastpath.best holds O(CHUNK + window) memory, whatever n.
@@ -800,6 +887,29 @@ class TestRoundScratch:
         small, large = (self._peak(n, weighted, L, U) for n in (10**5, 10**6))
         assert max(small, large) <= 3_000_000, (small, large)
         assert large <= 1.5 * small, (small, large)
+
+    def test_unit_lane_on_a_gc_record_holds_three_chunks(self):
+        # A 250k-base GC record (int32 prefixes, [100, 200]): a chunk's keys
+        # and its doubling are freed before the next chunk's are formed, so
+        # a round holds its gains and two levels, CHUNK + 100 keys each.
+        import tracemalloc
+
+        import numpy as np
+
+        from maxseg.core import WeightedSequence
+
+        n = 250_000
+        rng = np.random.default_rng(7)
+        V = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(rng.random(n) < 0.4, out=V[1:])
+        seq = WeightedSequence(V, None, is_uniform=True, min_weight=1, max_weight=1)
+        tracemalloc.start()
+        try:
+            assert fastpath.best(seq, 100, 200) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 450_000, peak
 
 
 class TestEdgeProfiles:
