@@ -11,8 +11,9 @@ from . import fastpath
 from .core import SCALE_CAP_DIGITS, WeightedSequence, build_sequence, exact_decimal
 from .errors import MalformedFasta, MalformedTsv, UnknownSymbol
 
-_KNOWN_BASES = set("ACGTUNacgtun")
-_GC_BASES = set("GCgc")
+# Symbol codes: the known bases, and those that score as GC.
+_KNOWN_BASES = frozenset(b"ACGTUNacgtun")
+_GC_BASES = frozenset(b"GCgc")
 
 
 @dataclass(frozen=True)
@@ -108,78 +109,73 @@ def map_to_sequence(
     Records long enough for the numpy backend (``fastpath.MIN_FAST_N`` bases)
     are mapped straight into a prefix array, int32 when every prefix fits
     int32 and int64 when every prefix fits int64; shorter ones stream into
-    prefix lists without importing numpy.
+    prefix lists without importing numpy.  :func:`read_fasta` maps the
+    records it streams the same way.
     """
-    n = len(rec.bases)
-    dtype = prefix_dtype(n, spec)
-    if dtype is not None:
-        # One byte per symbol: every non-ASCII symbol becomes '?', neither
-        # GC nor known, and a refusal names the symbol itself.
-        pieces = (rec.bases[c:c + FASTA_BLOCK].encode("ascii", errors="replace")
-                  for c in range(0, n, FASTA_BLOCK))
-        try:
-            return bases_to_sequence(pieces, n, spec, strict, dtype)
-        except UnknownSymbol as exc:
-            raise UnknownSymbol(rec.bases[exc.position - 1], exc.position) from None
-    return _bases_to_lists(rec.bases, spec, strict)
+    # One byte per symbol: every non-ASCII symbol becomes '?', neither GC
+    # nor known, and a refusal names the symbol itself.
+    pieces = (rec.bases[c:c + FASTA_BLOCK].encode("ascii", errors="replace")
+              for c in range(0, len(rec.bases), FASTA_BLOCK))
+    try:
+        return _map_bases(pieces, len(rec.bases), spec, strict)
+    except UnknownSymbol as exc:
+        raise UnknownSymbol(rec.bases[exc.position - 1], exc.position) from None
 
 
-def _bases_to_lists(bases: str, spec: MappingSpec, strict: bool) -> WeightedSequence:
-    """map_to_sequence's list path: the bases scored one at a time into
-    prefix lists, with no numpy."""
-    if strict:
-        for pos, ch in enumerate(bases, start=1):
-            if ch not in _KNOWN_BASES:
-                raise UnknownSymbol(ch, pos)
-    gc_score, other_score = spec.gc_score, spec.other_score
-    items = ((gc_score if ch in _GC_BASES else other_score, 1) for ch in bases)
-    return build_sequence(items, value_scale=spec.scale)
+def _map_bases(pieces: Iterable[bytes], n: int, spec: MappingSpec,
+               strict: bool) -> WeightedSequence:
+    """The unit-weight sequence of one record's n bases, which arrive as
+    one-byte symbol codes in pieces of at most ``FASTA_BLOCK`` bytes.
+    Strict mode raises UnknownSymbol at the first code outside A/C/G/T/U/N.
 
-
-def prefix_dtype(n: int, spec: MappingSpec) -> Optional[str]:
-    """The narrowest exact dtype of an n-base record's prefix array: 'int32'
-    or 'int64' when every prefix fits it, None for a record shorter than
-    ``fastpath.MIN_FAST_N`` or one whose prefixes may leave int64, which
-    map_to_sequence keeps in lists."""
+    A record of at least ``fastpath.MIN_FAST_N`` bases is scored through
+    256-entry tables, a piece at a time with a carry, into one prefix array
+    allocated at its exact size in the narrowest exact dtype: int32 when
+    every prefix fits int32, int64 when every prefix fits int64.  A shorter
+    record, or one whose prefixes may leave int64, is scored into prefix
+    lists without importing numpy.
+    """
     top = n * max(abs(spec.gc_score), abs(spec.other_score))
     if n < fastpath.MIN_FAST_N or top >= 1 << 63:
-        return None
-    return "int32" if top < 1 << 31 else "int64"
-
-
-def bases_to_sequence(pieces: Iterable[bytes], n: int, spec: MappingSpec, strict: bool,
-                      dtype: str) -> WeightedSequence:
-    """The unit-weight sequence of n bases that arrive as one-byte symbol
-    codes in pieces, scored through 256-entry tables into one prefix array
-    of ``dtype`` allocated at its exact size, ``fastpath.CHUNK`` codes at a
-    time with a carry.  Strict mode raises UnknownSymbol at the first code
-    outside A/C/G/T/U/N."""
+        return _bases_to_lists(b"".join(pieces), spec, strict)
     import numpy as np
 
+    dtype = "int32" if top < 1 << 31 else "int64"
     scores = np.full(256, spec.other_score, dtype=dtype)
-    scores[[ord(ch) for ch in _GC_BASES]] = spec.gc_score
+    scores[list(_GC_BASES)] = spec.gc_score
     known = np.zeros(256, dtype=bool)
-    known[[ord(ch) for ch in _KNOWN_BASES]] = True
+    known[list(_KNOWN_BASES)] = True
     V = np.empty(n + 1, dtype=dtype)
     V[0] = at = 0
     for piece in pieces:
         codes = np.frombuffer(piece, dtype=np.uint8)
-        for c in range(0, len(codes), fastpath.CHUNK):
-            part = codes[c:c + fastpath.CHUNK]
-            if strict and not known[part].all():
-                bad = int(np.argmin(known[part]))
-                raise UnknownSymbol(chr(part[bad]), at + c + bad + 1)
-            out = V[at + c + 1:at + c + 1 + len(part)]
-            np.cumsum(scores[part], dtype=dtype, out=out)
-            out += V[at + c]
+        if strict and not known[codes].all():
+            bad = int(np.argmin(known[codes]))
+            raise UnknownSymbol(chr(codes[bad]), at + bad + 1)
+        out = V[at + 1:at + 1 + len(codes)]
+        np.cumsum(scores[codes], dtype=dtype, out=out)
+        out += V[at]
         at += len(codes)
     return WeightedSequence(V, None, value_scale=spec.scale, is_uniform=True,
                             min_weight=1, max_weight=1)
 
 
-# Bytes of FASTA input scan_fasta and fasta_bases read at once.  It bounds
-# the ingest scratch: on a 250k-base record, 64 KiB blocks peaked 0.3 MB
-# higher in RSS than 16 KiB ones, and smaller blocks saved nothing more.
+def _bases_to_lists(bases: bytes, spec: MappingSpec, strict: bool) -> WeightedSequence:
+    """_map_bases's list path: the symbol codes scored one at a time into
+    prefix lists, with no numpy."""
+    if strict:
+        for pos, c in enumerate(bases, start=1):
+            if c not in _KNOWN_BASES:
+                raise UnknownSymbol(chr(c), pos)
+    gc_score, other_score = spec.gc_score, spec.other_score
+    items = ((gc_score if c in _GC_BASES else other_score, 1) for c in bases)
+    return build_sequence(items, value_scale=spec.scale)
+
+
+# Bytes of FASTA input scan_fasta and fasta_bases read at once, and bases
+# map_to_sequence encodes at once.  It bounds the ingest scratch: on a
+# 250k-base record, 64 KiB blocks peaked 0.3 MB higher in RSS than 16 KiB
+# ones, and smaller blocks saved nothing more.
 FASTA_BLOCK = 1 << 14
 
 # What str.strip() and str.split() strip from ASCII FASTA text here: every
@@ -264,21 +260,36 @@ def fasta_bases(read, start: int, end: int) -> Iterator[bytes]:
         yield read(at, min(FASTA_BLOCK, end - at)).translate(None, _FASTA_SPACE)
 
 
-def stream_fasta(read, index: List[Tuple[str, int, int, int]], spec: MappingSpec,
-                 strict: bool = False) -> Iterator[Tuple[str, WeightedSequence]]:
-    """Yield (id, sequence) per record of the FASTA input that
-    ``scan_fasta(read)`` indexed, each mapped only when asked for and as
-    map_to_sequence maps it: a record's bases are read again through
-    :func:`fasta_bases`, and a long record goes straight into its prefix
-    array, so a caller that drops each sequence before the next holds one
-    record at a time."""
+def read_fasta(src: IO[bytes], spec: MappingSpec,
+               strict: bool = False) -> Iterator[Tuple[str, WeightedSequence]]:
+    """Yield (id, sequence) per record of the FASTA bytes in src, a binary
+    file that can seek, each mapped only when asked for, so a caller that
+    drops each sequence before the next holds one record at a time.
+
+    When :func:`scan_fasta` accepts the input, each record's bases are read
+    again through :func:`fasta_bases` and mapped as they arrive: the input
+    is never held whole.  Any other input is read whole, decoded as strict
+    UTF-8 and parsed by :func:`parse_fasta`, and each record is mapped by
+    :func:`map_to_sequence`; the text is dropped once it is parsed and each
+    record once it is mapped.  Both give the same records, sequences and
+    errors.
+    """
+    def read(at: int, size: int) -> bytes:
+        src.seek(at)
+        return src.read(size)
+
+    index = scan_fasta(read)
+    if index is None:
+        src.seek(0)
+        records = parse_fasta(src.read().decode("utf-8"))
+        records.reverse()  # popped from the end: first record first
+        while records:
+            seq = map_to_sequence(records[-1], spec, strict=strict)
+            yield records.pop().id, seq  # the record is dropped before the yield
+            del seq  # before the next record is mapped
+        return
     for rid, start, end, n in index:
-        pieces = fasta_bases(read, start, end)
-        dtype = prefix_dtype(n, spec)
-        if dtype is None:
-            seq = _bases_to_lists(b"".join(pieces).decode("ascii"), spec, strict)
-        else:
-            seq = bases_to_sequence(pieces, n, spec, strict, dtype)
+        seq = _map_bases(fasta_bases(read, start, end), n, spec, strict)
         yield rid, seq
         del seq  # before the next record is mapped
 

@@ -1,12 +1,14 @@
 """Command-line front end: find segments, verify against the oracle, bench.
 
+`find` checks its flags, then opens its input once as a binary file that
+can seek, for :func:`maxseg.bio.read_fasta` or :func:`maxseg.bio.parse_tsv`.
+
 Exit codes: 0 success, 1 parse/numeric error, 2 no feasible segment.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import io
 import random
@@ -15,17 +17,9 @@ import sys
 import time
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
-from typing import IO, Iterator, List, Optional, Tuple, Union
+from typing import IO, Iterator, List, Optional, Tuple
 
-from .bio import (
-    MappingSpec,
-    compress_runs,
-    map_to_sequence,
-    parse_fasta,
-    parse_tsv,
-    scan_fasta,
-    stream_fasta,
-)
+from .bio import MappingSpec, compress_runs, parse_tsv, read_fasta
 from .core import (
     MAX_INTEGER_DIGITS,
     SCALE_CAP_DIGITS,
@@ -66,13 +60,19 @@ def _snap(bound: Decimal, scale: int, rounding: str) -> int:
     return int(ctx.multiply(bound, scale).to_integral_value(rounding=rounding))
 
 
-def _read_input(path: str) -> Union[str, bytes]:
-    """The input's bytes, from the file or from stdin's binary buffer; a
-    stdin with no buffer (an in-memory text stream) is read as text."""
+def _open_input(path: str) -> IO[bytes]:
+    """The input as a binary file that can seek: the file itself when it
+    can, otherwise (stdin, a pipe, a FIFO) its bytes, read whole into a
+    BytesIO.  A stdin with no buffer (an in-memory text stream) is encoded
+    as UTF-8."""
     if path != "-":
-        with open(path, "rb") as fh:
-            return fh.read()
-    return getattr(sys.stdin, "buffer", sys.stdin).read()
+        fh = open(path, "rb")
+        if fh.seekable():
+            return fh
+        with fh:
+            return io.BytesIO(fh.read())
+    buffer = getattr(sys.stdin, "buffer", None)
+    return io.BytesIO(sys.stdin.read().encode() if buffer is None else buffer.read())
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +112,6 @@ class SegmentReport:
                 f"\t{self.width}\t{self.sum}\t{self.density}")
 
 
-def _mapping_from_flag(text: str) -> MappingSpec:
-    if text == "gc":
-        return MappingSpec.gc01()
-    if text.startswith("huang:"):
-        return MappingSpec.huang(text.split(":", 1)[1])
-    raise ValueError(f"--mapping: expected 'gc' or 'huang:P', got {text!r}")
-
-
 def _dump_structures(seq: WeightedSequence, L_scaled, err: IO[str]) -> None:
     total = seq.prefix_weight[seq.n]
     bounds = compute_bounds(seq, min(L_scaled, total), total)
@@ -128,54 +120,26 @@ def _dump_structures(seq: WeightedSequence, L_scaled, err: IO[str]) -> None:
 
 
 def _load_records(args) -> Iterator[Tuple[str, WeightedSequence]]:
-    """Yield (record id, sequence) one record at a time: FASTA records are
-    mapped only when asked for, so a caller that drops each sequence before
-    the next holds one at a time.  The input text is dropped once it is
-    parsed, and each record's bases once they are mapped.  ASCII TSV input
-    is parsed from its bytes, and FASTA bytes that :func:`scan_fasta`
-    accepts are streamed (:func:`stream_fasta`): a file that can seek is
-    read in blocks and never held whole; stdin, a pipe or a FIFO is read
-    whole first.  Any other input is read whole and decoded as strict UTF-8
-    first, so a file and stdin give the same answer or the same error."""
-    text = _read_input("-") if args.input == "-" else None
-    if args.format == "fasta" and not isinstance(text, str):
-        with open(args.input, "rb") if text is None else contextlib.nullcontext() as fh:
-            if text is None and not fh.seekable():  # a pipe or a FIFO
-                text = fh.read()
-            src = fh if text is None else io.BytesIO(text)
-
-            def read(at: int, size: int) -> bytes:
-                src.seek(at)
-                return src.read(size)
-
-            index = scan_fasta(read)
-            if index is not None:
-                spec = _mapping_from_flag(args.mapping)
-                yield from stream_fasta(read, index, spec, args.strict)
-                return
-    if text is None:
-        text = _read_input(args.input)
-    if isinstance(text, bytes) and not (args.format == "tsv" and text.isascii()):
-        text = text.decode("utf-8")
+    """Yield (record id, sequence) one record at a time, as
+    :func:`maxseg.bio.read_fasta` yields FASTA records, or the one TSV
+    sequence.  The flags are checked before the input is opened, so a flag
+    error comes before any input error."""
     if args.format == "tsv":
         if args.mapping != "gc":
             raise ValueError("--mapping applies to FASTA input only")
         if args.strict:
             raise ValueError("--strict applies to FASTA input only")
-        seq = parse_tsv(text)
-        del text
-        yield "r1", seq
-        return
-    spec = _mapping_from_flag(args.mapping)
-    records = parse_fasta(text)
-    del text
-    records.reverse()  # popped from the end: first record first
-    while records:
-        rec = records.pop()
-        rid, seq = rec.id, map_to_sequence(rec, spec, strict=args.strict)
-        del rec
-        yield rid, seq
-        del seq  # before the next record is mapped
+    elif args.mapping == "gc":
+        spec = MappingSpec.gc01()
+    elif args.mapping.startswith("huang:"):
+        spec = MappingSpec.huang(args.mapping.split(":", 1)[1])
+    else:
+        raise ValueError(f"--mapping: expected 'gc' or 'huang:P', got {args.mapping!r}")
+    with _open_input(args.input) as src:
+        if args.format == "fasta":
+            yield from read_fasta(src, spec, args.strict)
+        else:
+            yield "r1", parse_tsv(src.read())
 
 
 def cmd_find(args, out: IO[str], err: IO[str]) -> int:
@@ -270,6 +234,9 @@ def _verify_one(seed: int, model: str, max_n: int, fixed_lu) -> Tuple[bool, str]
 
 
 def cmd_verify(args, out: IO[str], err: IO[str]) -> int:
+    for flag, value in (("--seeds", args.seeds), ("--max-n", args.max_n)):
+        if value < 1:
+            raise ValueError(f"{flag}: expected at least 1, got {value}")
     fixed_lu = None
     if args.L_U != "random":
         msg = f"--L-U: expected 'random' or 'fixed:L,U' with integers 0 < L <= U, got {args.L_U!r}"
@@ -344,6 +311,11 @@ def cmd_bench(args, out: IO[str], err: IO[str]) -> int:
     sizes = _bench_sizes(args.sizes)
     if args.repeat < 1:
         raise ValueError(f"--repeat: expected at least 1, got {args.repeat}")
+    if args.L is not None and args.L < 1:
+        raise ValueError(f"--L: expected at least 1, got {args.L}")
+    top_L = args.L if args.L is not None else max(1, max(sizes) // 100)
+    if args.U is not None and args.algo != "l-only" and args.U < top_L:
+        raise ValueError(f"--U: expected at least L={top_L}, got {args.U}")
     out.write("algo,n,L,U,wall_nanos,loop_iterations\n")
     for n in sizes:
         rng = random.Random(args.seed)

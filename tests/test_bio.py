@@ -171,8 +171,8 @@ class TestMapping:
         for _ in range(40):
             n = rng.randint(1, 300)
             rec = DnaRecord("r", "".join(rng.choice(self.ALPHABET) for _ in range(n)))
-            # the array path scores CHUNK bases at a time
-            monkeypatch.setattr(fastpath, "CHUNK", rng.choice((1, 7, 64, 16384)))
+            # the record arrives FASTA_BLOCK bases at a time
+            monkeypatch.setattr(bio, "FASTA_BLOCK", rng.choice((1, 7, 64, 16384)))
             paths = []
             for min_fast_n in (1, n + 1):  # the array path, then the list path
                 monkeypatch.setattr(fastpath, "MIN_FAST_N", min_fast_n)

@@ -219,42 +219,43 @@ class TestFind:
         assert ids == ["a", "b", "c"]
 
     def test_records_mapped_and_solved_one_at_a_time(self, tmp_path, monkeypatch):
-        path = tmp_path / "multi.fa"
-        path.write_text(">a\nGGGG\n>b\nATAT\n>c\nGCGC\n")
+        # Streamed and parsed records alike are mapped by bio._map_bases.
+        from maxseg import bio
+
         mapped = 0
         seen = []
-        real_map, real_stream, real_solve = cli.map_to_sequence, cli.stream_fasta, cli.solve
+        real_map, real_solve = bio._map_bases, cli.solve
 
         def counting_map(*a, **kw):
             nonlocal mapped
             mapped += 1
             return real_map(*a, **kw)
 
-        def counting_stream(*a, **kw):  # ASCII FASTA is mapped as it streams
-            nonlocal mapped
-            for rid, seq in real_stream(*a, **kw):
-                mapped += 1
-                yield rid, seq
-
         def recording_solve(*a, **kw):
             seen.append(mapped)
             return real_solve(*a, **kw)
 
-        monkeypatch.setattr(cli, "map_to_sequence", counting_map)
-        monkeypatch.setattr(cli, "stream_fasta", counting_stream)
+        monkeypatch.setattr(bio, "_map_bases", counting_map)
         monkeypatch.setattr(cli, "solve", recording_solve)
-        code, _, _ = run_cli(
-            ["find", "--input", str(path), "--format", "fasta", "--L", "2", "--U", "4"]
-        )
-        assert code == 0
-        assert seen == [1, 2, 3]  # the k-th solve follows exactly k mappings
+        for header in (">a", ">a \u00e9"):  # streamed, then through parse_fasta
+            path = tmp_path / "multi.fa"
+            path.write_text(f"{header}\nGGGG\n>b\nATAT\n>c\nGCGC\n")
+            mapped, seen = 0, []
+            code, _, _ = run_cli(
+                ["find", "--input", str(path), "--format", "fasta", "--L", "2", "--U", "4"]
+            )
+            assert code == 0
+            assert seen == [1, 2, 3]  # the k-th solve follows exactly k mappings
 
     def test_input_dropped_before_each_solve(self, tmp_path, monkeypatch):
-        # The input text is dropped once it is parsed, and each FASTA record
-        # once it is mapped: no solve runs while either is alive.  ASCII
-        # FASTA is streamed and holds neither, so it is never read whole;
-        # a non-ASCII header sends the same records through parse_fasta.
+        # The input bytes and text are dropped once they are parsed, and
+        # each FASTA record once it is mapped: no solve runs while any is
+        # alive.  ASCII FASTA is streamed and holds neither, so it is never
+        # read whole; a non-ASCII header sends the same records through
+        # bio.parse_fasta and bio.map_to_sequence.
         import weakref
+
+        from maxseg import bio
 
         fasta = tmp_path / "multi.fa"
         fasta.write_text(">a\nGGGGAT\n>b\nATATGC\n>c\nGCGCAA\n")
@@ -263,7 +264,7 @@ class TestFind:
         tsv = tmp_path / "in.tsv"
         tsv.write_text("1\t1\n-2\t1\n3\t2\n")
         alive, mapped = set(), []
-        real_read, real_map, real_solve = cli._read_input, cli.map_to_sequence, cli.solve
+        real_open, real_map, real_solve = cli._open_input, bio.map_to_sequence, cli.solve
 
         def tracked(obj):
             alive.add(id(obj))
@@ -273,28 +274,43 @@ class TestFind:
             def __del__(self):
                 alive.discard(id(self))
 
-        class Data(bytes):  # a file comes as its bytes; FASTA is decoded
+        class Data(bytes):  # the input read whole; parsers decode it
             def __del__(self):
                 alive.discard(id(self))
 
             def decode(self, *args, **kwargs):
                 return tracked(Text(super().decode(*args, **kwargs)))
 
-        def reading(path):
-            assert path != str(fasta), "streamed FASTA is read whole"
-            return tracked(Data(real_read(path)))
+        class Source:
+            def __init__(self, path):
+                self.path, self.fh = path, real_open(path)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def seek(self, at):
+                return self.fh.seek(at)
+
+            def read(self, size=-1):
+                if size is not None and size >= 0:
+                    return self.fh.read(size)
+                assert self.path != str(fasta), "streamed FASTA is read whole"
+                return tracked(Data(self.fh.read()))
 
         def mapping(rec, *a, **kw):
             mapped.append(weakref.ref(rec))
             return real_map(rec, *a, **kw)
 
         def solving(*a, **kw):
-            assert not alive, "the input text is alive during a solve"
+            assert not alive, "the input bytes or text are alive during a solve"
             assert all(ref() is None for ref in mapped), "a record is alive during a solve"
             return real_solve(*a, **kw)
 
-        monkeypatch.setattr(cli, "_read_input", reading)
-        monkeypatch.setattr(cli, "map_to_sequence", mapping)
+        monkeypatch.setattr(cli, "_open_input", Source)
+        monkeypatch.setattr(bio, "map_to_sequence", mapping)
         monkeypatch.setattr(cli, "solve", solving)
         for path, fmt in ((fasta, "fasta"), (parsed, "fasta"), (tsv, "tsv")):
             code, out, _ = run_cli(["find", "--input", str(path), "--format", fmt,
@@ -353,6 +369,18 @@ class TestFind:
         assert code == 1
         assert out == ""
         assert err == "error: ValueError: --strict applies to FASTA input only\n"
+
+    @pytest.mark.parametrize("argv, msg", [
+        (["--format", "fasta", "--mapping", "at"],
+         "--mapping: expected 'gc' or 'huang:P', got 'at'"),
+        (["--format", "fasta", "--mapping", "huang:2"], "huang p must lie in [0, 1], got 2"),
+        (["--format", "tsv", "--mapping", "huang:0.4"], "--mapping applies to FASTA input only"),
+        (["--format", "tsv", "--strict"], "--strict applies to FASTA input only"),
+    ], ids=["fasta-mapping", "fasta-huang-p", "tsv-mapping", "tsv-strict"])
+    def test_flag_errors_come_before_a_missing_input(self, tmp_path, argv, msg):
+        missing = str(tmp_path / "missing.txt")
+        assert run_cli(["find", "--input", missing, "--L", "2"] + argv) == (
+            1, "", f"error: ValueError: {msg}\n")
 
     def test_reported_density_recomputes_from_reported_fields(self):
         # rendered density always equals sum/width of the reported endpoints
@@ -433,12 +461,13 @@ class TestTsvFiles:
                        stdin=self.CASES[name].decode()) == (0, self.ANSWER, "")
 
     @pytest.mark.parametrize("mapping", [[], ["--mapping", "huang:0.4"]])
-    def test_invalid_utf8_is_refused_before_the_flags(self, tmp_path, mapping):
+    def test_invalid_utf8_is_refused_after_the_flags(self, tmp_path, mapping):
         path = tmp_path / "in.tsv"
         path.write_bytes(self.CASES["lf"] + b"# \xff bad\n")
         assert run_cli(["find", "--input", str(path)] + self.ARGV + mapping) == (
-            1, "", "error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff "
-                   "in position 47515: invalid start byte\n")
+            1, "", "error: ValueError: --mapping applies to FASTA input only\n" if mapping
+            else "error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff "
+                 "in position 47515: invalid start byte\n")
 
     def test_mapping_refused_on_a_valid_file(self, tmp_path):
         path = tmp_path / "in.tsv"
@@ -489,7 +518,7 @@ def _find_fasta(tmp_path, data, argv, via, block, exact):
     from maxseg import bio
 
     streamed = []
-    real_scan = cli.scan_fasta
+    real_scan = bio.scan_fasta
 
     def scan(read):
         index = None if exact else real_scan(read)
@@ -516,7 +545,7 @@ def _find_fasta(tmp_path, data, argv, via, block, exact):
         sys.stdin = stdin
     try:
         with mock.patch.object(bio, "FASTA_BLOCK", block), \
-                mock.patch.object(cli, "scan_fasta", scan):
+                mock.patch.object(bio, "scan_fasta", scan):
             code = main(["find", "--input", source, "--format", "fasta"] + argv)
     finally:
         sys.stdout, sys.stderr, sys.stdin = saved
@@ -607,14 +636,15 @@ class TestFastaBytes:
         path = tmp_path / "long.fa"
         path.write_text(">a\n" + "\n".join(bases[i:i + 60] for i in range(0, n, 60)) + "\n>b\nAC\n")
         del bases
-        args = cli.build_parser().parse_args(
-            ["find", "--input", str(path), "--format", "fasta", "--L", "2"])
+        from maxseg import MappingSpec, bio
+
         tracemalloc.start()
         try:
-            records = cli._load_records(args)
-            rid, seq = next(records)
-            peak = tracemalloc.get_traced_memory()[1]
-            records.close()
+            with open(path, "rb") as fh:
+                records = bio.read_fasta(fh, MappingSpec.gc01())
+                rid, seq = next(records)
+                peak = tracemalloc.get_traced_memory()[1]
+                records.close()
         finally:
             tracemalloc.stop()
         assert (rid, seq.n, seq.prefix_arrays()[0].dtype.name) == ("a", n, "int32")
@@ -776,6 +806,15 @@ class TestVerify:
         assert err.startswith("error: ValueError: --L-U: ")
         assert repr(text) in err
 
+    @pytest.mark.parametrize("argv, msg", [
+        (["--max-n", "0"], "--max-n: expected at least 1, got 0"),
+        (["--max-n", "-5"], "--max-n: expected at least 1, got -5"),
+        (["--seeds", "0"], "--seeds: expected at least 1, got 0"),
+        (["--seeds", "-2"], "--seeds: expected at least 1, got -2"),
+    ], ids=["max-n-0", "max-n-neg", "seeds-0", "seeds-neg"])
+    def test_counts_below_one_refused_before_output(self, argv, msg):
+        assert run_cli(["verify"] + argv) == (1, "", f"error: ValueError: {msg}\n")
+
     def test_mutant_comparator_caught(self, monkeypatch):
         # a broken solver must produce a counterexample seed and exit nonzero
         def mutant(req, **kw):
@@ -848,6 +887,11 @@ class TestBench:
         (["--sizes", "abc"], "--sizes"),
         (["--sizes", "1e3,"], "--sizes"),
         (["--sizes", "10", "--repeat", "0"], "--repeat"),
+        (["--sizes", "100", "--L", "0"], "--L"),
+        (["--sizes", "100", "--algo", "general-lu", "--L", "-3"], "--L"),
+        (["--sizes", "100", "--algo", "uniform-lu", "--L", "5", "--U", "2"], "--U"),
+        (["--sizes", "100", "--algo", "general-lu", "--U", "0"], "--U"),
+        (["--sizes", "50,1000", "--algo", "uniform-lu", "--U", "5"], "--U"),  # L defaults to 10
     ])
     def test_bad_sizes_and_repeat_refused_before_output(self, argv, flag):
         code, out, err = run_cli(["bench", "--algo", "l-only", *argv])
