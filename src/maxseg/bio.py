@@ -8,7 +8,7 @@ from decimal import Decimal
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 from . import fastpath
-from .core import SCALE_CAP_DIGITS, WeightedSequence, build_sequence, exact_decimal
+from .core import SCALE_CAP_DIGITS, WeightedSequence, _merge_spans, build_sequence, exact_decimal
 from .errors import MalformedFasta, MalformedTsv, UnknownSymbol
 
 # Symbol codes: the known bases, and those that score as GC.
@@ -322,10 +322,9 @@ def compress_runs(seq: WeightedSequence) -> WeightedSequence:
                                 weight_scale=seq.weight_scale, is_uniform=lo == hi == 1,
                                 min_weight=lo, max_weight=hi)
     pv, pw = seq.prefix_value, seq.prefix_weight
-    keep = [0] + [i for i in range(1, n) if (pv[i] - pv[i - 1]) * (pw[i + 1] - pw[i])
-                  != (pv[i + 1] - pv[i]) * (pw[i] - pw[i - 1])] + [n]
-    return build_sequence(((pv[b] - pv[a], pw[b] - pw[a]) for a, b in zip(keep, keep[1:])),
-                          value_scale=seq.value_scale, weight_scale=seq.weight_scale)
+    ends = [i for i in range(1, n) if (pv[i] - pv[i - 1]) * (pw[i + 1] - pw[i])
+            != (pv[i + 1] - pv[i]) * (pw[i] - pw[i - 1])]
+    return _merge_spans(seq, [0, *ends, n])
 
 
 def _on_common_grid(column: List[Tuple[int, int]]) -> Tuple[Iterator[int], int]:
@@ -341,9 +340,9 @@ def parse_tsv(stream: Union[str, bytes, IO[str], Iterable[str]]) -> WeightedSequ
 
     Each column is scaled exactly onto one power-of-ten integer grid, the
     finest its fields need.  A field that is not a finite decimal, needs
-    more than 9 decimal places or has more than 1000 integer digits raises
-    MalformedTsv with its line number; nothing is rounded.  Bytes are read
-    as UTF-8.
+    more than 9 decimal places or has more than 1000 integer digits, and a
+    weight that is not positive, raise MalformedTsv with its line number;
+    nothing is rounded.  Bytes are read as UTF-8.
 
     Text or bytes of at least ``fastpath.MIN_FAST_N`` lines is first read
     straight into int64 prefix arrays by a byte-level grammar: ASCII only;
@@ -380,6 +379,8 @@ def parse_tsv(stream: Union[str, bytes, IO[str], Iterable[str]]) -> WeightedSequ
         try:
             values.append(exact_decimal(fields[0]))
             weights.append(exact_decimal(fields[1]))
+            if weights[-1][0] <= 0:
+                raise ValueError("weight must be > 0")
         except ValueError as exc:
             raise MalformedTsv(lineno, str(exc)) from None
     if not values:

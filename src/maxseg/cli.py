@@ -316,6 +316,11 @@ def cmd_bench(args, out: IO[str], err: IO[str]) -> int:
     top_L = args.L if args.L is not None else max(1, max(sizes) // 100)
     if args.U is not None and args.algo != "l-only" and args.U < top_L:
         raise ValueError(f"--U: expected at least L={top_L}, got {args.U}")
+    for n in sizes:  # every weight is at least 1: only an --L above n needs the instance
+        if args.L is not None and args.L > n:
+            total = _bench_instance(random.Random(args.seed), n, args.algo).prefix_weight[n]
+            if args.L > total:
+                raise ValueError(f"--L: size {n} has total width {total}, below L={args.L}")
     out.write("algo,n,L,U,wall_nanos,loop_iterations\n")
     for n in sizes:
         rng = random.Random(args.seed)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import EmptySequence, IndexOutOfRange, NonFiniteItem, NonPositiveWeight
 
@@ -302,6 +302,18 @@ def build_sequence(
     )
 
 
+def _merge_spans(seq: WeightedSequence, cuts: Sequence[int]) -> WeightedSequence:
+    """The list-store sequence, with seq's scales, whose k-th item merges
+    items cuts[k] + 1 .. cuts[k + 1] of seq (cuts increasing)."""
+    pv, pw = seq.prefix_value, seq.prefix_weight
+    v0, w0 = pv[cuts[0]], pw[cuts[0]]
+    weights = [pw[b] - pw[a] for a, b in zip(cuts, cuts[1:])]
+    lo, hi = min(weights), max(weights)
+    return WeightedSequence([pv[c] - v0 for c in cuts], [pw[c] - w0 for c in cuts],
+                            value_scale=seq.value_scale, weight_scale=seq.weight_scale,
+                            is_uniform=lo == hi == 1, min_weight=lo, max_weight=hi)
+
+
 def density(seq: WeightedSequence, i: int, j: int) -> DensityValue:
     """Density of segment (i, j), inclusive 1-based, as an exact pair."""
     if not 1 <= i <= j <= seq.n:
@@ -398,6 +410,7 @@ class OpCounters:
 # ----------------------------------------------------------------------------
 
 SCALE_CAP_DIGITS = 9
+DENSITY_PLACES = 9
 
 # Decimals with more integer digits than this are refused: expanding them
 # would cost time and memory that no input this package models needs.
@@ -462,11 +475,10 @@ def density_decimal_str(
     seg_width: int,
     value_scale: int = 1,
     weight_scale: int = 1,
-    places: int = 9,
 ) -> str:
-    """Exact decimal rendering (half-even) of a density to `places` digits."""
+    """Exact decimal rendering (half-even) of a density to DENSITY_PLACES digits."""
     sign = "-" if seg_sum < 0 else ""
-    q = round(Fraction(abs(seg_sum) * weight_scale * 10 ** places,
+    q = round(Fraction(abs(seg_sum) * weight_scale * 10 ** DENSITY_PLACES,
                        seg_width * value_scale))
-    whole, frac = divmod(q, 10 ** places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(q, 10 ** DENSITY_PLACES)
+    return f"{sign}{whole}.{frac:0{DENSITY_PLACES}d}"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from . import fastpath
 from .core import (
@@ -31,7 +31,7 @@ from .core import (
     RealInput,
     Segment,
     WeightedSequence,
-    build_sequence,
+    _merge_spans,
     compute_bounds,
     make_segment,
 )
@@ -321,41 +321,18 @@ def max_density_general(
 # ---------------------------------------------------------------------------
 
 
-def _split_heavy(seq: WeightedSequence, U: Optional[RealInput]):
-    """Maximal runs of items with weight <= U, as (offset, subsequence) pairs.
-
-    Items heavier than U cannot sit inside any feasible segment, so they cut
-    the sequence; each piece is solved independently.
+def _split_heavy(seq: WeightedSequence, L: RealInput, U: Optional[RealInput]):
+    """The maximal runs of items no wider than U that are at least L wide, as
+    (offset, run) pairs, run holding items offset + 1 .. offset + run.n cut
+    from the prefix sums; seq itself when no item is wider than U.  An item
+    wider than U lies in no feasible segment, and a run narrower than L holds none.
     """
     if U is None or seq.max_weight <= U:
-        return [(0, seq)]
-    pieces = []
-    run: List[Tuple[Number, Number]] = []
-    run_start = 0
-    for i in range(1, seq.n + 1):
-        w = seq.weight(i)
-        if w > U:
-            if run:
-                pieces.append((run_start, build_sequence(
-                    run, value_scale=seq.value_scale, weight_scale=seq.weight_scale)))
-                run = []
-        else:
-            if not run:
-                run_start = i - 1
-            run.append((seq.value(i), w))
-    if run:
-        pieces.append((run_start, build_sequence(
-            run, value_scale=seq.value_scale, weight_scale=seq.weight_scale)))
-    return pieces
-
-
-def _solve_piece(piece: WeightedSequence, L: RealInput, U: Optional[RealInput],
-                 counters: Optional[OpCounters]) -> Segment:
-    if U is None or U >= piece.prefix_weight[piece.n]:
-        return max_density_min_width(piece, L, counters=counters)
-    if piece.min_weight == piece.max_weight:
-        return max_density_uniform(piece, L, U, counters=counters)
-    return max_density_general(piece, L, U, counters=counters)
+        return [(0, seq)] if seq.total_width >= L else []
+    pw = seq.prefix_weight
+    heavy = [i for i in range(1, seq.n + 1) if pw[i] - pw[i - 1] > U]
+    runs = zip([0, *heavy], [h - 1 for h in heavy] + [seq.n])  # run (a, b): items a + 1 .. b
+    return [(a, _merge_spans(seq, range(a, b + 1))) for a, b in runs if pw[b] - pw[a] >= L]
 
 
 def solve(req: SolveRequest, *, counters: Optional[OpCounters] = None) -> Segment:
@@ -363,24 +340,26 @@ def solve(req: SolveRequest, *, counters: Optional[OpCounters] = None) -> Segmen
 
     Input the numpy backend accepts (:func:`fastpath.best`) is solved there
     in one call on the whole sequence, or refused there when no segment is
-    feasible.  Otherwise the sequence is split at items wider than U, every
-    piece goes to the sweep its weight profile admits, and the best segment
-    under the global tie rule (smallest start, then smallest end) wins.
+    feasible.  Otherwise every piece of :func:`_split_heavy` goes to the
+    sweep its width and weights admit, and the best segment under the
+    global tie rule (smallest start, then smallest end) wins.
     """
     seq, L, U = req.seq, req.L, req.U
     res = fastpath.best(seq, L, U)
     if res is not None:
         return make_segment(seq, *res)
     best: Optional[Segment] = None
-    for offset, piece in _split_heavy(seq, U):
-        if piece.prefix_weight[piece.n] < L:
-            continue
+    for offset, piece in _split_heavy(seq, L, U):
         try:
-            seg = _solve_piece(piece, L, U, counters)
+            if U is None or U >= piece.prefix_weight[piece.n]:
+                seg = max_density_min_width(piece, L, counters=counters)
+            elif piece.min_weight == piece.max_weight:
+                seg = max_density_uniform(piece, L, U, counters=counters)
+            else:
+                seg = max_density_general(piece, L, U, counters=counters)
         except InfeasibleWidthWindow:
             continue
-        if offset:
-            seg = Segment(seg.start + offset, seg.end + offset, seg.density)
+        seg = Segment(seg.start + offset, seg.end + offset, seg.density)
         if best is None or seg.density > best.density:
             best = seg  # later pieces start later, so ties keep the earlier
     if best is None:

@@ -374,6 +374,9 @@ class TestParseTsv:
         ("1\t1e-999999999", "more than 9 decimal places"),
         ("1\t1.0000000004", "more than 9 decimal places"),
         ("0.0000000001\t1", "more than 9 decimal places"),
+        ("1\t0", "weight must be > 0"),
+        ("1\t-0.0", "weight must be > 0"),
+        ("1\t-2.5", "weight must be > 0"),
     ])
     def test_refuses_what_it_cannot_scale_exactly(self, row, why):
         with pytest.raises(MalformedTsv, match=f"line 3: .*{why}") as exc:

@@ -469,6 +469,17 @@ class TestTsvFiles:
             else "error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff "
                  "in position 47515: invalid start byte\n")
 
+    @pytest.mark.parametrize("data, line", [
+        ("# header\n\n1\t1\n2\t0\n", 4),
+        ("# value\tweight\n" + "\n".join(_tsv_rows(2999) + ["3\t-0.0"] + _tsv_rows(2000)), 3001),
+    ], ids=["short", "long"])
+    def test_non_positive_weight_refused_with_its_line(self, tmp_path, data, line):
+        path = tmp_path / "in.tsv"
+        path.write_bytes(data.encode())
+        want = (1, "", f"error: MalformedTsv: line {line}: weight must be > 0\n")
+        assert run_cli(["find", "--input", str(path)] + self.ARGV) == want
+        assert run_cli(["find", "--input", "-"] + self.ARGV, stdin=data) == want
+
     def test_mapping_refused_on_a_valid_file(self, tmp_path):
         path = tmp_path / "in.tsv"
         path.write_bytes(self.CASES["lf"])
@@ -892,6 +903,9 @@ class TestBench:
         (["--sizes", "100", "--algo", "uniform-lu", "--L", "5", "--U", "2"], "--U"),
         (["--sizes", "100", "--algo", "general-lu", "--U", "0"], "--U"),
         (["--sizes", "50,1000", "--algo", "uniform-lu", "--U", "5"], "--U"),  # L defaults to 10
+        (["--sizes", "100", "--algo", "general-lu", "--L", "500"], "--L"),  # total width 201
+        (["--sizes", "100", "--L", "500"], "--L"),
+        (["--sizes", "100,1000", "--algo", "uniform-lu", "--L", "500", "--U", "600"], "--L"),
     ])
     def test_bad_sizes_and_repeat_refused_before_output(self, argv, flag):
         code, out, err = run_cli(["bench", "--algo", "l-only", *argv])

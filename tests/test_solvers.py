@@ -416,6 +416,25 @@ class TestSolveDispatch:
         seg2 = solve(SolveRequest(seq2, 1, 3))
         assert (seg2.start, seg2.end) == (3, 3)
 
+    def test_split_heavy_cuts_light_runs_wide_enough_for_L(self):
+        # Items 3 and 6 are wider than U = 4: the light runs are items 1-2
+        # (width 3), 4-5 (width 1.5, narrower than L = 2) and 7-9 (width 6).
+        items = [(1, 1), (Fraction(-1, 3), 2), (7, 5), (2, Fraction(1, 2)), (0, 1),
+                 (5, 9), (3, 2), (Fraction(5, 2), 2), (-4, 2)]
+        seq = build_sequence(items, value_scale=10, weight_scale=100)
+        pieces = solvers._split_heavy(seq, 2, 4)
+        assert [(offset, piece.items) for offset, piece in pieces] == [
+            (0, items[0:2]), (6, items[6:9])]
+        for _, piece in pieces:
+            assert (piece.value_scale, piece.weight_scale) == (10, 100)
+        assert [(p.min_weight, p.max_weight, p.is_uniform) for _, p in pieces] == [
+            (1, 2, False), (2, 2, False)]
+        # With nothing wider than U the sequence itself is the one piece.
+        assert solvers._split_heavy(seq, 2, 9) == [(0, seq)]
+        assert solvers._split_heavy(seq, 2, None) == [(0, seq)]
+        assert solvers._split_heavy(seq, 2, 1.5) == []  # every light run is narrower than L
+        assert solvers._split_heavy(seq, seq.total_width + 1, None) == []
+
     def test_all_items_heavy_infeasible(self):
         with pytest.raises(InfeasibleWidthWindow):
             solve(SolveRequest(build_sequence([(1, 5), (1, 7)]), 1, 3))
