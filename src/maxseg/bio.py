@@ -3,6 +3,7 @@ scoring, and run-length compression into the weighted model."""
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
@@ -335,37 +336,49 @@ def _on_common_grid(column: List[Tuple[int, int]]) -> Tuple[Iterator[int], int]:
     return (units * factors[places] for units, places in column), 10 ** top
 
 
-def parse_tsv(stream: Union[str, bytes, IO[str], Iterable[str]]) -> WeightedSequence:
+def parse_tsv(stream: Union[str, bytes, IO[str], IO[bytes], Iterable[str]]) -> WeightedSequence:
     """Weighted TSV: one "value<TAB>weight" item per line, '#' comments.
 
     Each column is scaled exactly onto one power-of-ten integer grid, the
     finest its fields need.  A field that is not a finite decimal, needs
     more than 9 decimal places or has more than 1000 integer digits, and a
     weight that is not positive, raise MalformedTsv with its line number;
-    nothing is rounded.  Bytes are read as UTF-8.
+    nothing is rounded.  Bytes and seekable binary files are read as UTF-8.
 
-    Text or bytes of at least ``fastpath.MIN_FAST_N`` lines is first read
-    straight into int64 prefix arrays by a byte-level grammar: ASCII only;
-    tokens separated by space, tab or line feed (a CR only right before a
-    LF); every line that is not blank or a '#' comment holds exactly two
-    tokens of the form ``-?[0-9]+(.[0-9]+)?``, each with at most 18 digits
-    and SCALE_CAP_DIGITS fraction digits; positive weights; and every scaled
-    item and prefix sum inside int64.  Bytes are scanned where they lie and
-    text is encoded ``TSV_CHUNK`` characters at a time, so beyond the input
-    the array path holds the two prefix columns, one byte of places per
-    field and O(TSV_CHUNK) scratch: about 8 bytes per byte of a chunk.  Text
-    outside that grammar, and every other stream, takes the exact path,
-    which gives the same sequence or raises the same error; it imports no
-    numpy.
+    Text, bytes or a binary file of at least ``fastpath.MIN_FAST_N`` lines
+    is first read straight into prefix arrays by a byte-level grammar: ASCII
+    only; tokens separated by space, tab or line feed (a CR only right
+    before a LF); every line that is not blank or a '#' comment holds
+    exactly two tokens of the form ``-?[0-9]+(.[0-9]+)?``, each with at most
+    18 digits and SCALE_CAP_DIGITS fraction digits; positive weights; and
+    every scaled item and prefix sum inside int64.  The input is read twice,
+    ``TSV_CHUNK`` bytes at a time (text is encoded a chunk at a time), so
+    beyond the two prefix columns (int32 while they fit) the array path
+    holds O(TSV_CHUNK) scratch.  Input outside that grammar, and every other
+    stream, takes the exact path, which gives the same sequence or raises
+    the same error; it imports no numpy.
     """
-    if isinstance(stream, (str, bytes)):
-        lines = stream.count(b"\n" if isinstance(stream, bytes) else "\n")
-        if lines >= fastpath.MIN_FAST_N and stream.isascii():
-            seq = _tsv_to_arrays(stream, lines)
+    if isinstance(stream, bytes):
+        stream = io.BytesIO(stream)  # shares the bytes: reads copy only what they return
+    binary = hasattr(stream, "seek") and not isinstance(stream, io.TextIOBase)
+    if binary or isinstance(stream, str) and stream.isascii():
+        def read(at: int, size: int) -> bytes:
+            if not binary:
+                return stream[at:at + size].encode("ascii")
+            stream.seek(at)
+            return stream.read(size)
+        lines = at = 0
+        while block := read(at, TSV_CHUNK):
+            lines += block.count(b"\n")
+            at += len(block)
+        if lines >= fastpath.MIN_FAST_N:
+            seq = _tsv_to_arrays(read, lines)
             if seq is not None:
                 return seq
-        if isinstance(stream, bytes):
-            stream = stream.decode("utf-8")
+    if binary:
+        stream.seek(0)
+        stream = stream.read().decode("utf-8")
+    if isinstance(stream, str):
         stream = stream.splitlines()
     values: List[Tuple[int, int]] = []
     weights: List[Tuple[int, int]] = []
@@ -390,8 +403,8 @@ def parse_tsv(stream: Union[str, bytes, IO[str], Iterable[str]]) -> WeightedSequ
     return build_sequence(zip(vs, ws), value_scale=vscale, weight_scale=wscale)
 
 
-# Characters of TSV text the array path scans at once, cut after a line
-# feed; bounds its scratch memory.
+# Bytes of TSV input read at once; bounds the array path's scratch.  16 KiB
+# took a third more CPU than 64 KiB to parse 2e6 rows (2-vCPU x86-64 host).
 TSV_CHUNK = 1 << 16
 
 # Byte classes of the array path: 0 is outside its grammar; TEXT may appear
@@ -399,9 +412,10 @@ TSV_CHUNK = 1 << 16
 _SPACE, _DIGIT, _MINUS, _DOT, _HASH, _TEXT = 1, 2, 3, 4, 5, 6
 
 
-def _tsv_to_arrays(text: Union[str, bytes], lines: int) -> Optional[WeightedSequence]:
-    """parse_tsv's array path (ASCII text or bytes of ``lines`` line feeds):
-    the sequence, or None when the text leaves the grammar parse_tsv states."""
+def _tsv_to_arrays(read, lines: int) -> Optional[WeightedSequence]:
+    """parse_tsv's array path over input of ``lines`` line feeds, read by
+    ``read(at, size)``: the sequence, or None when the input leaves the
+    grammar parse_tsv states."""
     import numpy as np
 
     table = np.zeros(256, dtype=np.int8)
@@ -411,56 +425,73 @@ def _tsv_to_arrays(text: Union[str, bytes], lines: int) -> Optional[WeightedSequ
     table[[45, 46, 35]] = _MINUS, _DOT, _HASH
     pow10 = 10 ** np.arange(19, dtype=np.int64)
     # The value and weight columns after a leading 0, at most one row per
-    # line (the last may lack its line feed), summed in place into the
-    # prefix sums the sequence keeps; places[0] and places[1] are the
-    # fields' decimal places.
-    V = np.zeros(lines + 2, dtype=np.int64)
-    W = np.zeros(lines + 2, dtype=np.int64)
-    places = np.empty((2, lines + 1), dtype=np.int8)
-    tops, rows, pos = [0, 0], 0, 0
-    lf = b"\n" if isinstance(text, bytes) else "\n"
-    while pos < len(text):
-        end = text.find(lf, pos + TSV_CHUNK) + 1 or len(text)  # 0: no later LF
-        fields = _scan_tsv_chunk(table, pow10, _tsv_bytes(text, pos, end))
+    # line (the last may lack its line feed), filled a chunk at a time.
+    cols = [np.zeros(lines + 2, dtype=np.int32) for _ in range(2)]
+    tops, totals, rows = [0, 0], [0.0, 0.0], 0
+    lo, hi = float("inf"), 0  # the least and greatest weight on the weight grid
+    for chunk in _tsv_chunks(read):
+        fields = _scan_tsv_chunk(table, pow10, np.frombuffer(chunk, np.uint8))
         if fields is None:
             return None
         r = rows + len(fields[0]) // 2
-        for c, col in enumerate((V, W)):
-            u, p = col[rows + 1:r + 1], places[c, rows:r]
-            u[:], p[:] = fields[0][c::2], fields[1][c::2]
+        if r == rows:  # blank and comment lines only
+            continue
+        for c, col in enumerate(cols):
+            u, p = fields[0][c::2], fields[1][c::2]
             # the chunk's finest grid: places lowered while no digit there is nonzero
             top = int(p.max(initial=0))
             while top > tops[c] and not (u % pow10[np.maximum(p - top + 1, 0)]).any():
                 top -= 1
-            tops[c] = max(tops[c], top)
-        rows, pos = r, end
-        del fields  # before the next chunk is scanned
-    if not rows or _int64_grid(pow10, V[1:rows + 1], places[0, :rows], tops[0]) is None:
+            k = max(top - tops[c], 0)  # prefix sums are linear: scale those filled by 10**k
+            tops[c] += k
+            if (p != tops[c]).any():
+                up = pow10[np.maximum(tops[c] - p, 0)]
+                # No int64 product overflows below this float bound, and an
+                # item past it would put the sum past 2**62 anyway.
+                if np.multiply(np.abs(u), up, dtype=np.float64).max() >= 2.0 ** 63:
+                    return None
+                u = u * up
+                u //= pow10[np.maximum(p - tops[c], 0)]  # exact: 1.50 -> 15
+            # The sum of absolute items is exact below 2**53, so the int32
+            # test is, and its float error is far below the 2**62 margin.
+            totals[c] = totals[c] * 10 ** k + np.abs(u).sum(dtype=np.float64)
+            if totals[c] >= 2.0 ** 62:
+                return None
+            if totals[c] >= 2 ** 31 and col.dtype == np.int32:  # widen once
+                cols[c] = col = col.astype(np.int64)
+            if k:
+                col[1:rows + 1] *= 10 ** k
+            out = col[rows + 1:r + 1]
+            np.cumsum(u, dtype=col.dtype, out=out)
+            out += col[rows]
+            if c:
+                lo, hi = min(lo * 10 ** k, int(u.min())), max(hi * 10 ** k, int(u.max()))
+        rows = r
+        del fields, u  # before the next chunk is scanned
+    if not rows or lo <= 0:
         return None
-    weights = _int64_grid(pow10, W[1:rows + 1], places[1, :rows], tops[1])
-    if weights is None or weights[0] <= 0:
-        return None
-    lo, hi = weights
     # Blank and comment lines leave rows unfilled: give their memory back.
     # No view of either column is used after this.
-    V.resize(rows + 1, refcheck=False)
-    W.resize(rows + 1, refcheck=False)
-    return WeightedSequence(V, W, value_scale=10 ** tops[0], weight_scale=10 ** tops[1],
+    for col in cols:
+        col.resize(rows + 1, refcheck=False)
+    return WeightedSequence(*cols, value_scale=10 ** tops[0], weight_scale=10 ** tops[1],
                             is_uniform=lo == hi == 1, min_weight=lo, max_weight=hi)
 
 
-def _tsv_bytes(text: Union[str, bytes], pos: int, end: int):
-    """text[pos:end], cut after a line feed or at the end of the text, as
-    uint8 bytes ending in a line feed: bytes are read where they lie, text
-    is encoded, and a last line without its line feed gains one."""
-    import numpy as np
-
-    lf = b"\n" if isinstance(text, bytes) else "\n"
-    if not text.endswith(lf, pos, end):
-        return _tsv_bytes(text[pos:end] + lf, 0, end - pos + 1)
-    if isinstance(text, str):
-        return np.frombuffer(text[pos:end].encode(), np.uint8)
-    return np.frombuffer(text, np.uint8, end - pos, pos)
+def _tsv_chunks(read) -> Iterator[bytes]:
+    """The input read ``TSV_CHUNK`` bytes at a time, as chunks cut after a
+    line feed; a last line without one gains it."""
+    parts, at = [], 0
+    while block := read(at, TSV_CHUNK):
+        at += len(block)
+        cut = block.rfind(b"\n") + 1
+        parts.append(memoryview(block)[:cut] if cut else block)
+        if cut:
+            chunk, parts = b"".join(parts), [block[cut:]]
+            del block  # only the chunk is held while it is scanned
+            yield chunk
+    if any(parts):
+        yield b"".join(parts) + b"\n"
 
 
 def _scan_tsv_chunk(table, pow10, b):
@@ -555,28 +586,3 @@ def _scan_tsv_chunk(table, pow10, b):
         np.maximum(pos, low, out=pos)
     np.negative(units, out=units, where=neg)
     return units, places
-
-
-def _int64_grid(pow10, units, places, top):
-    """Scale one column's fields (units, places) in place onto the grid of
-    10**-top and sum them in place into prefix sums: the least and greatest
-    scaled item, or None when an item or the sum of absolute items could
-    leave int64.  Items are checked and scaled ``fastpath.CHUNK`` at a time."""
-    import numpy as np
-
-    big = np.iinfo(np.int64).max
-    total, lo, hi = 0.0, big, -big
-    for a in range(0, len(units), fastpath.CHUNK):
-        u, p = units[a:a + fastpath.CHUNK], places[a:a + fastpath.CHUNK]
-        if (p != top).any():
-            up = pow10[np.maximum(top - p, 0)]
-            if (np.abs(u) > big // up).any():
-                return None
-            np.multiply(u, up, out=u)
-            np.floor_divide(u, pow10[np.maximum(p - top, 0)], out=u)  # exact: 1.50 -> 15
-        total += float(np.abs(u).sum(dtype=np.float64))
-        lo, hi = min(lo, int(u.min())), max(hi, int(u.max()))
-    if total >= 2.0 ** 62:  # float error is far below 2x
-        return None
-    np.cumsum(units, out=units)
-    return lo, hi

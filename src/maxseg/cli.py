@@ -62,17 +62,27 @@ def _snap(bound: Decimal, scale: int, rounding: str) -> int:
 
 def _open_input(path: str) -> IO[bytes]:
     """The input as a binary file that can seek: the file itself when it
-    can, otherwise (stdin, a pipe, a FIFO) its bytes, read whole into a
-    BytesIO.  A stdin with no buffer (an in-memory text stream) is encoded
-    as UTF-8."""
-    if path != "-":
-        fh = open(path, "rb")
-        if fh.seekable():
-            return fh
-        with fh:
-            return io.BytesIO(fh.read())
-    buffer = getattr(sys.stdin, "buffer", None)
-    return io.BytesIO(sys.stdin.read().encode() if buffer is None else buffer.read())
+    can, otherwise (stdin, a pipe, a FIFO) a temporary file its bytes are
+    copied into, 64 KiB at a time.  An in-memory text stdin is UTF-8."""
+    if path == "-" and not hasattr(sys.stdin, "buffer"):  # its text is in memory already
+        return io.BytesIO(sys.stdin.read().encode())
+    src = sys.stdin.buffer if path == "-" else open(path, "rb")
+    if path != "-" and src.seekable():
+        return src
+    import shutil
+    import tempfile
+
+    spool = tempfile.TemporaryFile()
+    try:
+        shutil.copyfileobj(src, spool)
+    except OSError:
+        spool.close()
+        raise
+    finally:
+        if path != "-":
+            src.close()
+    spool.seek(0)
+    return spool
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +149,7 @@ def _load_records(args) -> Iterator[Tuple[str, WeightedSequence]]:
         if args.format == "fasta":
             yield from read_fasta(src, spec, args.strict)
         else:
-            yield "r1", parse_tsv(src.read())
+            yield "r1", parse_tsv(src)
 
 
 def cmd_find(args, out: IO[str], err: IO[str]) -> int:

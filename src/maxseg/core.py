@@ -18,7 +18,8 @@ builder made (:func:`build_sequence` makes lists; ``bio.read_fasta``,
 derives the other form lazily, once, for the reader that needs it: the pure
 sweeps read lists, the numpy backend reads arrays.  Under unit weights the
 paper's width ``w(i, j)`` is ``j - i + 1``, so the array store keeps no
-weight column: 4 bytes per FASTA base whose prefixes fit int32.
+weight column: 4 bytes per FASTA base whose prefixes fit int32, and 8
+per TSV row whose two columns do.
 """
 
 from __future__ import annotations
@@ -108,9 +109,10 @@ class WeightedSequence:
       them for long FASTA records, whether :func:`maxseg.bio.read_fasta`
       streams them or :func:`maxseg.bio.map_to_sequence` maps a parsed one
       (int32 when every prefix fits), and :func:`maxseg.bio.parse_tsv` for
-      long text (int64).  ``W`` is None exactly when every weight is 1
-      (``is_uniform``): the prefix weight at ``j`` is then ``j`` itself.
-      Readers widen to int64 before any arithmetic that could leave int32.
+      long TSV input (each column int32 while its sums fit).  ``W`` is
+      None exactly when every weight is 1 (``is_uniform``): the prefix
+      weight at ``j`` is then ``j`` itself.  Readers widen to int64 before
+      any arithmetic that could leave int32.
 
     :meth:`prefix_arrays` hands the numpy backend the arrays (built once,
     as int64, from the lists when every entry fits int64).

@@ -406,43 +406,57 @@ class TestParseTsv:
 
     @staticmethod
     def _long_text(rows):
+        # Both columns' absolute sums stay below 2**31 up to 4e5 rows.
         return "# value\tweight\n" + "".join(
-            f"{(k * 37) % 1999 - 999}.{k % 100:02d}\t{1 + k % 3}.{k % 10}\n" for k in range(rows))
+            f"{(k * 37) % 199 - 99}.{k % 10}\t{1 + k % 3}.{k % 10}\n" for k in range(rows))
 
-    def test_array_path_peak_stays_near_the_sequence(self):
-        # Fields go straight into the two columns the sequence keeps, so
-        # parsing needs little beyond them, a byte of places per field and
-        # one chunk's scratch.
+    @staticmethod
+    def _traced_parse(source):
+        """parse_tsv(source()) and the traced memory (kept, peak) of the call."""
         import numpy  # noqa: F401  (its import is not the parse's memory)
 
-        rows = 200_000
-        text = self._long_text(rows)
         tracemalloc.start()
         try:
-            seq = parse_tsv(text)
+            seq = parse_tsv(source())
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return seq, kept, peak
+
+    def _check_int32_columns(self, seq, rows, kept, peak):
+        # The sequence keeps two int32 columns, and the parse needs only a
+        # few chunks' scratch beyond them, however long the input.
         assert seq._pv is None and seq.n == rows
-        assert kept >= 16 * rows and peak < 1.35 * kept
+        assert [col.dtype.name for col in seq.prefix_arrays()] == ["int32", "int32"]
+        assert kept >= 8 * rows
+        assert peak - kept <= 12 * bio.TSV_CHUNK, (peak - kept) / bio.TSV_CHUNK
+
+    def test_array_path_peak_stays_near_the_sequence(self):
+        # Text is encoded a chunk at a time: no encoded copy is held.
+        for rows in (100_000, 400_000):
+            text = self._long_text(rows)
+            seq, kept, peak = self._traced_parse(lambda: text)
+            self._check_int32_columns(seq, rows, kept, peak)
 
     def test_array_path_on_bytes_peaks_near_text_and_sequence(self):
-        # Bytes are scanned where they lie: no decoded copy of the text, so
-        # the text and the sequence are nearly all the parse holds.
-        import numpy  # noqa: F401
-
-        rows = 200_000
-        text = self._long_text(rows)
-        tracemalloc.start()
-        try:
+        # Bytes are read a chunk at a time: no decoded copy of the text.
+        for rows in (100_000, 400_000):
+            text = self._long_text(rows)
             data = text.encode()
-            seq = parse_tsv(data)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert seq._pv is None and seq.n == rows
-        assert kept >= len(data) + 16 * rows and peak < 1.25 * kept
-        assert stored(seq) == stored(parse_tsv(text))
+            seq, kept, peak = self._traced_parse(lambda: data)
+            self._check_int32_columns(seq, rows, kept, peak)
+            assert len(data) > 12 * bio.TSV_CHUNK
+            assert stored(seq) == stored(parse_tsv(text))
+
+    def test_array_path_on_a_file_never_holds_its_bytes(self, tmp_path):
+        path = tmp_path / "long.tsv"
+        for rows in (100_000, 400_000):
+            path.write_text(self._long_text(rows))
+            assert path.stat().st_size > 12 * bio.TSV_CHUNK
+            with open(path, "rb") as fh:
+                seq, kept, peak = self._traced_parse(lambda: fh)
+            self._check_int32_columns(seq, rows, kept, peak)
+            assert stored(seq) == stored(parse_tsv(path.read_text()))
 
     def test_unit_weights_keep_one_column_of_exact_size(self):
         # Blank and comment lines leave no slack, and a unit-weight
@@ -474,14 +488,15 @@ class TestParseTsv:
 
     def both_paths(self, text):
         """parse_tsv(text) on the array path and on the exact path, and
-        whether the array path gave the answer; the text's UTF-8 bytes give
-        the same on both paths."""
+        whether the array path gave the answer; the text's UTF-8 bytes, as
+        bytes and as a binary file, give the same on both paths."""
         arrays, arrays_answered = self.parse_on(text, 1)
         assert self.parse_on(text, 1, chunk=4) == (arrays, arrays_answered)  # many chunks
         data = text.encode()
-        assert self.parse_on(data, 1) == (arrays, arrays_answered)
-        assert self.parse_on(data, 1, chunk=4) == (arrays, arrays_answered)
-        assert self.parse_on(data, 1 << 62)[0] == self.parse_on(text, 1 << 62)[0]
+        for source in (lambda: data, lambda: io.BytesIO(data)):
+            assert self.parse_on(source(), 1) == (arrays, arrays_answered)
+            assert self.parse_on(source(), 1, chunk=4) == (arrays, arrays_answered)
+            assert self.parse_on(source(), 1 << 62)[0] == self.parse_on(text, 1 << 62)[0]
         if arrays_answered:
             assert all(type(x) is int for x in arrays[0] + arrays[1])
         return arrays, self.parse_on(text, 1 << 62)[0], arrays_answered
@@ -502,6 +517,11 @@ class TestParseTsv:
         "5\t1\n#1\t1\n",
         "1\t1\n2.5\t1\n3.25\t1.0\n",  # later chunks need a finer grid
         "1.20\t1.0\n3.25\t2.00\n4.10\t1\n",  # trailing zeros in some chunks only
+        "2000000000\t1\n-2000000000\t1\n5\t1\n",  # an absolute sum past 2**31 widens
+        "2000000000\t1\n2000000000\t1\n0.5\t1\n",  # a finer grid after widening
+        "1\t2\n# " + "a long comment, " * 8 + "\n3\t4\n",  # blocks with no line feed
+        "1\t123456789012345678\n-5\t1\n",  # 18-digit weights beside int32 values
+        "1\t2\n3\t1.5\n",  # the least and greatest weight move to a finer grid
     ]
     OUTSIDE_GRAMMAR = [
         "1.\t1\n", ".5\t1\n", "+1\t1\n", "1e3\t1\n", "1_0\t1\n", "-\t1\n", "-.5\t1\n",
@@ -518,6 +538,15 @@ class TestParseTsv:
         "1\n", "1\t2\t3\n", "1\t2\n3\n", "1\t2\t3\t4\n",  # 1, 3 and 4 fields
         "# only\n# comments\n", "\n \n", "a\tb\n",
     ]
+
+    def test_each_column_widens_once_its_sum_leaves_int32(self):
+        text = "1000000000\t1\n" * 2 + "1000000000\t1.5\n"
+        for chunk in (4, bio.TSV_CHUNK):
+            with mock.patch.object(fastpath, "MIN_FAST_N", 1), \
+                    mock.patch.object(bio, "TSV_CHUNK", chunk):
+                V, W = parse_tsv(text).prefix_arrays()
+            assert (V.dtype.name, W.dtype.name) == ("int64", "int32")
+            assert (V.tolist(), W.tolist()) == ([0, 10**9, 2 * 10**9, 3 * 10**9], [0, 10, 20, 35])
 
     @pytest.mark.parametrize("text", IN_GRAMMAR + OUTSIDE_GRAMMAR)
     def test_array_and_exact_paths_agree(self, text):

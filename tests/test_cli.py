@@ -571,8 +571,8 @@ class TestFastaBytes:
     # FASTA bytes that bio.scan_fasta accepts are streamed into prefix
     # arrays; the rest take the exact path.  Either way stdout, stderr and
     # the exit code are the exact path's on a file, through stdin and
-    # through a FIFO (read whole first, since it cannot seek), at every
-    # block size and with every flag.
+    # through a FIFO (copied to a temporary file first, since it cannot
+    # seek), at every block size and with every flag.
     FLAGS = [[], ["--strict"], ["--compress"],
              ["--strict", "--compress", "--mapping", "huang:0.45", "--exact"]]
     VIAS = ("file", "stdin") + (("fifo",) if hasattr(os, "mkfifo") else ())
@@ -678,12 +678,13 @@ _PEAK_RSS = (
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in kB is Linux's")
 class TestPeakMemory:
     @staticmethod
-    def _peak_kb(*argv):
-        """Peak RSS in kB of a fresh interpreter run with argv."""
+    def _peak_kb(*argv, stdin=None):
+        """Peak RSS in kB of a fresh interpreter run with argv, reading the
+        file stdin (if given) as its standard input."""
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              stdin=stdin, capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return int(proc.stdout)
 
@@ -705,8 +706,8 @@ class TestPeakMemory:
 
     def test_find_on_a_long_weighted_tsv_peaks_at_few_bytes_per_row(self, tmp_path):
         # 5e5 decimal rows, weights 1.0-3.0 and one in a thousand wider than
-        # U: the file's bytes (about 9.5 per row), the two prefix columns
-        # (16), a byte of places per field (2) and one chunk's scratch.
+        # U: the file is read in chunks, so the two int32 prefix columns (8
+        # bytes per row) and a few chunks' scratch are all that grows.
         n = 500_000
         rng = random.Random(12)
         rows = ["# value\tweight"]
@@ -722,7 +723,29 @@ class TestPeakMemory:
         find = self._peak_kb("-m", "maxseg", "find", "--input", str(path), "--format", "tsv",
                              "--L", "100", "--U", "1100")
         per_row = (find - base) * 1024 / n
-        assert per_row <= 34, f"{per_row:.1f} B/row above the import baseline"
+        assert per_row <= 14, f"{per_row:.1f} B/row above the import baseline"
+
+    @pytest.mark.parametrize("fmt", ["fasta", "tsv"])
+    def test_find_on_stdin_peaks_as_on_the_file(self, tmp_path, fmt):
+        # stdin is copied into a temporary file a block at a time and read
+        # from there as a file is, so its bytes are never held: 2e6 bases,
+        # or 2e5 rows, peak within a small margin of the same file.
+        rng = random.Random(13)
+        path = tmp_path / f"in.{fmt}"
+        if fmt == "fasta":
+            bases = "".join(rng.choices("ACGT", k=2_000_000))
+            path.write_text(">r\n" + "\n".join(bases[i:i + 60] for i in range(0, len(bases), 60)))
+            bounds = ["--L", "100", "--U", "200"]
+        else:
+            path.write_text("".join(f"{rng.randint(-900, 900) / 100}\t{rng.randint(10, 30) / 10}\n"
+                                    for _ in range(200_000)))
+            bounds = ["--L", "100", "--U", "1100"]
+        argv = ["-m", "maxseg", "find", "--format", fmt] + bounds
+        from_file = self._peak_kb(*argv, "--input", str(path))
+        with open(path, "rb") as fh:
+            from_stdin = self._peak_kb(*argv, "--input", "-", stdin=fh)
+        assert path.stat().st_size > 1_500_000
+        assert from_stdin <= from_file + 500, (from_stdin, from_file)
 
 
 class TestProcessExit:

@@ -877,7 +877,7 @@ class TestRoundScratch:
     # A round forms its keys a chunk at a time, so beyond the sequence's own
     # prefix arrays fastpath.best holds O(CHUNK + window) memory, whatever n.
     @staticmethod
-    def _peak(n, weighted, L, U):
+    def _peak(n, weighted, L, U, dtype="int64"):
         import tracemalloc
 
         import numpy as np
@@ -885,10 +885,10 @@ class TestRoundScratch:
         from maxseg.core import WeightedSequence
 
         rng = np.random.default_rng(5)
-        V = np.zeros(n + 1, dtype=np.int64)
+        V = np.zeros(n + 1, dtype=dtype)
         np.cumsum(rng.integers(-9, 10, n), out=V[1:])
         if weighted:
-            W = np.zeros(n + 1, dtype=np.int64)
+            W = np.zeros(n + 1, dtype=dtype)
             np.cumsum(rng.integers(1, 4, n), out=W[1:])
             seq = WeightedSequence(V, W, min_weight=1, max_weight=3)
         else:
@@ -906,6 +906,12 @@ class TestRoundScratch:
         small, large = (self._peak(n, weighted, L, U) for n in (10**5, 10**6))
         assert max(small, large) <= 3_000_000, (small, large)
         assert large <= 1.5 * small, (small, large)
+
+    def test_int32_weights_are_searched_without_a_copy(self):
+        # int32 columns, as a long TSV gives: a search of W with a key of
+        # another dtype would copy W whole to int64, 8 bytes per item.
+        small, large = (self._peak(n, True, 100, 1100, "int32") for n in (10**5, 4 * 10**5))
+        assert large <= small + 100_000, (small, large)
 
     def test_unit_lane_on_a_gc_record_holds_three_chunks(self):
         # A 250k-base GC record (int32 prefixes, [100, 200]): a chunk's keys
