@@ -13,7 +13,6 @@ from .bio import (
     map_to_sequence,
     parse_fasta,
     parse_tsv,
-    write_fasta,
 )
 from .core import (
     DensityValue,
@@ -82,5 +81,4 @@ __all__ = [
     "parse_tsv",
     "sliding_window",
     "solve",
-    "write_fasta",
 ]

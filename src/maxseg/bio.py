@@ -4,16 +4,18 @@ scoring, and run-length compression into the weighted model."""
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 from . import fastpath
 from .core import SCALE_CAP_DIGITS, WeightedSequence, _merge_spans, build_sequence, exact_decimal
-from .errors import MalformedFasta, MalformedTsv, UnknownSymbol
+from .errors import MalformedFasta, MalformedTsv, MisencodedFasta, UnknownSymbol
 
 # Symbol codes: the known bases, and those that score as GC.
-_KNOWN_BASES = frozenset(b"ACGTUNacgtun")
+_KNOWN_BASES = b"ACGTUNacgtun"
+_UNKNOWN = re.compile(b"[^" + _KNOWN_BASES + b"]")
 _GC_BASES = frozenset(b"GCgc")
 
 
@@ -50,77 +52,29 @@ class MappingSpec:
         return cls(scale - p_scaled, -p_scaled, scale)
 
 
-def parse_fasta(stream: Union[str, IO[str], Iterable[str]]) -> List[DnaRecord]:
-    """Standard FASTA: '>' headers, sequence lines concatenated, case kept.
+def parse_fasta(text: str) -> List[DnaRecord]:
+    """The records of FASTA text: its UTF-8 bytes read by :func:`scan_fasta`
+    and :func:`fasta_bases`, with the same grammar and refusals."""
+    read = _reader(io.BytesIO(text.encode()))
+    return [DnaRecord(rid, b"".join(fasta_bases(read, start, end)).decode("ascii"))
+            for rid, start, end, _ in scan_fasta(read)]
 
-    Raises MalformedFasta for sequence data before any header and for a
-    record with no bases.
+
+def map_to_sequence(rec: DnaRecord, spec: MappingSpec, *,
+                    strict: bool = False) -> WeightedSequence:
+    """Score a DNA record into a weighted sequence, one item per base, as
+    :func:`read_fasta` scores the records it reads: every item weighs 1, so
+    widths count bases, and ambiguity codes such as N score as non-GC;
+    strict mode rejects symbols outside A/C/G/T/U/N instead.  A non-ASCII
+    symbol, which no FASTA base is, raises UnknownSymbol.
     """
-    if isinstance(stream, str):
-        stream = stream.splitlines()
-    records: List[DnaRecord] = []
-    rec_id: Optional[str] = None
-    rec_header_line = 0
-    parts: List[str] = []
-
-    def close():
-        bases = "".join(parts)
-        if not bases:
-            raise MalformedFasta(rec_header_line, f"record {rec_id!r} has no bases")
-        records.append(DnaRecord(rec_id, bases))
-
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            if rec_id is not None:
-                close()
-            rec_id = line[1:].strip()
-            rec_header_line = lineno
-            parts = []
-        else:
-            if rec_id is None:
-                raise MalformedFasta(lineno, "sequence data before any '>' header")
-            parts.append("".join(line.split()))
-    if rec_id is None:
-        raise MalformedFasta(1, "no records found")
-    close()
-    return records
-
-
-def write_fasta(records: Iterable[DnaRecord], out: IO[str], line_width: int = 60) -> None:
-    for rec in records:
-        out.write(f">{rec.id}\n")
-        bases = rec.bases
-        for i in range(0, len(bases), line_width):
-            out.write(bases[i:i + line_width] + "\n")
-
-
-def map_to_sequence(
-    rec: DnaRecord,
-    spec: MappingSpec,
-    *,
-    strict: bool = False,
-) -> WeightedSequence:
-    """Score a DNA record into a weighted sequence, one item per base.
-
-    Every item weighs 1, so widths count bases.  Ambiguity codes such as N
-    score as non-GC; strict mode rejects symbols outside A/C/G/T/U/N instead.
-    Records long enough for the numpy backend (``fastpath.MIN_FAST_N`` bases)
-    are mapped straight into a prefix array, int32 when every prefix fits
-    int32 and int64 when every prefix fits int64; shorter ones stream into
-    prefix lists without importing numpy.  :func:`read_fasta` maps the
-    records it streams the same way.
-    """
-    # One byte per symbol: every non-ASCII symbol becomes '?', neither GC
-    # nor known, and a refusal names the symbol itself.
-    pieces = (rec.bases[c:c + FASTA_BLOCK].encode("ascii", errors="replace")
-              for c in range(0, len(rec.bases), FASTA_BLOCK))
-    try:
-        return _map_bases(pieces, len(rec.bases), spec, strict)
-    except UnknownSymbol as exc:
-        raise UnknownSymbol(rec.bases[exc.position - 1], exc.position) from None
+    bases = rec.bases
+    if not bases.isascii():
+        at = next(k for k, c in enumerate(bases) if not c.isascii())
+        raise UnknownSymbol(bases[at], at + 1)
+    pieces = (bases[c:c + FASTA_BLOCK].encode("ascii")
+              for c in range(0, len(bases), FASTA_BLOCK))
+    return _map_bases(pieces, len(bases), spec, strict)
 
 
 def _map_bases(pieces: Iterable[bytes], n: int, spec: MappingSpec,
@@ -129,30 +83,31 @@ def _map_bases(pieces: Iterable[bytes], n: int, spec: MappingSpec,
     one-byte symbol codes in pieces of at most ``FASTA_BLOCK`` bytes.
     Strict mode raises UnknownSymbol at the first code outside A/C/G/T/U/N.
 
-    A record of at least ``fastpath.MIN_FAST_N`` bases is scored through
-    256-entry tables, a piece at a time with a carry, into one prefix array
-    allocated at its exact size in the narrowest exact dtype: int32 when
-    every prefix fits int32, int64 when every prefix fits int64.  A shorter
-    record, or one whose prefixes may leave int64, is scored into prefix
-    lists without importing numpy.
+    A record of at least ``fastpath.MIN_FAST_N`` bases is scored through a
+    256-entry table, a piece at a time with a carry, into one prefix array
+    allocated at its exact size in the narrowest exact dtype, int32 or
+    int64.  A shorter record, or one whose prefixes may leave int64, is
+    scored into prefix lists without importing numpy.
     """
     top = n * max(abs(spec.gc_score), abs(spec.other_score))
     if n < fastpath.MIN_FAST_N or top >= 1 << 63:
-        return _bases_to_lists(b"".join(pieces), spec, strict)
+        bases = b"".join(pieces)
+        if strict and (bad := _UNKNOWN.search(bases)):
+            raise UnknownSymbol(chr(bases[bad.start()]), bad.start() + 1)
+        items = ((spec.gc_score if c in _GC_BASES else spec.other_score, 1) for c in bases)
+        return build_sequence(items, value_scale=spec.scale)
     import numpy as np
 
     dtype = "int32" if top < 1 << 31 else "int64"
     scores = np.full(256, spec.other_score, dtype=dtype)
     scores[list(_GC_BASES)] = spec.gc_score
-    known = np.zeros(256, dtype=bool)
-    known[list(_KNOWN_BASES)] = True
     V = np.empty(n + 1, dtype=dtype)
     V[0] = at = 0
     for piece in pieces:
+        if strict and piece.translate(None, _KNOWN_BASES):  # faster than the search below
+            bad = _UNKNOWN.search(piece).start()
+            raise UnknownSymbol(chr(piece[bad]), at + bad + 1)
         codes = np.frombuffer(piece, dtype=np.uint8)
-        if strict and not known[codes].all():
-            bad = int(np.argmin(known[codes]))
-            raise UnknownSymbol(chr(codes[bad]), at + bad + 1)
         out = V[at + 1:at + 1 + len(codes)]
         np.cumsum(scores[codes], dtype=dtype, out=out)
         out += V[at]
@@ -161,97 +116,107 @@ def _map_bases(pieces: Iterable[bytes], n: int, spec: MappingSpec,
                             min_weight=1, max_weight=1)
 
 
-def _bases_to_lists(bases: bytes, spec: MappingSpec, strict: bool) -> WeightedSequence:
-    """_map_bases's list path: the symbol codes scored one at a time into
-    prefix lists, with no numpy."""
-    if strict:
-        for pos, c in enumerate(bases, start=1):
-            if c not in _KNOWN_BASES:
-                raise UnknownSymbol(chr(c), pos)
-    gc_score, other_score = spec.gc_score, spec.other_score
-    items = ((gc_score if c in _GC_BASES else other_score, 1) for c in bases)
-    return build_sequence(items, value_scale=spec.scale)
-
-
 # Bytes of FASTA input scan_fasta and fasta_bases read at once, and bases
 # map_to_sequence encodes at once.  It bounds the ingest scratch: on a
 # 250k-base record, 64 KiB blocks peaked 0.3 MB higher in RSS than 16 KiB
 # ones, and smaller blocks saved nothing more.
 FASTA_BLOCK = 1 << 14
 
-# What str.strip() and str.split() strip from ASCII FASTA text here: every
-# other ASCII byte they treat as whitespace or a line break sends the input
-# to parse_fasta.
+# The bytes of FASTA input that are not bases: line breaks and blanks.
 _FASTA_SPACE = b"\n \t\r"
-_OTHER_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_BREAK = re.compile(rb"[\n\r]")
+_BASE = re.compile(rb"[^\n \t\r]")
+_NON_ASCII = re.compile(rb"[\x80-\xff]")
 
 
-def scan_fasta(read) -> Optional[List[Tuple[str, int, int, int]]]:
+def scan_fasta(read) -> List[Tuple[str, int, int, int]]:
     """Find the records of FASTA bytes without holding them: ``(id, start,
     end, n)`` per record in order, where bytes ``start`` to ``end`` hold its
-    sequence lines and n bases, or None when the input is not one that
-    parse_fasta reads to the same records.
+    sequence lines and n bases.  ``read(at, size)`` returns up to size bytes
+    from offset at; the input is read ``FASTA_BLOCK`` bytes at a time.
 
-    ``read(at, size)`` returns up to size bytes from offset at; the input is
-    read ``FASTA_BLOCK`` bytes at a time with plain bytes operations.  A line
-    whose first byte other than space or tab is '>' is a header, and every
-    other byte but whitespace is a base.  None means parse_fasta must decide:
-    a non-ASCII byte, one of the ASCII bytes outside space, tab, CR and LF
-    that parse_fasta reads as whitespace or a line break, a base before the
-    first header, a record with no bases, or no record at all.
+    The grammar: a line ends at LF, CRLF or a lone CR, and space and tab are
+    blanks.  A line whose first non-blank byte is '>' is a header; its id is
+    the rest of the line, stripped of blanks and decoded as strict UTF-8.
+    Every other non-blank byte is a base.  The first fault raises with its
+    line: MalformedFasta for a base before the first header, a record with
+    no bases or no record at all, MisencodedFasta for a non-ASCII base or a
+    header that is not UTF-8.
     """
-    found = []
-    rid, start, n = None, 0, 0  # the open record; before the first, n counts stray bases
+    found, off = [], 0  # the records so far, and the offset of the block read
+    rid, at, start, n = None, 0, 0, 0  # the open record: id, header offset, bases
     head = None  # the header line read so far, while one is open
     blank = True  # no base yet on the current line
-    off = 0
-    while True:
-        b = read(off, FASTA_BLOCK)
-        if not b:
-            break
-        if not b.isascii() or any(c in b for c in _OTHER_BREAKS):
-            return None
-        space = [bytes([c]) for c in _FASTA_SPACE if c in b]
-        breaks = [c for c in (b"\n", b"\r") if c in space]
+
+    def header() -> str:  # the id of the header line head, whose '>' is byte at
+        try:
+            return head.strip(b" \t").decode("utf-8")
+        except UnicodeDecodeError:
+            raise MisencodedFasta(_line_of(read, at), "header is not UTF-8") from None
+
+    def close(end: int) -> None:
+        if not n:
+            raise MalformedFasta(_line_of(read, at), f"record {rid!r} has no bases")
+        found.append((rid, start, end, n))
+
+    while b := read(off, FASTA_BLOCK):
+        ascii_only = b.isascii()
+        space = [c for c in _FASTA_SPACE if c in b]  # a count scans the stretch: skip absent ones
         i = 0
         while i < len(b):
             if head is not None:  # up to the header's line break
-                e = len(b)
-                for c in breaks:
-                    x = b.find(c, i, e)
-                    e = e if x < 0 else x
+                eol = _BREAK.search(b, i)
+                e = eol.start() if eol else len(b)
                 head += b[i:e]
-                if e < len(b):
-                    rid, start, n, blank = head.strip().decode("ascii"), off + e, 0, True
+                if eol:
+                    rid, start, n, blank = header(), off + e, 0, True
                     head = None
                 i = e
                 continue
             p = b.find(b">", i)
             e = len(b) if p < 0 else p
-            n += e - i
-            r = -1
-            for c in space:
-                n -= b.count(c, i, e)
-            for c in breaks:
-                r = max(r, b.rfind(c, i, e))
-            s = max(r + 1, i)  # the current line's bytes in this stretch
-            blank = (blank or r >= 0) and not b[s:e].strip(b" \t")
+            if rid is None and (bad := _BASE.search(b, i, e)):
+                raise MalformedFasta(_line_of(read, off + bad.start()),
+                                     "sequence data before any '>' header")
+            if not ascii_only and (bad := _NON_ASCII.search(b, i, e)):
+                raise MisencodedFasta(_line_of(read, off + bad.start()),
+                                      f"non-ASCII byte {b[bad.start()]:#x} in a sequence line")
+            n += e - i - sum(b.count(c, i, e) for c in space)
+            r = max(b.rfind(b"\n", i, e), b.rfind(b"\r", i, e))  # the last line break
+            blank = (blank or r >= 0) and not b[max(r + 1, i):e].strip(b" \t")
             if p < 0:
                 break
             if not blank:  # a '>' inside a line is a base
                 n += 1
-            elif rid is None and n or rid is not None and not n:
-                return None  # a base before the first header, or an empty record
             else:  # a header: the open record ends here
                 if rid is not None:
-                    found.append((rid, start, off + p, n))
-                head = b""
+                    close(off + p)
+                head, at = b"", off + p
             i = p + 1
         off += len(b)
-    if head is not None or rid is None or not n:
-        return None  # a header with no bases after it, or no header
-    found.append((rid, start, off, n))
+    if head is not None:  # a last header with no line break after it
+        rid, n = header(), 0
+    if rid is None:
+        raise MalformedFasta(1, "no records found")
+    close(off)
     return found
+
+
+def _line_of(read, at: int) -> int:
+    """The line of FASTA input that holds byte at, counted from 1."""
+    line, off, cr = 1, 0, False  # cr: the bytes so far end in a CR
+    while off < at and (b := read(off, min(FASTA_BLOCK, at - off))):
+        line += b.count(b"\n") + b.count(b"\r") - b.count(b"\r\n") - (cr and b[0] == 10)
+        cr, off = b[-1] == 13, off + len(b)
+    return line
+
+
+def _reader(src: IO[bytes]):
+    """read(at, size): up to size bytes of src, a binary file, from offset at."""
+    def read(at: int, size: int) -> bytes:
+        src.seek(at)
+        return src.read(size)
+    return read
 
 
 def fasta_bases(read, start: int, end: int) -> Iterator[bytes]:
@@ -266,30 +231,11 @@ def read_fasta(src: IO[bytes], spec: MappingSpec,
     """Yield (id, sequence) per record of the FASTA bytes in src, a binary
     file that can seek, each mapped only when asked for, so a caller that
     drops each sequence before the next holds one record at a time.
-
-    When :func:`scan_fasta` accepts the input, each record's bases are read
-    again through :func:`fasta_bases` and mapped as they arrive: the input
-    is never held whole.  Any other input is read whole, decoded as strict
-    UTF-8 and parsed by :func:`parse_fasta`, and each record is mapped by
-    :func:`map_to_sequence`; the text is dropped once it is parsed and each
-    record once it is mapped.  Both give the same records, sequences and
-    errors.
+    :func:`scan_fasta` finds the records, and :func:`fasta_bases` reads each
+    one's bases again to be mapped as they arrive: src is never held whole.
     """
-    def read(at: int, size: int) -> bytes:
-        src.seek(at)
-        return src.read(size)
-
-    index = scan_fasta(read)
-    if index is None:
-        src.seek(0)
-        records = parse_fasta(src.read().decode("utf-8"))
-        records.reverse()  # popped from the end: first record first
-        while records:
-            seq = map_to_sequence(records[-1], spec, strict=strict)
-            yield records.pop().id, seq  # the record is dropped before the yield
-            del seq  # before the next record is mapped
-        return
-    for rid, start, end, n in index:
+    read = _reader(src)
+    for rid, start, end, n in scan_fasta(read):
         seq = _map_bases(fasta_bases(read, start, end), n, spec, strict)
         yield rid, seq
         del seq  # before the next record is mapped

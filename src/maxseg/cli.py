@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 parse/numeric error, 2 no feasible segment.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import io
 import random
@@ -60,15 +61,16 @@ def _snap(bound: Decimal, scale: int, rounding: str) -> int:
     return int(ctx.multiply(bound, scale).to_integral_value(rounding=rounding))
 
 
-def _open_input(path: str) -> IO[bytes]:
-    """The input as a binary file that can seek: the file itself when it
-    can, otherwise (stdin, a pipe, a FIFO) a temporary file its bytes are
-    copied into, 64 KiB at a time.  An in-memory text stdin is UTF-8."""
+def _open_input(path: str):
+    """The input as a binary file that can seek, for a with statement: a
+    file that can seek where it lies (stdin at its start is read in place
+    and left open), anything else (a pipe, a FIFO) copied 64 KiB at a time
+    into a temporary file.  An in-memory text stdin is UTF-8."""
     if path == "-" and not hasattr(sys.stdin, "buffer"):  # its text is in memory already
         return io.BytesIO(sys.stdin.read().encode())
     src = sys.stdin.buffer if path == "-" else open(path, "rb")
-    if path != "-" and src.seekable():
-        return src
+    if src.seekable() and src.tell() == 0:  # a file, or stdin redirected from one
+        return contextlib.nullcontext(src) if path == "-" else src
     import shutil
     import tempfile
 

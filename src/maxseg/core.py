@@ -13,13 +13,13 @@ the pure sweeps only.
 
 Storage model: a :class:`WeightedSequence` holds its prefix sums as Python
 lists (any exact number) or as int32 or int64 numpy arrays, whichever its
-builder made (:func:`build_sequence` makes lists; ``bio.read_fasta``,
-``map_to_sequence`` and ``parse_tsv`` make arrays for long inputs), and
-derives the other form lazily, once, for the reader that needs it: the pure
-sweeps read lists, the numpy backend reads arrays.  Under unit weights the
-paper's width ``w(i, j)`` is ``j - i + 1``, so the array store keeps no
-weight column: 4 bytes per FASTA base whose prefixes fit int32, and 8
-per TSV row whose two columns do.
+builder made (:func:`build_sequence` makes lists; ``bio.read_fasta`` and
+``parse_tsv`` make arrays for long inputs), and derives the other form
+lazily, once, for the reader that needs it: the pure sweeps read lists, the
+numpy backend reads arrays.  Under unit weights the paper's width
+``w(i, j)`` is ``j - i + 1``, so the array store keeps no weight column: 4
+bytes per FASTA base whose prefixes fit int32, and 8 per TSV row whose two
+columns do.
 """
 
 from __future__ import annotations
@@ -105,11 +105,10 @@ class WeightedSequence:
 
     * Python lists (``int`` or ``Fraction`` entries), as
       :func:`build_sequence` makes them;
-    * int32 or int64 numpy arrays ``(V, W)``, as :mod:`maxseg.bio` makes
-      them for long FASTA records, whether :func:`maxseg.bio.read_fasta`
-      streams them or :func:`maxseg.bio.map_to_sequence` maps a parsed one
-      (int32 when every prefix fits), and :func:`maxseg.bio.parse_tsv` for
-      long TSV input (each column int32 while its sums fit).  ``W`` is
+    * int32 or int64 numpy arrays ``(V, W)``, as :mod:`maxseg.bio` maps
+      long FASTA records (int32 when every prefix fits) and
+      :func:`maxseg.bio.parse_tsv` reads long TSV input (each column int32
+      while its sums fit).  ``W`` is
       None exactly when every weight is 1 (``is_uniform``): the prefix
       weight at ``j`` is then ``j`` itself.  Readers widen to int64 before
       any arithmetic that could leave int32.

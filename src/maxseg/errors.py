@@ -66,6 +66,11 @@ class MalformedFasta(MaxsegError):
         self.line = line
 
 
+class MisencodedFasta(MalformedFasta):
+    """FASTA input held a non-ASCII byte in a sequence line, or a header
+    that is not UTF-8."""
+
+
 class MalformedTsv(MaxsegError):
     """Weighted TSV input violated the two-column grammar."""
 

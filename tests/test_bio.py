@@ -22,9 +22,9 @@ from maxseg import (
     parse_fasta,
     parse_tsv,
     solve,
-    write_fasta,
 )
 from maxseg import bio, fastpath
+from maxseg.errors import MisencodedFasta
 from maxseg.bio import DnaRecord
 
 
@@ -66,10 +66,10 @@ class TestParseFasta:
             DnaRecord(f"r{k}", "".join(rng.choice("ACGTUNacgt") for _ in range(rng.randint(1, 200))))
             for k in range(5)
         ]
-        buf = io.StringIO()
-        write_fasta(recs, buf, line_width=17)
-        again = parse_fasta(buf.getvalue())
-        assert [(r.id, r.bases) for r in again] == [(r.id, r.bases) for r in recs]
+        text = "".join(f">{rec.id}\n" + "".join(rec.bases[i:i + 17] + "\n"
+                                                  for i in range(0, len(rec.bases), 17))
+                       for rec in recs)
+        assert parse_fasta(text) == recs
 
 
 class TestMapping:
@@ -162,39 +162,48 @@ class TestMapping:
         assert (seg.sum, seg.width) == (sum(seq.value(i) for i in range(seg.start, seg.end + 1)),
                                         seg.end - seg.start + 1)
 
-    # Every symbol class: GC, AT, N/U, lowercase, unknown ASCII, and
-    # non-ASCII up to the astral planes.
-    ALPHABET = "ACGTacgtNnUuRyX-*" + "\u00e9\u03a9\U0001f9ec"
+    # Every symbol class: GC, AT, N/U, lowercase, unknown ASCII; a quarter
+    # of the records also hold one non-ASCII symbol, up to the astral planes.
+    ALPHABET = "ACGTacgtNnUuRyX-*\x0b\x00"
+    NON_ASCII = "\u00e9\u03a9\U0001f9ec"
 
     @pytest.mark.parametrize("spec", [MappingSpec.gc01(), MappingSpec.huang("0.45")])
     def test_array_and_list_paths_agree(self, rng, monkeypatch, spec):
         for _ in range(40):
             n = rng.randint(1, 300)
-            rec = DnaRecord("r", "".join(rng.choice(self.ALPHABET) for _ in range(n)))
+            bases = [rng.choice(self.ALPHABET) for _ in range(n)]
+            if rng.random() < 0.25:
+                bases[rng.randrange(n)] = rng.choice(self.NON_ASCII)
+            rec = DnaRecord("r", "".join(bases))
             # the record arrives FASTA_BLOCK bases at a time
             monkeypatch.setattr(bio, "FASTA_BLOCK", rng.choice((1, 7, 64, 16384)))
             paths = []
             for min_fast_n in (1, n + 1):  # the array path, then the list path
                 monkeypatch.setattr(fastpath, "MIN_FAST_N", min_fast_n)
-                seq = map_to_sequence(rec, spec)
-                assert (seq._pv is None) == (min_fast_n == 1)
-                try:
-                    map_to_sequence(rec, spec, strict=True)
-                    refused = None
-                except UnknownSymbol as exc:
-                    refused = (exc.symbol, exc.position)
-                paths.append((seq.prefix_value, seq.prefix_weight, seq.value_scale,
-                              seq.is_uniform, seq.min_weight, seq.max_weight, refused))
+                outcome = []
+                for strict in (False, True):
+                    try:
+                        seq = map_to_sequence(rec, spec, strict=strict)
+                    except UnknownSymbol as exc:
+                        outcome.append((exc.symbol, exc.position))
+                        continue
+                    assert (seq._pv is None) == (min_fast_n == 1)
+                    assert all(type(x) is int for x in seq.prefix_value + seq.prefix_weight)
+                    outcome.append((seq.prefix_value, seq.prefix_weight, seq.value_scale,
+                                    seq.is_uniform, seq.min_weight, seq.max_weight))
+                paths.append(outcome)
             assert paths[0] == paths[1]
-            assert all(type(x) is int for x in paths[0][0] + paths[0][1])
 
-    def test_non_ascii_symbol_is_one_non_gc_item(self, monkeypatch):
-        monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
-        seq = map_to_sequence(DnaRecord("s", "G\u00e9\U0001f9ecC"), MappingSpec.gc01())
-        assert [seq.value(i) for i in range(1, seq.n + 1)] == [1, 0, 0, 1]
-        with pytest.raises(UnknownSymbol) as exc:
-            map_to_sequence(DnaRecord("s", "GA\U0001f9ecC"), MappingSpec.gc01(), strict=True)
-        assert (exc.value.symbol, exc.value.position) == ("\U0001f9ec", 3)
+    def test_non_ascii_symbol_is_refused(self, monkeypatch):
+        # No FASTA base is non-ASCII: lenient or strict, on either path, the
+        # first non-ASCII symbol is refused by name and position.
+        for min_fast_n in (1, 100):
+            monkeypatch.setattr(fastpath, "MIN_FAST_N", min_fast_n)
+            for strict in (False, True):
+                with pytest.raises(UnknownSymbol) as exc:
+                    map_to_sequence(DnaRecord("s", "GA\U0001f9ec\u00e9C"), MappingSpec.gc01(),
+                                    strict=strict)
+                assert (exc.value.symbol, exc.value.position) == ("\U0001f9ec", 3)
 
     def test_scores_beyond_int64_keep_the_list_path(self, monkeypatch):
         monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
@@ -211,35 +220,87 @@ class TestMapping:
         assert MappingSpec.huang("0.123456789").scale == 10**9
 
 
+def _scan(data):
+    """bio.scan_fasta over data, and the records bio.fasta_bases reads back."""
+    def read(at, size):
+        assert size <= bio.FASTA_BLOCK
+        return data[at:at + size]
+
+    index = bio.scan_fasta(read)
+    assert [n for *_, n in index] == [end - start - sum(data.count(c, start, end) for c in
+                                                       (b" ", b"\t", b"\r", b"\n"))
+                                      for _, start, end, _ in index]
+    return [(rid, b"".join(bio.fasta_bases(read, start, end))) for rid, start, end, _ in index]
+
+
 class TestScanFasta:
     # bio.scan_fasta indexes FASTA bytes without holding them, and
-    # bio.fasta_bases reads a record's bases back; the records are the ones
-    # parse_fasta reads from the decoded text, at every block size.
+    # bio.fasta_bases reads a record's bases back, at every block size; a
+    # refusal names the line of the first fault, lines ending at LF, CRLF
+    # or a lone CR.
+    BLOCKS = (1, 2, 7, 64, bio.FASTA_BLOCK)
+
     def test_records_match_parse_fasta(self, monkeypatch):
         data = (b"\n \t>a x \r\nAC G\r\n\r\n\tT>g\n>b\rgg\rNN \n"
                 b" >c\n" + b"ACGTN" * 30 + b"\n")
-        want = [(rec.id, rec.bases) for rec in parse_fasta(data.decode())]
-        for block in (1, 2, 7, 64, bio.FASTA_BLOCK):
+        want = [("a x", b"ACGT>g"), ("b", b"ggNN"), ("c", b"ACGTN" * 30)]
+        for block in self.BLOCKS:
             monkeypatch.setattr(bio, "FASTA_BLOCK", block)
-            reads = []
+            assert _scan(data) == want
+            assert [(rec.id, rec.bases.encode()) for rec in parse_fasta(data.decode())] == want
 
-            def read(at, size):
-                reads.append(size)
-                return data[at:at + size]
+    REFUSED = {
+        b"": (MalformedFasta, "line 1: no records found"),
+        b"\n \n": (MalformedFasta, "line 1: no records found"),
+        b"AC\n>a\nGG\n": (MalformedFasta, "line 1: sequence data before any '>' header"),
+        b">a\n>b\nGG\n": (MalformedFasta, "line 1: record 'a' has no bases"),
+        b">a\nGG\n>b": (MalformedFasta, "line 3: record 'b' has no bases"),
+        b">a\nGG\n>b\n \n": (MalformedFasta, "line 3: record 'b' has no bases"),
+        b">a\nG\xffG\n": (MisencodedFasta, "line 2: non-ASCII byte 0xff in a sequence line"),
+    }
 
-            index = bio.scan_fasta(read)
-            assert max(reads) <= block
-            assert [(rid, b"".join(bio.fasta_bases(read, start, end)).decode())
-                    for rid, start, end, _ in index] == want
-            assert [n for *_, n in index] == [len(bases) for _, bases in want]
+    @pytest.mark.parametrize("data", list(REFUSED))
+    def test_inputs_parse_fasta_must_read_are_refused(self, monkeypatch, data):
+        self._check_refused(monkeypatch, data, *self.REFUSED[data])
 
-    @pytest.mark.parametrize("data", [
-        b"", b"\n \n", b"AC\n>a\nGG\n", b">a\n>b\nGG\n", b">a\nGG\n>b", b">a\nGG\n>b\n \n",
-        b">a\nG\x0bG\n", b">a\nG\x0cG\n", b">a\nG\x1cG\n", b">a\nG\x1fG\n",
-        ">a \u00e9\nGG\n".encode(), b">a\nG\xffG\n",
-    ])
-    def test_inputs_parse_fasta_must_read_are_refused(self, data):
-        assert bio.scan_fasta(lambda at, size: data[at:at + size]) is None
+    @pytest.mark.parametrize("data, error, message", [
+        (b"\r\n\r \n\t x\n>a\nG\n", MalformedFasta, "line 4: sequence data before any '>' header"),
+        (b"\n\xff>a\nG\n", MalformedFasta, "line 2: sequence data before any '>' header"),
+        (b">a\rGG\r\nGA\r\rA\xc3\xa9\n", MisencodedFasta,
+         "line 5: non-ASCII byte 0xc3 in a sequence line"),
+        (b">a\r\n\r\nG\r\n>b\r\n\r\n>c\r\nC", MalformedFasta, "line 4: record 'b' has no bases"),
+        (b">a\nGG\n> \xe9t\xe9\nGG\n", MisencodedFasta, "line 3: header is not UTF-8"),
+        (b">a\n>\xff\nGG\n", MalformedFasta, "line 1: record 'a' has no bases"),
+        (b">a\nGG\n>\xff", MisencodedFasta, "line 3: header is not UTF-8"),
+        (b">a\nGG\nAC>\xc3\xa9\n", MisencodedFasta,
+         "line 3: non-ASCII byte 0xc3 in a sequence line"),
+    ], ids=["data after blank lines", "non-ascii before the first header", "non-ascii base",
+            "empty record after crlf", "latin-1 header", "empty record before a bad header",
+            "bad last header", "'>' inside a line"])
+    def test_refusals_name_the_first_faulty_line(self, monkeypatch, data, error, message):
+        self._check_refused(monkeypatch, data, error, message)
+
+    def _check_refused(self, monkeypatch, data, error, message):
+        for block in self.BLOCKS:
+            monkeypatch.setattr(bio, "FASTA_BLOCK", block)
+            with pytest.raises(MalformedFasta) as exc:
+                _scan(data)
+            assert (type(exc.value), str(exc.value)) == (error, message)
+            assert exc.value.line == int(message.split(":")[0].split()[1])
+
+    @pytest.mark.parametrize("data, want", [
+        (b">a\nG\x0bG\n", [("a", b"G\x0bG")]),
+        (b">a\nG\x0cG\n", [("a", b"G\x0cG")]),
+        (b">a\nG\x1cG\n", [("a", b"G\x1cG")]),
+        (b">a\nG\x1fG\n", [("a", b"G\x1fG")]),
+        (">a \u00e9\nGG\n".encode(), [("a \u00e9", b"GG")]),
+        (b">\x0ba\xc2\xa0 \t\nG\n", [("\x0ba\u00a0", b"G")]),
+    ], ids=["vertical tab", "form feed", "separator 0x1c", "separator 0x1f", "utf-8 header",
+            "header stripped of blanks only"])
+    def test_other_controls_are_bases_and_headers_utf8(self, monkeypatch, data, want):
+        for block in self.BLOCKS:
+            monkeypatch.setattr(bio, "FASTA_BLOCK", block)
+            assert _scan(data) == want
 
 
 class TestCompressRuns:

@@ -1,5 +1,6 @@
 import gc
 import io
+import itertools
 import os
 import random
 import re
@@ -17,13 +18,17 @@ import maxseg.cli as cli
 from maxseg import (
     DensityValue,
     InfeasibleWidthWindow,
+    MalformedFasta,
+    MaxsegError,
     Segment,
+    UnknownSymbol,
     brute_force_best,
     density,
     make_segment,
     parse_tsv,
 )
 from maxseg.cli import main
+from maxseg.errors import MisencodedFasta
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
@@ -219,7 +224,6 @@ class TestFind:
         assert ids == ["a", "b", "c"]
 
     def test_records_mapped_and_solved_one_at_a_time(self, tmp_path, monkeypatch):
-        # Streamed and parsed records alike are mapped by bio._map_bases.
         from maxseg import bio
 
         mapped = 0
@@ -237,34 +241,24 @@ class TestFind:
 
         monkeypatch.setattr(bio, "_map_bases", counting_map)
         monkeypatch.setattr(cli, "solve", recording_solve)
-        for header in (">a", ">a \u00e9"):  # streamed, then through parse_fasta
-            path = tmp_path / "multi.fa"
-            path.write_text(f"{header}\nGGGG\n>b\nATAT\n>c\nGCGC\n")
-            mapped, seen = 0, []
-            code, _, _ = run_cli(
-                ["find", "--input", str(path), "--format", "fasta", "--L", "2", "--U", "4"]
-            )
-            assert code == 0
-            assert seen == [1, 2, 3]  # the k-th solve follows exactly k mappings
+        path = tmp_path / "multi.fa"
+        path.write_text(">a\nGGGG\n>b\nATAT\n>c\nGCGC\n")
+        code, _, _ = run_cli(
+            ["find", "--input", str(path), "--format", "fasta", "--L", "2", "--U", "4"]
+        )
+        assert code == 0
+        assert seen == [1, 2, 3]  # the k-th solve follows exactly k mappings
 
     def test_input_dropped_before_each_solve(self, tmp_path, monkeypatch):
-        # The input bytes and text are dropped once they are parsed, and
-        # each FASTA record once it is mapped: no solve runs while any is
-        # alive.  ASCII FASTA is streamed and holds neither, so it is never
-        # read whole; a non-ASCII header sends the same records through
-        # bio.parse_fasta and bio.map_to_sequence.
-        import weakref
-
-        from maxseg import bio
-
+        # FASTA is streamed and never read whole.  TSV input that is read
+        # whole, and its decoded text, are dropped once they are parsed: no
+        # solve runs while either is alive.
         fasta = tmp_path / "multi.fa"
         fasta.write_text(">a\nGGGGAT\n>b\nATATGC\n>c\nGCGCAA\n")
-        parsed = tmp_path / "parsed.fa"
-        parsed.write_text(">a \u00e9\nGGGGAT\n>b\nATATGC\n>c\nGCGCAA\n")
         tsv = tmp_path / "in.tsv"
         tsv.write_text("1\t1\n-2\t1\n3\t2\n")
-        alive, mapped = set(), []
-        real_open, real_map, real_solve = cli._open_input, bio.map_to_sequence, cli.solve
+        alive = set()
+        real_open, real_solve = cli._open_input, cli.solve
 
         def tracked(obj):
             alive.add(id(obj))
@@ -300,23 +294,16 @@ class TestFind:
                 assert self.path != str(fasta), "streamed FASTA is read whole"
                 return tracked(Data(self.fh.read()))
 
-        def mapping(rec, *a, **kw):
-            mapped.append(weakref.ref(rec))
-            return real_map(rec, *a, **kw)
-
         def solving(*a, **kw):
             assert not alive, "the input bytes or text are alive during a solve"
-            assert all(ref() is None for ref in mapped), "a record is alive during a solve"
             return real_solve(*a, **kw)
 
         monkeypatch.setattr(cli, "_open_input", Source)
-        monkeypatch.setattr(bio, "map_to_sequence", mapping)
         monkeypatch.setattr(cli, "solve", solving)
-        for path, fmt in ((fasta, "fasta"), (parsed, "fasta"), (tsv, "tsv")):
+        for path, fmt in ((fasta, "fasta"), (tsv, "tsv")):
             code, out, _ = run_cli(["find", "--input", str(path), "--format", fmt,
                                     "--L", "2", "--U", "4"])
             assert code == 0 and len(out.splitlines()) == (4 if fmt == "fasta" else 2)
-        assert len(mapped) == 3
 
     def test_mixed_feasibility_with_debug_dump(self, tmp_path):
         path = tmp_path / "mixed.fa"
@@ -514,27 +501,36 @@ class TestStdinMatchesFile:
 
         from_file = find(str(path), b"")
         assert find("-", data) == from_file
-        if b"\xff" in data:
+        if fmt == "fasta" and b"\xff" in data:
+            assert from_file == (1, b"", b"error: MisencodedFasta: line 2: "
+                                 b"non-ASCII byte 0xff in a sequence line\n")
+        elif b"\xff" in data:
             assert from_file[0] == 1 and b"UnicodeDecodeError" in from_file[2]
         else:
             assert from_file[0] == 0 and from_file[1].count(b"\n") == 2
 
+    @pytest.mark.parametrize("fmt,data", CASES[1::2], ids=["tsv", "fasta"])
+    def test_seekable_stdin_is_read_in_place(self, tmp_path, monkeypatch, fmt, data):
+        # stdin redirected from a file is read where it lies, not copied.
+        import tempfile
 
-def _find_fasta(tmp_path, data, argv, via, block, exact):
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        argv = ["--format", fmt, "--L", "2", "--U", "4"]
+        want = run_cli(["find", "--input", str(path)] + argv)
+        monkeypatch.setattr(tempfile, "TemporaryFile", mock.Mock(side_effect=AssertionError))
+        with open(path) as stdin:
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert run_cli(["find", "--input", "-"] + argv) == want
+            assert not stdin.closed
+        assert want[0] == 0
+
+
+def _find_fasta(tmp_path, data, argv, via, block):
     """(exit code, stdout, stderr) of `find --format fasta` on data read
     from a file, from stdin's bytes or from a FIFO that a thread writes,
-    with bio.FASTA_BLOCK set to block, and whether the streamed path
-    answered; exact=True sends the input to the exact path (parse_fasta +
-    map_to_sequence) instead."""
+    with bio.FASTA_BLOCK set to block."""
     from maxseg import bio
-
-    streamed = []
-    real_scan = bio.scan_fasta
-
-    def scan(read):
-        index = None if exact else real_scan(read)
-        streamed.append(index is not None)
-        return index
 
     writer = None
     if via == "file":
@@ -555,8 +551,7 @@ def _find_fasta(tmp_path, data, argv, via, block, exact):
     if stdin is not None:
         sys.stdin = stdin
     try:
-        with mock.patch.object(bio, "FASTA_BLOCK", block), \
-                mock.patch.object(bio, "scan_fasta", scan):
+        with mock.patch.object(bio, "FASTA_BLOCK", block):
             code = main(["find", "--input", source, "--format", "fasta"] + argv)
     finally:
         sys.stdout, sys.stderr, sys.stdin = saved
@@ -564,15 +559,53 @@ def _find_fasta(tmp_path, data, argv, via, block, exact):
             writer.join(timeout=30)
             assert not writer.is_alive(), "find did not read the FIFO to its end"
             path.unlink()
-    return (code, out.getvalue(), err.getvalue()), streamed == [True]
+    return code, out.getvalue(), err.getvalue()
+
+
+def _report(*rows, err=""):
+    """find's exit code, stdout and stderr for these report rows, and the
+    InfeasibleWidthWindow notes err when there are any."""
+    return 2 if err else 0, "".join(f"{row}\n" for row in (cli.REPORT_HEADER,) + rows), err
+
+
+def _refused(error):
+    """find's exit code, stdout and stderr for an input error."""
+    return 1, "", f"error: {error}\n"
+
+
+def _model_fasta(data):
+    """The FASTA byte grammar by lines: (id, bases) per record, or the type
+    and line of the first refusal."""
+    recs, at = [], 1
+    for k, line in enumerate(data.splitlines(), start=1):  # at LF, CRLF and CR only
+        line = line.strip(b" \t")
+        if line.startswith(b">"):
+            if recs and not recs[-1][1]:
+                return MalformedFasta, at
+            try:
+                recs.append((line[1:].strip(b" \t").decode(), bytearray()))
+            except UnicodeDecodeError:
+                return MisencodedFasta, k
+            at = k
+        elif line:
+            if not recs or not line.isascii():
+                return (MisencodedFasta if recs else MalformedFasta), k
+            recs[-1][1].extend(line.translate(None, b" \t"))
+    if not recs or not recs[-1][1]:
+        return MalformedFasta, at
+    return [(rid, bytes(bases)) for rid, bases in recs]
 
 
 class TestFastaBytes:
-    # FASTA bytes that bio.scan_fasta accepts are streamed into prefix
-    # arrays; the rest take the exact path.  Either way stdout, stderr and
-    # the exit code are the exact path's on a file, through stdin and
-    # through a FIFO (copied to a temporary file first, since it cannot
-    # seek), at every block size and with every flag.
+    # FASTA bytes are streamed into prefix arrays under one byte grammar.
+    # Each input gives the same stdout, stderr and exit code on a file,
+    # through stdin and through a FIFO (copied to a temporary file first,
+    # since it cannot seek), at every block size; the outcomes are listed
+    # per FLAGS entry.  STREAMED and the five refusals at the end of EXACT
+    # give what find gave when a second, text-based parser still read every
+    # input the stream did not accept, and the stream already agreed with
+    # it on these.  The rest of EXACT went to that parser: the other ASCII
+    # controls are now bases, and a non-ASCII base is refused with its line.
     FLAGS = [[], ["--strict"], ["--compress"],
              ["--strict", "--compress", "--mapping", "huang:0.45", "--exact"]]
     VIAS = ("file", "stdin") + (("fifo",) if hasattr(os, "mkfifo") else ())
@@ -589,77 +622,153 @@ class TestFastaBytes:
             f">short\n{LONG[:4095]}\n>long\n{LONG[:4096]}\n>longer\n{LONG}\n").encode(),
         "no final line break": b">a\nACGGC",
     }
+    B_INFEASIBLE = "record 'b': InfeasibleWidthWindow: no segment with width in [2, 4]\n"
+    OUTCOMES = {
+        "crlf": [
+            _report("a x\t2\t3\t2\t2\t1.000000000", "b\t1\t2\t2\t2\t1.000000000"),
+            _report("a x\t2\t3\t2\t2\t1.000000000", "b\t1\t2\t2\t2\t1.000000000"),
+            _report('a x\t2\t2\t2\t2\t1.000000000', err=B_INFEASIBLE),
+            _report('a x\t2\t2\t2\t1.1\t1.1/2', err=B_INFEASIBLE),
+        ],
+        "lone cr": [
+            _report("a\t2\t3\t2\t2\t1.000000000", "b\t1\t2\t2\t2\t1.000000000"),
+            _report("a\t2\t3\t2\t2\t1.000000000", "b\t1\t2\t2\t2\t1.000000000"),
+            _report("a\t2\t2\t2\t2\t1.000000000", "b\t1\t1\t2\t2\t1.000000000"),
+            _report("a\t2\t2\t2\t1.1\t1.1/2", "b\t1\t1\t2\t1.1\t1.1/2"),
+        ],
+        "tabs and spaces": [
+            _report("a  desc\t2\t3\t2\t2\t1.000000000", "b\t1\t2\t2\t0\t0.000000000"),
+            _report("a  desc\t2\t3\t2\t2\t1.000000000", "b\t1\t2\t2\t0\t0.000000000"),
+            _report("a  desc\t2\t2\t2\t2\t1.000000000", "b\t1\t1\t2\t0\t0.000000000"),
+            _report("a  desc\t2\t2\t2\t1.1\t1.1/2", "b\t1\t1\t2\t-0.9\t-0.9/2"),
+        ],
+        "space before header": [
+            _report("id\t2\t3\t2\t2\t1.000000000", "b\t1\t2\t2\t2\t1.000000000"),
+            _report("id\t2\t3\t2\t2\t1.000000000", "b\t1\t2\t2\t2\t1.000000000"),
+            _report("id\t2\t2\t2\t2\t1.000000000", "b\t1\t1\t4\t4\t1.000000000"),
+            _report("id\t2\t2\t2\t1.1\t1.1/2", "b\t1\t1\t4\t2.2\t2.2/4"),
+        ],
+        "'>' inside a line": [
+            _report("a\t6\t7\t2\t2\t1.000000000", "b\t1\t3\t3\t2\t0.666666667"),
+            _refused("UnknownSymbol: position 3: unknown symbol '>'"),
+            _report("a\t6\t6\t2\t2\t1.000000000", "b\t1\t3\t3\t2\t0.666666667"),
+            _refused("UnknownSymbol: position 3: unknown symbol '>'"),
+        ],
+        "blank lines and lowercase": [
+            _report("a\t2\t3\t2\t2\t1.000000000", "b\t1\t2\t2\t0\t0.000000000"),
+            _report("a\t2\t3\t2\t2\t1.000000000", "b\t1\t2\t2\t0\t0.000000000"),
+            _report("a\t2\t2\t2\t2\t1.000000000", "b\t1\t1\t2\t0\t0.000000000"),
+            _report("a\t2\t2\t2\t1.1\t1.1/2", "b\t1\t1\t2\t-0.9\t-0.9/2"),
+        ],
+        "unknown symbols": [
+            _report("a\t2\t4\t3\t2\t0.666666667", "b\t1\t2\t2\t2\t1.000000000"),
+            _refused("UnknownSymbol: position 3: unknown symbol 'X'"),
+            _report("a\t2\t4\t3\t2\t0.666666667", "b\t1\t1\t2\t2\t1.000000000"),
+            _refused("UnknownSymbol: position 3: unknown symbol 'X'"),
+        ],
+        "both sides of MIN_FAST_N": [
+            _report(*(f"{rid}\t1\t2\t2\t2\t1.000000000" for rid in ("short", "long", "longer"))),
+            _report(*(f"{rid}\t1\t2\t2\t2\t1.000000000" for rid in ("short", "long", "longer"))),
+            _report(*(f"{rid}\t1\t1\t2\t2\t1.000000000" for rid in ("short", "long", "longer"))),
+            _report(*(f"{rid}\t1\t1\t2\t1.1\t1.1/2" for rid in ("short", "long", "longer"))),
+        ],
+        "no final line break": [
+            _report("a\t2\t3\t2\t2\t1.000000000"),
+            _report("a\t2\t3\t2\t2\t1.000000000"),
+            _report("a\t2\t2\t4\t4\t1.000000000"),
+            _report("a\t2\t2\t4\t2.2\t2.2/4"),
+        ],
+    }
     EXACT = {
-        "vertical tab": b">a\nAC\x0bGT\n",
-        "form feed": b">a\nAC\x0cGT\n",
-        **{f"separator {c:#x}": b">a\nAC" + bytes([c]) + b"GT\n" for c in range(0x1c, 0x20)},
-        "valid non-ascii": ">a é\nACGT\n>b\nGGéC\n".encode(),
-        "invalid utf-8": b">a\nAC\xffGT\n",
-        "empty record": b">a\n>b\nACGT\n",
-        "empty last record": b">a\nACGT\n>b\n  \n",
-        "data before the first header": b"ACGT\n>a\nGG\n",
-        "empty file": b"",
-        "blank file": b" \n\n",
+        **{name: (b">a\nAC" + bytes([c]) + b"GT\n", [
+            _report("a\t2\t4\t3\t2\t0.666666667"),
+            _refused(f"UnknownSymbol: position 3: unknown symbol {chr(c)!r}")] * 2)
+           for name, c in [("vertical tab", 0x0b), ("form feed", 0x0c),
+                           *((f"separator {c:#x}", c) for c in range(0x1c, 0x20))]},
+        "valid non-ascii": (">a é\nACGT\n>b\nGGéC\n".encode(), [_refused(
+            "MisencodedFasta: line 4: non-ASCII byte 0xc3 in a sequence line")] * 4),
+        "invalid utf-8": (b">a\nAC\xffGT\n", [_refused(
+            "MisencodedFasta: line 2: non-ASCII byte 0xff in a sequence line")] * 4),
+        "empty record": (b">a\n>b\nACGT\n", [_refused(
+            "MalformedFasta: line 1: record 'a' has no bases")] * 4),
+        "empty last record": (b">a\nACGT\n>b\n  \n", [_refused(
+            "MalformedFasta: line 3: record 'b' has no bases")] * 4),
+        "data before the first header": (b"ACGT\n>a\nGG\n", [_refused(
+            "MalformedFasta: line 1: sequence data before any '>' header")] * 4),
+        "empty file": (b"", [_refused("MalformedFasta: line 1: no records found")] * 4),
+        "blank file": (b" \n\n", [_refused("MalformedFasta: line 1: no records found")] * 4),
     }
 
     @pytest.mark.parametrize("name", sorted(STREAMED) + sorted(EXACT))
     def test_same_output_as_the_exact_path(self, tmp_path, name):
-        data = self.STREAMED.get(name, self.EXACT.get(name))
-        for flags in self.FLAGS:
+        if name in self.STREAMED:
+            data, outcomes = self.STREAMED[name], self.OUTCOMES[name]
+        else:
+            data, outcomes = self.EXACT[name]
+        for flags, want in zip(self.FLAGS, outcomes):
             argv = ["--L", "2", "--U", "4"] + flags
-            want, _ = _find_fasta(tmp_path, data, argv, "file", 1 << 16, exact=True)
             for via in self.VIAS:
-                assert _find_fasta(tmp_path, data, argv, via, 1 << 16, exact=True)[0] == want
                 for block in (1, 7, 64):
-                    got, streamed = _find_fasta(tmp_path, data, argv, via, block, exact=False)
+                    got = _find_fasta(tmp_path, data, argv, via, block)
                     assert got == want, (flags, via, block)
-                    assert streamed == (name in self.STREAMED)
 
-    TOKENS = [b">", b">r", b" >id x", b"\n", b"\r\n", b"\r", b" ", b"\t", b"ACGT", b"GGCC",
-              b"acgtn", b"X", b"\x0b", b"\x1e", "é".encode(), b"\xff", b"\x00"]
+    TOKENS = [b">", b">r", b" >id x", ">a é".encode(), b"\n", b"\r\n", b"\r", b" ", b"\t",
+              b"ACGT", b"GGCC", b"acgtn", b"X", b"\x0b", b"\x1e", b"\x00", "é".encode(), b"\xff"]
 
-    @given(st.lists(st.sampled_from(TOKENS), max_size=40), st.booleans(),
-           st.sampled_from(FLAGS), st.sampled_from(VIAS),
+    @given(st.lists(st.sampled_from(TOKENS), max_size=40), st.booleans(), st.booleans(),
            st.sampled_from((1, 7, 64)), st.sampled_from((1, 8, 4096)))
     @settings(max_examples=300, deadline=None)
-    def test_random_bytes_match_the_exact_path(self, tmp_path_factory, tokens, header,
-                                               flags, via, block, min_fast_n):
-        from maxseg import fastpath
+    def test_random_bytes_match_the_exact_path(self, tokens, header, strict, block, min_fast_n):
+        # read_fasta against _model_fasta, which reads the grammar by lines.
+        from maxseg import MappingSpec, bio, fastpath
 
         data = (b">r0\n" if header else b"") + b"".join(tokens)
-        argv = ["--L", "2", "--U", "4"] + flags
-        tmp_path = tmp_path_factory.mktemp("fa")
-        with mock.patch.object(fastpath, "MIN_FAST_N", min_fast_n):
-            want, _ = _find_fasta(tmp_path, data, argv, via, block, exact=True)
-            assert _find_fasta(tmp_path, data, argv, via, block, exact=False)[0] == want
+        want = _model_fasta(data)
+        if strict and isinstance(want, list):  # the first unknown symbol, record by record
+            unknown = ((UnknownSymbol, k) for _, bases in want
+                       for k, c in enumerate(bases, start=1) if c not in b"ACGTUNacgtun")
+            want = next(unknown, want)
+        with mock.patch.object(fastpath, "MIN_FAST_N", min_fast_n), \
+                mock.patch.object(bio, "FASTA_BLOCK", block):
+            try:
+                got = [(rid, seq.prefix_value) for rid, seq in
+                       bio.read_fasta(io.BytesIO(data), MappingSpec.gc01(), strict)]
+            except MaxsegError as exc:
+                got = type(exc), getattr(exc, "line", getattr(exc, "position", None))
+        if isinstance(want, list):
+            want = [(rid, [0, *itertools.accumulate(int(c in b"GCgc") for c in bases)])
+                    for rid, bases in want]
+        assert got == want
 
     def test_a_file_is_never_held_whole(self, tmp_path):
         # The first record of a 1e6-base file is mapped at 4 bytes per base
-        # plus a few blocks of scratch: neither the file's bytes (1 byte per
-        # base) nor its text is ever held.
+        # plus a few blocks of scratch: the file's bytes (1 byte per base)
+        # are never held, whether its header is ASCII or UTF-8.
         import tracemalloc
 
         import numpy  # noqa: F401  (its one-off import is not ingest)
+
+        from maxseg import MappingSpec, bio
 
         n = 10**6
         rng = random.Random(3)
         bases = "".join(rng.choices("ACGT", k=n))
         path = tmp_path / "long.fa"
-        path.write_text(">a\n" + "\n".join(bases[i:i + 60] for i in range(0, n, 60)) + "\n>b\nAC\n")
-        del bases
-        from maxseg import MappingSpec, bio
-
-        tracemalloc.start()
-        try:
-            with open(path, "rb") as fh:
-                records = bio.read_fasta(fh, MappingSpec.gc01())
-                rid, seq = next(records)
-                peak = tracemalloc.get_traced_memory()[1]
-                records.close()
-        finally:
-            tracemalloc.stop()
-        assert (rid, seq.n, seq.prefix_arrays()[0].dtype.name) == ("a", n, "int32")
-        assert peak < 4 * n + 600_000, f"{(peak - 4 * n) / 1e3:.0f} kB above the prefix array"
+        for header in ("a", "a \u00e9"):
+            path.write_text(f">{header}\n" + "\n".join(bases[i:i + 60] for i in range(0, n, 60))
+                            + "\n>b\nAC\n", encoding="utf-8")
+            tracemalloc.start()
+            try:
+                with open(path, "rb") as fh:
+                    records = bio.read_fasta(fh, MappingSpec.gc01())
+                    rid, seq = next(records)
+                    peak = tracemalloc.get_traced_memory()[1]
+                    records.close()
+            finally:
+                tracemalloc.stop()
+            assert (rid, seq.n, seq.prefix_arrays()[0].dtype.name) == (header, n, "int32")
+            assert peak < 4 * n + 600_000, f"{(peak - 4 * n) / 1e3:.0f} kB above the prefix array"
+            del seq
 
 
 # Runs argv[1:] and prints its peak RSS in kB.  Linux carries a process's
@@ -727,9 +836,9 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("fmt", ["fasta", "tsv"])
     def test_find_on_stdin_peaks_as_on_the_file(self, tmp_path, fmt):
-        # stdin is copied into a temporary file a block at a time and read
-        # from there as a file is, so its bytes are never held: 2e6 bases,
-        # or 2e5 rows, peak within a small margin of the same file.
+        # stdin redirected from a file is read where it lies, as the file
+        # is, so its bytes are never held: 2e6 bases, or 2e5 rows, peak
+        # within a small margin of the same file.
         rng = random.Random(13)
         path = tmp_path / f"in.{fmt}"
         if fmt == "fasta":

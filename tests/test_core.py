@@ -350,8 +350,8 @@ class TestPublicApi:
             "brute_force_best", "brute_force_partition", "build_sequence",
             "compress_runs", "density", "make_segment", "map_to_sequence",
             "max_density_general", "max_density_min_width", "max_density_uniform",
-            "parse_fasta", "parse_tsv", "sliding_window", "solve", "write_fasta",
+            "parse_fasta", "parse_tsv", "sliding_window", "solve",
         ])
-        assert len(set(maxseg.__all__)) == len(maxseg.__all__) == 33
+        assert len(set(maxseg.__all__)) == len(maxseg.__all__) == 32
         for name in maxseg.__all__:
             assert getattr(maxseg, name) is not None
