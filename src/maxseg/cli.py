@@ -65,7 +65,9 @@ def _open_input(path: str):
     """The input as a binary file that can seek, for a with statement: a
     file that can seek where it lies (stdin at its start is read in place
     and left open), anything else (a pipe, a FIFO) copied 64 KiB at a time
-    into a temporary file.  An in-memory text stdin is UTF-8."""
+    into a temporary file.  An in-memory text stdin is UTF-8; a closed one is refused."""
+    if path == "-" and sys.stdin is None:
+        raise ValueError("--input -: stdin is closed")
     if path == "-" and not hasattr(sys.stdin, "buffer"):  # its text is in memory already
         return io.BytesIO(sys.stdin.read().encode())
     src = sys.stdin.buffer if path == "-" else open(path, "rb")

@@ -257,7 +257,12 @@ def _exact(x: RealInput, idx: int, weight: bool = False) -> Number:
     except (ValueError, OverflowError):  # NaN or an infinity
         bad = NonPositiveWeight if weight and not x == math.inf else NonFiniteItem
         raise bad(idx) from None
-    return int(q) if q.denominator == 1 else q
+    return _integral(q)
+
+
+def _integral(x: Number) -> Number:
+    """x as an int when it is integral; a Fraction sum can be."""
+    return int(x) if x.denominator == 1 else x
 
 
 def build_sequence(
@@ -303,23 +308,32 @@ def build_sequence(
     )
 
 
+def _int_column(col: List[Number]) -> List[Number]:
+    """col as ints when every entry is integral (one ending in an int holds only ints)."""
+    if isinstance(col[-1], int) or any(x.denominator != 1 for x in col):
+        return col
+    return [int(x) for x in col]
+
+
 def _merge_spans(seq: WeightedSequence, cuts: Sequence[int]) -> WeightedSequence:
     """The list-store sequence, with seq's scales, whose k-th item merges
     items cuts[k] + 1 .. cuts[k + 1] of seq (cuts increasing)."""
     pv, pw = seq.prefix_value, seq.prefix_weight
     v0, w0 = pv[cuts[0]], pw[cuts[0]]
-    weights = [pw[b] - pw[a] for a, b in zip(cuts, cuts[1:])]
+    V = _int_column([pv[c] - v0 for c in cuts])
+    W = _int_column([pw[c] - w0 for c in cuts])
+    weights = [b - a for a, b in zip(W, W[1:])]
     lo, hi = min(weights), max(weights)
-    return WeightedSequence([pv[c] - v0 for c in cuts], [pw[c] - w0 for c in cuts],
-                            value_scale=seq.value_scale, weight_scale=seq.weight_scale,
+    return WeightedSequence(V, W, value_scale=seq.value_scale, weight_scale=seq.weight_scale,
                             is_uniform=lo == hi == 1, min_weight=lo, max_weight=hi)
 
 
 def density(seq: WeightedSequence, i: int, j: int) -> DensityValue:
-    """Density of segment (i, j), inclusive 1-based, as an exact pair."""
+    """Density of segment (i, j), inclusive 1-based, as an exact pair (ints when integral)."""
     if not 1 <= i <= j <= seq.n:
         raise IndexOutOfRange(f"segment ({i},{j}) outside [1,{seq.n}]")
-    return DensityValue(*seq._span(i, j))
+    s, w = seq._span(i, j)
+    return DensityValue(_integral(s), _integral(w))
 
 
 def make_segment(seq: WeightedSequence, i: int, j: int) -> Segment:

@@ -11,10 +11,12 @@ Three algorithms cover the width-constraint shapes:
   blocks, O(n log s).  Weights >= 1 give s <= U - L + 1, the paper's
   O(n log(U - L + 1)) bound.
 
-Ties everywhere resolve to the smallest start index, then the smallest end
-index: the candidate pass keeps the smallest maximizing start (candidates
-arrive with strictly decreasing starts), and a final scan minimizes the end
-for that start.
+The three sweeps share one candidate loop, :func:`_densest`, and differ
+only in the structures they build and in the endpoints they offer for each
+left index.  Ties everywhere resolve to the smallest start index, then the
+smallest end index: the loop keeps the smallest maximizing start (left
+indices arrive in decreasing order), and a final scan minimizes the end for
+that start.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Iterator, Optional, Tuple
 from . import fastpath
 from .core import (
     FeasibilityBounds,
-    Number,
     OpCounters,
     RealInput,
     Segment,
@@ -54,45 +55,57 @@ class SolveRequest:
             raise ValueError(f"need L <= U, got L={self.L!r} U={self.U!r}")
 
 
-class _Best:
-    """Running best candidate; ties prefer the latest (= smallest) start.
+def _densest(seq: WeightedSequence, lidx, i0: int, ends) -> Segment:
+    """The densest segment (i, g) over left indices i = i0 .. 1, right to
+    left, and the endpoints g that ``ends(i)`` yields for each, in order.
 
-    Solvers offer candidates with non-increasing start indices, so replacing
-    on density >= keeps the smallest maximizing start.
+    An offer at least as dense as the best so far replaces it, so the
+    smallest maximizing start wins.  The winner's end then moves to the
+    smallest equal-density end at or after ``lidx[start]``.
     """
-
-    __slots__ = ("start", "end", "s", "w")
-
-    def __init__(self):
-        self.start = 0
-        self.end = 0
-        self.s = 0
-        self.w = 0
-
-    def offer(self, i: int, j: int, s: Number, w: Number) -> None:
-        if self.w == 0 or s * self.w >= self.s * w:
-            self.start = i
-            self.end = j
-            self.s = s
-            self.w = w
-
-
-def _finalize(seq: WeightedSequence, i: int, g: int, lo: int) -> Segment:
-    """Normalize the winning candidate (i, g) to the smallest equal-density end >= lo."""
     V = seq.prefix_value
     W = seq.prefix_weight
-    vi = V[i - 1]
-    wi = W[i - 1]
-    s = V[g] - vi
-    w = W[g] - wi
-    j = lo
-    while (V[j] - vi) * w != s * (W[j] - wi):
+    bi = bs = bw = 0
+    for i in range(i0, 0, -1):
+        vi = V[i - 1]
+        wi = W[i - 1]
+        for g in ends(i):
+            s = V[g] - vi
+            w = W[g] - wi
+            if bw == 0 or s * bw >= bs * w:
+                bi, bs, bw = i, s, w
+    vi = V[bi - 1]
+    wi = W[bi - 1]
+    j = lidx[bi]
+    while (V[j] - vi) * bw != bs * (W[j] - wi):
         j += 1
-    return make_segment(seq, i, j)
+    return make_segment(seq, bi, j)
 
 
 # ---------------------------------------------------------------------------
-# Equal weights: widths are whole multiples of the common weight.
+# Width >= L, no upper bound: single structure over the whole sequence.
+# ---------------------------------------------------------------------------
+
+
+def max_density_min_width(
+    seq: WeightedSequence,
+    L: RealInput,
+    *,
+    counters: Optional[OpCounters] = None,
+) -> Segment:
+    """Densest segment of width at least L, in O(n): every left index asks
+    the one structure for its best endpoint."""
+    n = seq.n
+    if seq.prefix_weight[n] < L:
+        raise InfeasibleWidthWindow(f"total width {seq.total_width!r} below L={L!r}")
+    c = counters if counters is not None else OpCounters()
+    bounds = compute_bounds(seq, L, seq.prefix_weight[n])
+    state = initialize_min_width(seq, 1, n, bounds, counters=c)
+    return _densest(seq, bounds.lidx, bounds.i0, lambda i: (find_match_min_width(state, i),))
+
+
+# ---------------------------------------------------------------------------
+# Equal weights: the width bounds become item counts.
 # ---------------------------------------------------------------------------
 
 
@@ -112,59 +125,6 @@ def sliding_window(seq: WeightedSequence, L: RealInput) -> Segment:
     ties take the smallest start.  An L that is not a whole multiple of the
     weight admits no window at all."""
     return max_density_uniform(seq, L, L)
-
-
-def _densest_run(seq: WeightedSequence, k: int) -> Segment:
-    """Densest run of exactly k items over equal weights; ties take the
-    smallest start."""
-    V = seq.prefix_value
-    best_s = V[k] - V[0]
-    best_i = 1
-    for i in range(2, seq.n - k + 2):
-        s = V[i + k - 1] - V[i - 1]
-        if s > best_s:
-            best_s = s
-            best_i = i
-    return make_segment(seq, best_i, best_i + k - 1)
-
-
-# ---------------------------------------------------------------------------
-# Width >= L, no upper bound: single structure over the whole sequence.
-# ---------------------------------------------------------------------------
-
-
-def max_density_min_width(
-    seq: WeightedSequence,
-    L: RealInput,
-    *,
-    counters: Optional[OpCounters] = None,
-) -> Segment:
-    """Densest segment of width at least L, in O(n).
-
-    Left indices are processed right to left; each asks the sweep structure
-    for its best endpoint, and the best recorded pair wins.
-    """
-    n = seq.n
-    if seq.prefix_weight[n] < L:
-        raise InfeasibleWidthWindow(f"total width {seq.total_width!r} below L={L!r}")
-    c = counters if counters is not None else OpCounters()
-    bounds = compute_bounds(seq, L, seq.prefix_weight[n])
-    i0 = bounds.i0
-    assert i0 is not None
-    lidx = bounds.lidx
-    state = initialize_min_width(seq, 1, n, bounds, counters=c)
-    V = seq.prefix_value
-    W = seq.prefix_weight
-    best = _Best()
-    for i in range(i0, 0, -1):
-        g = find_match_min_width(state, i)
-        best.offer(i, g, V[g] - V[i - 1], W[g] - W[i - 1])
-    return _finalize(seq, best.start, best.end, lidx[best.start])
-
-
-# ---------------------------------------------------------------------------
-# Equal weights, L < U: fixed blocks of Uc - Lc indices.
-# ---------------------------------------------------------------------------
 
 
 def max_density_uniform(
@@ -193,10 +153,10 @@ def max_density_uniform(
     Lc, Uc = _item_counts(seq, L, min(U, total))
     if Lc > Uc:
         raise InfeasibleWidthWindow(f"no item count puts the width inside [{L!r}, {U!r}]")
-    if Lc == Uc:
-        return _densest_run(seq, Lc)  # one item count fits
-    c = counters if counters is not None else OpCounters()
     i0 = n - Lc + 1
+    if Lc == Uc:  # one item count fits: left index i has the one endpoint i + Lc - 1
+        return _densest(seq, range(Lc - 1, n + Lc), i0, lambda i: (i + Lc - 1,))
+    c = counters if counters is not None else OpCounters()
     bounds = FeasibilityBounds(
         lidx=[None, *range(Lc, n + 1)] + [None] * (Lc - 1),
         uidx=[0, *range(Uc, n + 1)] + [n] * (Uc - 1),
@@ -209,24 +169,17 @@ def max_density_uniform(
     # blocks_u[z] serves block z + 1: no endpoint range reaches block 0's high part
     blocks_u = [initialize_max_width(seq, x, y, bounds, counters=c) for x, y in blocks[1:]]
 
-    V = seq.prefix_value
-    W = seq.prefix_weight
-    best = _Best()
-    for i in range(i0, 0, -1):
+    def ends(i):
         zc = (lidx[i] - 1) // size
-        vi = V[i - 1]
-        wi = W[i - 1]
-        if zc < len(blocks_u):
-            g = find_match_max_width(blocks_u[zc], i)
-            best.offer(i, g, V[g] - vi, W[g] - wi)
-        # offered last, the low side wins a tie with the high side
-        g = find_match_min_width(blocks_l[zc], i)
-        best.offer(i, g, V[g] - vi, W[g] - wi)
-    return _finalize(seq, best.start, best.end, lidx[best.start])
+        if zc < len(blocks_u):  # offered last, the low side wins a tie with the high side
+            return find_match_max_width(blocks_u[zc], i), find_match_min_width(blocks_l[zc], i)
+        return (find_match_min_width(blocks_l[zc], i),)
+
+    return _densest(seq, lidx, i0, ends)
 
 
 # ---------------------------------------------------------------------------
-# Dyadic block cover for the general solver.
+# Any positive weights, L <= U: dyadic blocks at every level.
 # ---------------------------------------------------------------------------
 
 
@@ -249,11 +202,6 @@ def _iter_cover(p: int, q: int, beta: int) -> Iterator[Tuple[int, int]]:
         k = _greedy_level(s, q, beta)
         yield k, s
         s += 1 << k
-
-
-# ---------------------------------------------------------------------------
-# Any positive weights, L <= U: dyadic blocks at every level.
-# ---------------------------------------------------------------------------
 
 
 def max_density_general(
@@ -304,16 +252,10 @@ def max_density_general(
             for xs in range(1, n + 1, step)
         ])
 
-    V = seq.prefix_value
-    W = seq.prefix_weight
-    best = _Best()
-    for i in range(i0, 0, -1):
-        vi = V[i - 1]
-        wi = W[i - 1]
-        for k, s in _iter_cover(lidx[i], uidx[i], beta):
-            g = find_match_min_width(levels[k][(s - 1) >> k], i) if k else s
-            best.offer(i, g, V[g] - vi, W[g] - wi)
-    return _finalize(seq, best.start, best.end, lidx[best.start])
+    return _densest(seq, lidx, i0, lambda i: (
+        find_match_min_width(levels[k][(s - 1) >> k], i) if k else s
+        for k, s in _iter_cover(lidx[i], uidx[i], beta)
+    ))
 
 
 # ---------------------------------------------------------------------------

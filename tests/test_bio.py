@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -23,7 +24,7 @@ from maxseg import (
     parse_tsv,
     solve,
 )
-from maxseg import bio, fastpath
+from maxseg import bio, fastpath, solvers
 from maxseg.errors import MisencodedFasta
 from maxseg.bio import DnaRecord
 
@@ -400,6 +401,31 @@ class TestCompressRuns:
                 listed = map_to_sequence(rec, spec)
                 assert stored(arrayed) == stored(listed)
                 assert stored(comp) == stored(compress_runs(listed))
+
+    def test_integral_runs_of_fraction_items_reach_the_backend(self, rng, monkeypatch):
+        # Every run of two half-width items merges into an integral item, so
+        # the compressed sequence holds ints and the numpy backend solves it.
+        n = fastpath.MIN_FAST_N
+        values = [rng.randint(-3, 3)]
+        while len(values) < n:
+            values.append(rng.choice([v for v in range(-3, 4) if v != values[-1]]))
+        seq = build_sequence([(Fraction(v, 2), Fraction(1, 2)) for v in values for _ in range(2)])
+        assert seq.prefix_arrays() is None
+        comp = compress_runs(seq)
+        assert comp.n == n and comp.is_uniform and fastpath.eligible(comp)
+        with monkeypatch.context() as m:
+            m.setattr(fastpath, "MIN_FAST_N", n + 1)
+            want = solve(SolveRequest(comp, 5, 40))
+
+        def no_sweep(*a, **kw):
+            raise AssertionError("a pure sweep ran")
+
+        for name in ("max_density_min_width", "max_density_uniform", "max_density_general"):
+            monkeypatch.setattr(solvers, name, no_sweep)
+        got = solve(SolveRequest(comp, 5, 40))
+        assert (got.start, got.end, got.sum, got.width) == (
+            want.start, want.end, want.sum, want.width)
+        assert type(got.sum) is int
 
     def test_products_beyond_int64_use_exact_ints(self, monkeypatch):
         # Every prefix fits int64, but 2**60 * 16 wraps to 0 there, which

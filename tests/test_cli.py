@@ -82,6 +82,13 @@ class TestFind:
         assert code == 0
         assert out.splitlines()[1] == "r1\t1\t1\t1\t5\t5.000000000"
 
+    def test_closed_stdin_is_refused(self, monkeypatch):
+        # `find --input - <&-` leaves sys.stdin None
+        monkeypatch.setattr(sys, "stdin", None)
+        for fmt in ("fasta", "tsv"):
+            assert run_cli(["find", "--input", "-", "--format", fmt, "--L", "2"]) == (
+                1, "", "error: ValueError: --input -: stdin is closed\n")
+
     def test_infeasible_exit_code(self, tmp_path):
         path = tmp_path / "u.fa"
         path.write_text(">tiny\nACGT\n")

@@ -19,6 +19,7 @@ from maxseg import (
 from maxseg.core import (
     MAX_INTEGER_DIGITS,
     WeightedSequence,
+    _merge_spans,
     compute_bounds,
     density_decimal_str,
     exact_decimal,
@@ -157,6 +158,17 @@ class TestDensity:
         d = density(build_sequence([(2, 1), (0, 1), (4, 1)]), 2, 2)
         assert (d.sum, d.width) == (0, 1)
 
+    def test_integral_fraction_sums_are_ints(self):
+        # The stored prefixes stay Fractions; an integral sum or width is an int.
+        seq = build_sequence([(Fraction(1, 2), 1), (Fraction(1, 2), 1), (3, 1)])
+        assert type(seq.prefix_value[3]) is Fraction
+        seg = solve(SolveRequest(seq, 1, 1))
+        assert (seg.start, seg.end, seg.sum, seg.width) == (3, 3, 3, 1)
+        assert type(seg.sum) is int and type(density(seq, 1, 2).sum) is int
+        assert density(seq, 1, 1).sum == Fraction(1, 2)
+        d = density(build_sequence([(1, Fraction(1, 2)), (2, Fraction(1, 2))]), 1, 2)
+        assert (d.sum, d.width) == (3, 1) and type(d.width) is int
+
     def test_index_out_of_range(self):
         seq = build_sequence([(1, 1), (2, 1)])
         for i, j in [(0, 1), (1, 3), (2, 1)]:
@@ -171,6 +183,25 @@ class TestDensity:
             d = density(seq, i, j)
             assert d.sum == sum(seq.value(k) for k in range(i, j + 1))
             assert d.width == sum(seq.weight(k) for k in range(i, j + 1))
+
+
+class TestMergeSpans:
+    def test_integral_columns_hold_ints(self):
+        seq = build_sequence([(Fraction(1, 2), Fraction(1, 2))] * 4 + [(Fraction(1, 3), 1)])
+        merged = _merge_spans(seq, [0, 2, 4])
+        assert merged.prefix_value == merged.prefix_weight == [0, 1, 2]
+        assert all(type(x) is int for x in merged.prefix_value + merged.prefix_weight)
+        assert merged.is_uniform and type(merged.max_weight) is int
+        assert merged.prefix_arrays() is not None
+
+    def test_a_fractional_column_does_not_end_in_an_int(self):
+        # _int64_arrays reads a list column as all ints when its last entry is one
+        seq = build_sequence([(Fraction(1, 2), Fraction(1, 2))] * 4 + [(Fraction(1, 3), 1)])
+        merged = _merge_spans(seq, [0, 2, 5])
+        assert merged.prefix_value == [0, 1, Fraction(7, 3)]
+        assert type(merged.prefix_value[-1]) is Fraction
+        assert all(type(x) is int for x in merged.prefix_weight)
+        assert merged.prefix_arrays() is None
 
 
 class TestDensityValueOrdering:

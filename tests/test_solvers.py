@@ -378,20 +378,24 @@ class TestSolveDispatch:
         solve(SolveRequest(seq, 2, 5))
         assert calls == ["uniform"]
 
-    def test_uniform_equal_bounds_route_to_densest_run(self, monkeypatch):
+    def test_uniform_equal_bounds_build_no_sweep_structure(self, monkeypatch):
+        # With L == U every left index has one endpoint, so the sweep offers
+        # it directly and builds neither structure.
         calls = []
-        orig = solvers._densest_run
 
-        def spy(*a, **kw):
-            calls.append("run")
-            return orig(*a, **kw)
+        def spy(name):
+            orig = getattr(solvers, name)
+            return lambda *a, **kw: calls.append(name) or orig(*a, **kw)
 
-        monkeypatch.setattr(solvers, "_densest_run", spy)
-        seq = uniform_seq(random.Random(3), 10)
-        got = solve(SolveRequest(seq, 4, 4))
-        assert calls == ["run"]
-        want = sliding_window(seq, 4)
-        assert (got.start, got.end, got.density) == (want.start, want.end, want.density)
+        for name in ("initialize_min_width", "initialize_max_width"):
+            monkeypatch.setattr(solvers, name, spy(name))
+        tied = build_sequence([(v, 2) for v in (1, 3, 0, 3, 1, 3, 1)])  # windows 4, 3, 3, 4, 4, 4
+        for seq, L in ((uniform_seq(random.Random(3), 10), 4), (tied, 4), (tied, 12)):
+            got = solve(SolveRequest(seq, L, L))
+            want = brute_force_best(seq, L, L)
+            for seg in (got, sliding_window(seq, L)):
+                assert (seg.start, seg.end, seg.density) == (want.start, want.end, want.density)
+        assert calls == []
 
     def test_general_weights_route_to_general(self, monkeypatch):
         calls = []
