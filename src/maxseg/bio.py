@@ -10,7 +10,8 @@ from decimal import Decimal
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 from . import fastpath
-from .core import SCALE_CAP_DIGITS, WeightedSequence, _merge_spans, build_sequence, exact_decimal
+from .core import (MAX_INTEGER_DIGITS, SCALE_CAP_DIGITS, WeightedSequence, _merge_spans,
+                   build_sequence, exact_decimal)
 from .errors import MalformedFasta, MalformedTsv, MisencodedFasta, UnknownSymbol
 
 # Symbol codes: the known bases, and those that score as GC.
@@ -274,79 +275,75 @@ def compress_runs(seq: WeightedSequence) -> WeightedSequence:
     return _merge_spans(seq, [0, *ends, n])
 
 
-def _on_common_grid(column: List[Tuple[int, int]]) -> Tuple[Iterator[int], int]:
-    """(units, places) pairs rescaled to the column's finest place count:
-    the integers, streamed, and their shared power-of-ten scale."""
-    top = max(places for _, places in column)
-    factors = [10 ** (top - p) for p in range(top + 1)]
-    return (units * factors[places] for units, places in column), 10 ** top
+_TSV_BLANKS = re.compile(rb"[ \t]+")
+_TSV_DECIMAL = re.compile(rb"(-?)([0-9]+)(?:\.([0-9]+))?")
 
 
-def parse_tsv(stream: Union[str, bytes, IO[str], IO[bytes], Iterable[str]]) -> WeightedSequence:
-    """Weighted TSV: one "value<TAB>weight" item per line, '#' comments.
+def parse_tsv(stream: Union[str, bytes, IO[bytes]]) -> WeightedSequence:
+    """Weighted TSV: the items of text, bytes or a binary file that can seek.
 
-    Each column is scaled exactly onto one power-of-ten integer grid, the
-    finest its fields need.  A field that is not a finite decimal, needs
-    more than 9 decimal places or has more than 1000 integer digits, and a
-    weight that is not positive, raise MalformedTsv with its line number;
-    nothing is rounded.  Bytes and seekable binary files are read as UTF-8.
+    The grammar: a line ends at LF, CRLF or a lone CR; space and tab are
+    blanks.  A line whose first non-blank byte is '#' is a comment in
+    UTF-8.  Every other non-blank line holds a value and a weight, two
+    ASCII decimals ``-?[0-9]+(.[0-9]+)?`` with at most MAX_INTEGER_DIGITS
+    integer digits and SCALE_CAP_DIGITS fraction digits once trailing zeros
+    go; weights are positive.  Anything else ('+1', '.5', '5.', '1e3',
+    '1_000', 'nan', a non-ASCII digit, any other byte) raises MalformedTsv
+    with its line, as does input with no item.  Each column is scaled
+    exactly onto the finest power-of-ten integer grid its fields need.
 
-    Text, bytes or a binary file of at least ``fastpath.MIN_FAST_N`` lines
-    is first read straight into prefix arrays by a byte-level grammar: ASCII
-    only; tokens separated by space, tab or line feed (a CR only right
-    before a LF); every line that is not blank or a '#' comment holds
-    exactly two tokens of the form ``-?[0-9]+(.[0-9]+)?``, each with at most
-    18 digits and SCALE_CAP_DIGITS fraction digits; positive weights; and
-    every scaled item and prefix sum inside int64.  The input is read twice,
-    ``TSV_CHUNK`` bytes at a time (text is encoded a chunk at a time), so
-    beyond the two prefix columns (int32 while they fit) the array path
-    holds O(TSV_CHUNK) scratch.  Input outside that grammar, and every other
-    stream, takes the exact path, which gives the same sequence or raises
-    the same error; it imports no numpy.
+    From ``fastpath.MIN_FAST_N`` line feeds up, :func:`_tsv_to_arrays` reads
+    the input first (ASCII text a chunk at a time); what it hands back, and
+    shorter input, is read by the loop below into Python ints, without numpy.
     """
-    if isinstance(stream, bytes):
-        stream = io.BytesIO(stream)  # shares the bytes: reads copy only what they return
-    binary = hasattr(stream, "seek") and not isinstance(stream, io.TextIOBase)
-    if binary or isinstance(stream, str) and stream.isascii():
-        def read(at: int, size: int) -> bytes:
-            if not binary:
-                return stream[at:at + size].encode("ascii")
-            stream.seek(at)
-            return stream.read(size)
-        lines = at = 0
-        while block := read(at, TSV_CHUNK):
-            lines += block.count(b"\n")
-            at += len(block)
-        if lines >= fastpath.MIN_FAST_N:
-            seq = _tsv_to_arrays(read, lines)
-            if seq is not None:
-                return seq
-    if binary:
-        stream.seek(0)
-        stream = stream.read().decode("utf-8")
+    if isinstance(stream, str) and not stream.isascii():
+        stream = stream.encode()
     if isinstance(stream, str):
-        stream = stream.splitlines()
-    values: List[Tuple[int, int]] = []
-    weights: List[Tuple[int, int]] = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise MalformedTsv(lineno, f"expected 2 fields, got {len(fields)}")
-        try:
-            values.append(exact_decimal(fields[0]))
-            weights.append(exact_decimal(fields[1]))
-            if weights[-1][0] <= 0:
-                raise ValueError("weight must be > 0")
-        except ValueError as exc:
-            raise MalformedTsv(lineno, str(exc)) from None
-    if not values:
+        def read(at: int, size: int) -> bytes:
+            return stream[at:at + size].encode("ascii")
+    else:  # bytes are shared, not copied: reads copy only what they return
+        read = _reader(io.BytesIO(stream) if isinstance(stream, bytes) else stream)
+    lines = at = 0
+    while block := read(at, TSV_CHUNK):
+        lines += block.count(b"\n")
+        at += len(block)
+    if lines >= fastpath.MIN_FAST_N and (seq := _tsv_to_arrays(read, lines)) is not None:
+        return seq
+    rows = []  # (value units, places, weight units, places) per item
+    # Chunks end at a LF, so no CRLF is cut; bytes.splitlines splits at LF, CRLF and CR.
+    for line, text in enumerate((t for c in _tsv_chunks(read) for t in c.splitlines()), 1):
+        text = text.strip(b" \t")
+        if text.startswith(b"#"):
+            try:
+                text.decode("utf-8")
+            except UnicodeDecodeError:
+                raise MalformedTsv(line, "comment is not UTF-8") from None
+        elif text:
+            fields = _TSV_BLANKS.split(text)
+            if len(fields) != 2:
+                raise MalformedTsv(line, f"expected 2 fields, got {len(fields)}")
+            rows.append(_tsv_decimal(fields[0], line) + _tsv_decimal(fields[1], line))
+            if rows[-1][2] <= 0:
+                raise MalformedTsv(line, "weight must be > 0")
+    if not rows:
         raise MalformedTsv(1, "no items found")
-    vs, vscale = _on_common_grid(values)
-    ws, wscale = _on_common_grid(weights)
-    return build_sequence(zip(vs, ws), value_scale=vscale, weight_scale=wscale)
+    vp, wp = max(row[1] for row in rows), max(row[3] for row in rows)
+    items = ((v * 10 ** (vp - p), w * 10 ** (wp - q)) for v, p, w, q in rows)
+    return build_sequence(items, value_scale=10 ** vp, weight_scale=10 ** wp)
+
+
+def _tsv_decimal(field: bytes, line: int) -> Tuple[int, int]:
+    """(units, places) with field == units / 10**places and places minimal,
+    or MalformedTsv at line for a field outside parse_tsv's grammar."""
+    m = _TSV_DECIMAL.fullmatch(field)
+    if not m:
+        raise MalformedTsv(line, f"not a decimal number: {field.decode('utf-8', 'replace')!r}")
+    whole, frac = m[2].lstrip(b"0"), (m[3] or b"").rstrip(b"0")
+    if len(whole) > MAX_INTEGER_DIGITS or len(frac) > SCALE_CAP_DIGITS:
+        raise MalformedTsv(line, f"{m[0].decode()} " + (
+            f"has more than {MAX_INTEGER_DIGITS} integer digits" if len(whole) > MAX_INTEGER_DIGITS
+            else f"needs more than {SCALE_CAP_DIGITS} decimal places"))
+    return int(m[1] + (whole + frac or b"0")), len(frac)
 
 
 # Bytes of TSV input read at once; bounds the array path's scratch.  16 KiB
@@ -360,8 +357,9 @@ _SPACE, _DIGIT, _MINUS, _DOT, _HASH, _TEXT = 1, 2, 3, 4, 5, 6
 
 def _tsv_to_arrays(read, lines: int) -> Optional[WeightedSequence]:
     """parse_tsv's array path over input of ``lines`` line feeds, read by
-    ``read(at, size)``: the sequence, or None when the input leaves the
-    grammar parse_tsv states."""
+    ``read(at, size)``: the sequence, or None for input outside its part of
+    parse_tsv's grammar: ASCII without lone CRs, fields of at most 18 digits
+    and SCALE_CAP_DIGITS written places, and sums inside int64."""
     import numpy as np
 
     table = np.zeros(256, dtype=np.int8)

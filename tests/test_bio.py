@@ -25,6 +25,7 @@ from maxseg import (
     solve,
 )
 from maxseg import bio, fastpath, solvers
+from maxseg.core import MAX_INTEGER_DIGITS
 from maxseg.errors import MisencodedFasta
 from maxseg.bio import DnaRecord
 
@@ -450,15 +451,23 @@ class TestParseTsv:
         assert seq.items == [(150, 20), (-25, 5)]
 
     def test_big_and_exponent_integers_exact(self):
-        seq = parse_tsv(f"{'9' * 30}\t1e40\n-2.5e3\t1.50\n")
-        assert seq.items == [(int("9" * 30), 10**41), (-2500, 15)]
+        # Integers of up to MAX_INTEGER_DIGITS digits stay exact; exponents
+        # are outside the grammar.
+        big = "9" * MAX_INTEGER_DIGITS
+        seq = parse_tsv(f"{'9' * 30}\t1\n-000{big}.000\t1.50\n")
+        assert seq.items == [(int("9" * 30), 10), (-int(big), 15)]
         assert (seq.value_scale, seq.weight_scale) == (1, 10)
+        with pytest.raises(MalformedTsv, match=f"line 2: {big}9 has more than "):
+            parse_tsv(f"1\t1\n{big}9\t1\n")
+        for row in ("1\t1e40", "-2.5e3\t1"):
+            with pytest.raises(MalformedTsv, match="line 2: not a decimal number: '[-.0-9e]+'$"):
+                parse_tsv(f"1\t1\n{row}\n")
 
     @pytest.mark.parametrize("row, why", [
-        ("Infinity\t1", "not a finite number"),
-        ("1\tnan", "not a finite number"),
-        ("1e999999999\t1", "integer digits"),
-        ("1\t1e-999999999", "more than 9 decimal places"),
+        ("Infinity\t1", "not a decimal number"),
+        ("1\tnan", "not a decimal number"),
+        ("1e999999999\t1", "not a decimal number"),
+        ("1\t1e-999999999", "not a decimal number"),
         ("1\t1.0000000004", "more than 9 decimal places"),
         ("0.0000000001\t1", "more than 9 decimal places"),
         ("1\t0", "weight must be > 0"),
@@ -478,6 +487,17 @@ class TestParseTsv:
             parse_tsv("a\tb\n")
         with pytest.raises(MalformedTsv):
             parse_tsv("# only comments\n")
+
+    @pytest.mark.parametrize("c", ["\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\v", "\f"],
+                             ids=["FS", "GS", "RS", "NEL", "LS", "PS", "VT", "FF"])
+    def test_only_lf_crlf_and_cr_end_lines(self, c):
+        # str.splitlines ends a line at each of these; the grammar does not.
+        for text, want in ((f"1\t2{c}3\t4\nx\ty\n", "line 1: expected 2 fields, got 3"),
+                           (f"# a{c}1\t1\n1\t1\nx\ty\n", "line 3: not a decimal number: 'x'")):
+            for data in (text, text.encode()):
+                with pytest.raises(MalformedTsv) as exc:
+                    parse_tsv(data)
+                assert str(exc.value) == want
 
     def test_numbers_are_python_ints_and_lists_stay_unbuilt(self, rng):
         n = fastpath.MIN_FAST_N
@@ -574,9 +594,10 @@ class TestParseTsv:
             return stored(seq), arrays_answered
 
     def both_paths(self, text):
-        """parse_tsv(text) on the array path and on the exact path, and
-        whether the array path gave the answer; the text's UTF-8 bytes, as
-        bytes and as a binary file, give the same on both paths."""
+        """parse_tsv(text) on the array path and on the pure reader alone
+        (the exact path), and whether the array path gave the answer; the
+        text's UTF-8 bytes, as bytes and as a binary file, give the same on
+        both paths."""
         arrays, arrays_answered = self.parse_on(text, 1)
         assert self.parse_on(text, 1, chunk=4) == (arrays, arrays_answered)  # many chunks
         data = text.encode()
@@ -642,17 +663,23 @@ class TestParseTsv:
         assert arrays_answered == (text in self.IN_GRAMMAR)
 
     # Mostly rows in the array path's grammar, so both paths answer often;
-    # the rest are fields, gaps and lines that leave it.
+    # the rest are fields, gaps and lines that leave it, drawn from an edge
+    # alphabet of signs, dots, underscores, exponents, odd blanks and breaks.
+    EDGE = ["+", "-", ".", "_", "e", "E", "\u00a0", "\u0661", "\x1c", "\u2028", "\v", "\r"]
     ODD_FIELDS = st.one_of(
         st.from_regex(r"-?[0-9]{1,20}(\.[0-9]{1,11})?", fullmatch=True),
-        st.sampled_from(["-0", "1.50", "1.", ".5", "+1", "1e3", "#", "x", "-", "1..2"]),
+        st.sampled_from(["-0", "1.50", "1.", ".5", "+1", "1e3", "#", "x", "-", "1..2", "1_000",
+                         "+.5", "5.", "Infinity", "nan", "\u0661\u0662"]),
+        st.text(st.sampled_from(EDGE + list("0123456789")), min_size=1, max_size=5),
     )
     VALUES = st.from_regex(r"-?[0-9]{1,6}(\.[0-9]{1,9})?", fullmatch=True)
     WEIGHTS = st.from_regex(r"[0-9]{0,5}[1-9](\.[0-9]{1,9})?", fullmatch=True)
     ROWS = st.tuples(VALUES, st.sampled_from(["\t", " ", " \t "]), WEIGHTS,
                      st.sampled_from(["", "\t", " "])).map("".join)
-    ODD_ROWS = st.tuples(st.one_of(VALUES, ODD_FIELDS), st.sampled_from(["\t", "\r", "\v"]),
-                         st.one_of(WEIGHTS, ODD_FIELDS), st.sampled_from(["", "\r"])).map("".join)
+    ODD_ROWS = st.tuples(st.one_of(VALUES, ODD_FIELDS),
+                         st.sampled_from(["\t", "\r", "\v", "\u00a0", "\x1c", "\u2028", "\f"]),
+                         st.one_of(WEIGHTS, ODD_FIELDS),
+                         st.sampled_from(["", "\r", "\v", "\u00a0", "\u2028"])).map("".join)
     LINES = st.one_of(ROWS, ODD_ROWS, st.sampled_from(
         ["", "# note 1\t2", "  #x", "1", "1\t2\t3", "1 2 3 4", "\t", "0\t0"]))
 
@@ -662,6 +689,25 @@ class TestParseTsv:
     def test_array_and_exact_paths_agree_on_random_text(self, lines, end):
         arrays, exact, _ = self.both_paths(end.join(lines) + end)
         assert arrays == exact
+
+    @given(st.lists(st.one_of(ROWS, ROWS, LINES), min_size=1, max_size=8),
+           st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_grammar_below_and_above_the_size_gate(self, lines, end):
+        # The same lines, repeated below and above the array path's size
+        # gate, give the same items or the same first faulty line.
+        copy = end.join(lines) + end
+        results = []
+        for copies in (10, fastpath.MIN_FAST_N + 10):
+            try:
+                seq = parse_tsv(copy * copies)
+            except MalformedTsv as exc:
+                results.append(str(exc))
+            else:
+                n = seq.n // copies
+                assert seq.items == seq.items[:n] * copies
+                results.append((seq.items[:n], seq.value_scale, seq.weight_scale))
+        assert results[0] == results[1]
 
     @given(st.lists(st.tuples(st.integers(-99, 99), st.integers(1, 99)), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
