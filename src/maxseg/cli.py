@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import gc
 import io
+import os
 import random
 import statistics
 import sys
@@ -418,9 +419,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def run() -> int:
-    """Entry point of ``python -m maxseg`` and the ``maxseg`` script: once
-    :func:`main` returns, freeze every live object so that interpreter exit
-    skips a full garbage collection over numpy and the records."""
+    """Entry point of ``python -m maxseg`` and the ``maxseg`` script.
+
+    maxseg calls no BLAS routine, so unless the caller has set it, OpenBLAS
+    gets one thread: numpy, first imported inside :func:`main`, then starts
+    no worker thread that would spin on another core.  Once :func:`main`
+    returns, every live object is frozen so that interpreter exit skips a
+    full garbage collection over numpy and the records."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     gc.freeze()
     return code

@@ -27,7 +27,10 @@ sequence needs no split.  Hence the leftmost minimizing ``k`` never moves
 left either, and the tie rule (smallest start, then smallest end) is the
 first endpoint of largest gain paired with the leftmost minimum of its
 window: every other optimal pair has a later endpoint and so a start no
-smaller.  The same choice picks the next segment in every round.
+smaller.  The same choice picks the next segment in every round.  Windows
+do not depend on the round's density: under unit weights they are
+``j - U .. j - L``, and under varying weights a solve searches ``W`` for
+them once and keeps them, as the paper computes each endpoint's range once.
 
 Window minima come from one pass over the endpoints in chunks of ``CHUNK``.
 Windows that start at 0 read a running minimum carried from chunk to chunk.
@@ -38,13 +41,18 @@ Problem Revisited", LATIN 2000); a window of ``b`` to ``2b - 1`` keys is the
 minimum of its first and last ``b``.  Under unit weights every such window
 has ``U - L + 1`` keys, so a round reads both as slices.  No round holds
 ``B`` whole: each chunk forms the keys of its endpoints and of the key range
-its windows read, and a chunk's doubling is freed before the next chunk's
-keys are formed, so beyond ``V`` (and ``W`` when weights vary) a round
-needs O(CHUNK + window) scratch memory; a weighted round, which holds
-twice the arrays per endpoint, takes half as many endpoints per chunk.
-Traced at ``CHUNK = 16384``, at 1e5 and 1e6 items: 0.40 MB under unit
-weights and ``[100, 200]``; 0.92 MB with weights 1..3 and ``[100, 20000]``
-(0.79 MB on the 150k-row tsv-weighted input, int32, ``[100, 1100]``).
+its windows read (under unit weights, one range when the two overlap), and
+a chunk's doubling is freed before the next chunk's keys are formed.  So
+beyond ``V`` a unit-weight solve needs O(CHUNK + window) memory, and a
+weighted one keeps ``W`` and its windows, two int32 arrays (8 bytes per
+endpoint), plus O(CHUNK + window) per round; a weighted round, which holds
+about twice the arrays per endpoint, takes half as many endpoints per
+chunk.  Traced at
+``CHUNK = 16384``: 0.40 MB at 1e5 and at 1e6 items under unit weights and
+``[100, 200]``; 1.48 MB at 1e5 and 8.68 MB at 1e6 items with weights 1..3
+and ``[100, 20000]``, of which the windows are 0.8 and 8 MB (1.75 MB on the
+150k-row tsv-weighted input, int32, ``[100, 1100]``, 1.20 MB of it
+windows).
 
 :func:`eligible` admits a sequence only when ``spread * total_width < 2**62``
 with ``spread = 2 * max|prefix value|``.  That bounds ``|B| < 3 * 2**61``
@@ -112,9 +120,10 @@ def _doubling(line):
         b *= 2
 
 
-def _block_min(B, lo, hi, out):
-    """``out[t] = min(B[lo[t] .. hi[t]])`` for nonempty windows with lo, hi
-    nondecreasing, read from :func:`_doubling`'s levels; B is not changed."""
+def _block_min(B, lo, hi, out, first=0):
+    """``out[t] = min(B[lo[t] - first .. hi[t] - first])`` for nonempty
+    windows with lo, hi nondecreasing (``B`` holds the keys from ``first``
+    on), read from :func:`_doubling`'s levels; B is not changed."""
     import numpy as np
 
     size = hi - lo + 1
@@ -123,7 +132,7 @@ def _block_min(B, lo, hi, out):
         if b.bit_length() >= g0:
             # a window of b to 2b - 1 keys: its first and last b keys
             at = slice(None) if g0 == g1 else (size >= b) & (size < 2 * b)
-            out[at] = np.minimum(M[lo[at]], M[hi[at] - (b - 1)])
+            out[at] = np.minimum(M[lo[at] - first], M[hi[at] - (first + b - 1)])
         if b.bit_length() == g1:
             return
 
@@ -167,19 +176,28 @@ def _uniform_scan(keys, n, L, U):
     for j0 in range(L, n + 1, CHUNK):
         j1 = min(j0 + CHUNK, n + 1)
         p = j1 - j0 if U is None else min(max(U - j0, 0), j1 - j0)
-        gain = keys(j0, j1)
+        c = j1 - j0 - p  # endpoints past j = U
+        if c and L < j1 - j0:
+            # the windows' keys j0 + p - U .. j1 - L - 1 overlap the gains':
+            # form the keys from j0 + p - U to j1 once and read both from them
+            line = keys(j0 + p - U, j1)
+            gain, win = line[U - p:], line[:c + U - L]
+        else:
+            gain = keys(j0, j1)
+            win = keys(j0 + p - U, j1 - L) if c else None
+        if c:  # before gain[:p] changes, as win may share its keys (an
+            # overlap of gain[p:] with M, when m = 1, numpy buffers)
+            m = U - L + 1
+            for b, M in _doubling(win):
+                if 2 * b > m:
+                    break
+            gain[p:] -= M[:c] if b == m else np.minimum(M[:c], M[m - b:m - b + c])
+            del M, win  # the last level, before the next chunk's keys are formed
         if p:
             run = np.minimum.accumulate(keys(j0 - L, j0 + p - L))
             np.minimum(run, run_min, out=run)
             run_min = run[-1]
             gain[:p] -= run
-        if p < j1 - j0:
-            m, c = U - L + 1, j1 - j0 - p
-            for b, M in _doubling(keys(j0 + p - U, j1 - L)):
-                if 2 * b > m:
-                    break
-            gain[p:] -= M[:c] if b == m else np.minimum(M[:c], M[m - b:m - b + c])
-            del M  # the last level, before the next chunk's keys are formed
         t = int(np.argmax(gain))
         if gain[t] > top:
             top, j = int(gain[t]), j0 + t
@@ -187,32 +205,48 @@ def _uniform_scan(keys, n, L, U):
 
 
 def _windows(W, n, L, U):
-    """(j0, lo, hi) per chunk of endpoints j0, j0+1, ... with some k.  Both
-    window ends never move left, so a chunk searches W only from the
-    previous chunk's last ends up to its own endpoints."""
+    """(j0, lo, hi): the windows ``lo(j) .. hi(j)`` of endpoints j0 .. n, the
+    first endpoint with some k, as int32 arrays (int64 from 2**31 items);
+    ``hi < lo`` marks an empty window.  Both ends never move left, so a chunk
+    searches W only from the previous chunk's last ends up to its own
+    endpoints."""
     import numpy as np
 
-    lo0, hi0, step = 0, 0, (CHUNK + 1) // 2  # half chunks: see the module docstring
+    # Indexed by endpoint; those below j0 have no k and go unused.
+    lo = np.zeros(n + 1, dtype=np.int32 if n < 2**31 else np.int64)
+    hi = np.empty_like(lo)
     # A key of W's own dtype: a Python int would make numpy copy W to int64.
-    for j0 in range(int(np.searchsorted(W, W.dtype.type(L))), n + 1, step):
-        j1 = min(j0 + step, n + 1)
-        hi = np.searchsorted(W[hi0:j1], W[j0:j1] - L, side="right") + (hi0 - 1)
-        lo = (np.zeros_like(hi) if U is None
-              else np.searchsorted(W[lo0:j1], W[j0:j1] - U) + lo0)
-        lo0, hi0 = int(lo[-1]), int(hi[-1])
-        yield j0, lo, hi
+    j0 = int(np.searchsorted(W, W.dtype.type(L)))
+    lo0 = hi0 = 0
+    for j in range(j0, n + 1, CHUNK):
+        j1 = min(j + CHUNK, n + 1)
+        hi[j:j1] = np.searchsorted(W[hi0:j1], W[j:j1] - L, side="right") + (hi0 - 1)
+        if U is not None:
+            lo[j:j1] = np.searchsorted(W[lo0:j1], W[j:j1] - U) + lo0
+        lo0, hi0 = int(lo[j1 - 1]), int(hi[j1 - 1])
+    return j0, lo[j0:], hi[j0:]
 
 
-def _general_scan(keys, W, n, L, U):
+def _chunks(windows):
+    """(j0, lo, hi) per chunk of ``(CHUNK + 1) // 2`` endpoints, as views of
+    :func:`_windows`' arrays: a weighted round holds about twice the arrays
+    per endpoint, so it takes half as many endpoints per chunk."""
+    j0, lo, hi = windows
+    step = (CHUNK + 1) // 2
+    for c in range(0, len(hi), step):
+        yield j0 + c, lo[c:c + step], hi[c:c + step]
+
+
+def _general_scan(keys, windows):
     """(gain, j, lo, hi) of the first endpoint of largest gain and its window."""
     import numpy as np
 
     top = -1  # the current segment's own gain, 0, beats it
     run_at, run_min = 0, 0  # run_min = min(B[:run_at + 1]); B[0] = 0
-    for j0, lo, hi in _windows(W, n, L, U):
+    for j0, lo, hi in _chunks(windows):
         ok = hi >= lo
-        np.minimum(lo, hi, out=lo)  # an empty window reads one key; its gain is dropped
-        p = int(np.searchsorted(lo, 0, side="right"))  # windows from 0
+        lo = np.minimum(lo, hi)  # an empty window reads one key; its gain is dropped
+        p = int(np.searchsorted(lo, lo.dtype.type(0), side="right"))  # windows from 0
         mins = np.empty(len(hi), dtype=np.int64)
         if p:
             run = keys(run_at, int(hi[p - 1]) + 1)
@@ -222,7 +256,7 @@ def _general_scan(keys, W, n, L, U):
             run_at, run_min = int(hi[p - 1]), run[-1]
         if p < len(hi):  # windows from past 0, read from the first key they need
             first = int(lo[p])
-            _block_min(keys(first, int(hi[-1]) + 1), lo[p:] - first, hi[p:] - first, mins[p:])
+            _block_min(keys(first, int(hi[-1]) + 1), lo[p:], hi[p:], mins[p:], first)
         gain = keys(j0, j0 + len(hi))
         gain -= mins
         gain[~ok] = -1
@@ -232,7 +266,7 @@ def _general_scan(keys, W, n, L, U):
     return top, j, a, z
 
 
-def _first_pick(V, W, n, L, U):
+def _first_pick(V, W, n, L, windows):
     """(k, j) of the densest shortest feasible segment ``k + 1 .. j``, or
     None when no segment is feasible; its chunk arrays are freed before
     the rounds start."""
@@ -247,7 +281,7 @@ def _first_pick(V, W, n, L, U):
             if d[t] > pick:
                 pick, k, j = d[t], j0 + t - L, j0 + t
     else:  # float only picks it
-        for j0, lo, hi in _windows(W, n, L, U):
+        for j0, lo, hi in _chunks(windows):
             js = slice(j0, j0 + len(hi))
             dens = (np.subtract(V[js], V[hi], dtype=np.int64)
                     / np.subtract(W[js], W[hi], dtype=np.int64))
@@ -276,14 +310,15 @@ def best(seq: WeightedSequence, L: RealInput,
     L = math.ceil(L)
     U = None if U is None or U >= total else math.floor(U)
     V, W = seq.prefix_arrays()
-    picked = _first_pick(V, W, n, L, U)
+    windows = None if W is None else _windows(W, n, L, U)  # they do not depend on the round
+    picked = _first_pick(V, W, n, L, windows)
     if picked is None:
         raise infeasible
     k, j = picked
     for _ in range(MAX_ROUNDS):
         keys = _key_line(V, W, *seq._span(k + 1, j))
         top, j, a, z = (_uniform_scan(keys, n, L, U) if W is None
-                        else _general_scan(keys, W, n, L, U))
+                        else _general_scan(keys, windows))
         k = _argmin(keys, a, z)
         if top == 0:
             return k + 1, j

@@ -573,6 +573,27 @@ class TestFastPathParity:
                     got = solve(SolveRequest(seq, L, U))
                     assert (got.start, got.end) == want
 
+    def test_weighted_windows_are_searched_once_per_solve(self, rng, monkeypatch):
+        # windows do not depend on a round's density: the first pick and
+        # every round read the ones searched at the start of the solve
+        monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
+        searched = []
+        windows = fastpath._windows
+        monkeypatch.setattr(fastpath, "_windows",
+                            lambda *args: searched.append(args) or windows(*args))
+        for chunk in (1, 3, fastpath.CHUNK):
+            monkeypatch.setattr(fastpath, "CHUNK", chunk)
+            for _ in range(40):
+                n = rng.randint(20, 60)
+                seq = _heavy_seq(rng, n)
+                L = rng.randint(1, 8)
+                U = rng.choice((None, rng.randint(L, 12)))
+                want = _oracle_pair(seq, L, U)
+                searched.clear()
+                assert _backend_pair(seq, L, U) == want
+                if want is not None and not seq.is_uniform:
+                    assert len(searched) == 1, (chunk, n, L, U)
+
     def test_counters_match_pure(self, rng, monkeypatch):
         # The backend runs no sweep: an answer from it leaves the sweep
         # counters at 0, and a fallback at the round cap reports exactly the
@@ -842,8 +863,12 @@ class TestNarrowStore:
                 assert fastpath.best(narrow, L, U) == want, (chunk, n, L, U)
                 # the rounds would mend a wrong first pick: check it apart
                 U = None if U is None or U >= W[-1] else U
-                assert fastpath._first_pick(*narrow.prefix_arrays(), n, L, U) == \
-                    fastpath._first_pick(*wide.prefix_arrays(), n, L, U)
+                picks = []
+                for seq in (narrow, wide):
+                    V, Ws = seq.prefix_arrays()
+                    windows = None if Ws is None else fastpath._windows(Ws, n, L, U)
+                    picks.append(fastpath._first_pick(V, Ws, n, L, windows))
+                assert picks[0] == picks[1]
 
     def test_span_density_and_compress_runs_on_an_int32_store(self, rng, monkeypatch):
         from maxseg import compress_runs
@@ -879,7 +904,9 @@ class TestNarrowStore:
 
 class TestRoundScratch:
     # A round forms its keys a chunk at a time, so beyond the sequence's own
-    # prefix arrays fastpath.best holds O(CHUNK + window) memory, whatever n.
+    # prefix arrays fastpath.best holds O(CHUNK + window) memory, whatever n,
+    # plus, for varying weights, the windows of every endpoint: two int32
+    # arrays, 8 bytes per endpoint, computed once per solve.
     @staticmethod
     def _peak(n, weighted, L, U, dtype="int64"):
         import tracemalloc
@@ -907,15 +934,17 @@ class TestRoundScratch:
     @pytest.mark.parametrize("weighted,L,U", [(True, 100, 20000), (False, 100, 200),
                                               (False, 1000, None)])
     def test_peak_is_flat_in_n(self, weighted, L, U):
-        small, large = (self._peak(n, weighted, L, U) for n in (10**5, 10**6))
+        kept = 8 if weighted else 0  # bytes of kept windows per item
+        small, large = (self._peak(n, weighted, L, U) - kept * n for n in (10**5, 10**6))
         assert max(small, large) <= 3_000_000, (small, large)
         assert large <= 1.5 * small, (small, large)
 
     def test_int32_weights_are_searched_without_a_copy(self):
         # int32 columns, as a long TSV gives: a search of W with a key of
-        # another dtype would copy W whole to int64, 8 bytes per item.
+        # another dtype would copy W whole to int64, 8 bytes per item on top
+        # of the kept windows' 8 (they are allocated before the first search).
         small, large = (self._peak(n, True, 100, 1100, "int32") for n in (10**5, 4 * 10**5))
-        assert large <= small + 100_000, (small, large)
+        assert large <= small + 9 * 3 * 10**5 + 100_000, (small, large)
 
     def test_unit_lane_on_a_gc_record_holds_three_chunks(self):
         # A 250k-base GC record (int32 prefixes, [100, 200]): a chunk's keys

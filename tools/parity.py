@@ -1,7 +1,10 @@
-"""Compare `maxseg find` between this tree and another revision, byte for byte.
+"""Compare `maxseg find` and the numpy backend between this tree and another
+revision.
 
-The revision is extracted with ``git archive`` into a temporary directory,
-and ``python -m maxseg find`` runs from both trees on the same inputs:
+The revision is extracted with ``git archive`` into a temporary directory.
+
+The find group runs ``python -m maxseg find`` from both trees on the same
+inputs:
 
 - perfbench's fasta-gc and tsv-weighted inputs at the given seeds;
 - TSV edge files: short (below the array path's size gate) and long
@@ -10,9 +13,19 @@ and ``python -m maxseg find`` runs from both trees on the same inputs:
 
 Each input runs under the flag sets {}, --exact and --compress, read from a
 file and from stdin (a pipe), and stdout, stderr and exit code are compared
-byte for byte.  The tool prints one summary line, one line per input whose
-results differ (the first stderr line of each side), and the first
-difference in full.  It exits 1 when any result differs.
+byte for byte.
+
+The backend group runs ``fastpath.best`` from both trees, with
+``MIN_FAST_N = 1``, on 1000 random instances per seed, and this tree's
+``brute_force_best`` on each: unit weights and weights 1..3, some items
+wider than U (so some windows are empty), integral and half-integral
+bounds and ``U = None``, at ``CHUNK`` 1, 3, 64 and 16384 in turn.  An
+instance differs when the three answers are not all the same (an
+infeasible one must raise ``InfeasibleWidthWindow`` in both trees).
+
+The tool prints one summary line per group, one line per input or instance
+whose results differ, and the first find difference in full.  It exits 1
+when any result differs.
 
 Run from anywhere:  python tools/parity.py --against REV [--seeds 1,2,3] [--jobs 2]
 It needs git, the standard library and numpy (perfbench's generators).
@@ -20,7 +33,10 @@ It needs git, the standard library and numpy (perfbench's generators).
 
 import argparse
 import io
+import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -105,6 +121,90 @@ def find(tree: Path, fmt: str, flags, path: Path, stdin: bool):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+BACKEND_CHUNKS = (1, 3, 64, 16384)
+BACKEND_PER_SEED = 1000
+
+# Reads [chunk, items, L, U] instances as JSON on stdin and writes, per
+# instance, fastpath.best's answer or "infeasible".
+BACKEND_WORKER = """
+import json, sys
+from maxseg import fastpath
+from maxseg.core import build_sequence
+from maxseg.errors import InfeasibleWidthWindow
+
+fastpath.MIN_FAST_N = 1
+answers = []
+for chunk, items, L, U in json.load(sys.stdin):
+    fastpath.CHUNK = chunk
+    try:
+        answers.append(fastpath.best(build_sequence(map(tuple, items)), L, U))
+    except InfeasibleWidthWindow:
+        answers.append("infeasible")
+json.dump(answers, sys.stdout)
+"""
+
+
+def backend_instances(seed: int):
+    """[chunk, items, L, U] instances drawn from seed."""
+    rng = random.Random(seed)
+    cases = []
+    for t in range(BACKEND_PER_SEED):
+        n = rng.randint(1, 80)
+        weighted = rng.random() < 0.75
+        wide = weighted and rng.random() < 0.5  # about one item in eight of weight 9
+        items = [[rng.randint(-9, 9),
+                  (9 if wide and rng.random() < 0.125 else rng.randint(1, 3)) if weighted else 1]
+                 for _ in range(n)]
+        L = rng.randint(1, 8) - rng.choice((0, 0.5))
+        U = rng.choice((None, rng.randint(math.ceil(L), 12) + rng.choice((0, 0.5))))
+        cases.append([BACKEND_CHUNKS[t % len(BACKEND_CHUNKS)], items, L, U])
+    return cases
+
+
+def best_answers(tree: Path, cases):
+    """fastpath.best from tree's sources on every case, as JSON values."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-c", BACKEND_WORKER], input=json.dumps(cases),
+                          capture_output=True, text=True, env=env, check=True, timeout=600)
+    return json.loads(proc.stdout)
+
+
+def oracle_answers(cases):
+    """This tree's brute_force_best on every case, as best_answers gives them."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from maxseg.core import build_sequence
+    from maxseg.errors import InfeasibleWidthWindow
+    from maxseg.oracle import brute_force_best
+
+    answers = []
+    for _, items, L, U in cases:
+        try:
+            seg = brute_force_best(build_sequence(map(tuple, items)), L, U)
+            answers.append([seg.start, seg.end])
+        except InfeasibleWidthWindow:
+            answers.append("infeasible")
+    return answers
+
+
+def backend_group(old: Path, rev: str, seeds, jobs: int) -> int:
+    """Print the backend group's summary; the number of instances that differ."""
+    cases = [c for seed in seeds for c in backend_instances(seed)]
+    with ThreadPoolExecutor(jobs) as pool:
+        was, now = pool.map(lambda tree: best_answers(tree, cases), (old, ROOT))
+    want = oracle_answers(cases)
+    differ = [k for k in range(len(cases)) if not was[k] == now[k] == want[k]]
+    wide = sum(1 for _, items, _, U in cases if U is not None and max(w for _, w in items) > U)
+    chunks = ", ".join(map(str, BACKEND_CHUNKS))
+    print(f"backend parity vs {rev}: {len(cases)} instances (CHUNK {chunks}; "
+          f"{sum(w == 'infeasible' for w in want)} infeasible, {wide} with an item wider than U): "
+          f"{len(cases) - len(differ)} same in both trees and the oracle, {len(differ)} differ")
+    for k in differ:
+        chunk, items, L, U = cases[k]
+        print(f"  CHUNK {chunk}, L {L}, U {U}, {len(items)} items: "
+              f"against {was[k]}, this tree {now[k]}, oracle {want[k]}")
+    return len(differ)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="git revision to compare with")
@@ -116,6 +216,7 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         old = tmp / "against"
         extract(args.against, old)
+        backend_differ = backend_group(old, args.against, seeds, args.jobs)
         cases, n_inputs = [], 0
         for name, fmt, data in inputs(seeds):
             n_inputs += 1
@@ -142,7 +243,7 @@ def main(argv=None) -> int:
               f"{'stdin' if stdin else 'a file'}")
         for label, (code, out, err) in (("against", was), ("this tree", now)):
             print(f"  {label}: exit {code}, stdout {out[:200]!r}, stderr {err[:200]!r}")
-    return 1 if differ else 0
+    return 1 if differ or backend_differ else 0
 
 
 if __name__ == "__main__":
