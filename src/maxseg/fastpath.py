@@ -29,8 +29,9 @@ first endpoint of largest gain paired with the leftmost minimum of its
 window: every other optimal pair has a later endpoint and so a start no
 smaller.  The same choice picks the next segment in every round.  Windows
 do not depend on the round's density: under unit weights they are
-``j - U .. j - L``, and under varying weights a solve searches ``W`` for
-them once and keeps them, as the paper computes each endpoint's range once.
+``j - U .. j - L``, and under varying weights the first pick searches ``W``
+for them and keeps them packed for every round (:func:`_pack`), as the
+paper computes each endpoint's range once.
 
 Window minima come from one pass over the endpoints in chunks of ``CHUNK``.
 Windows that start at 0 read a running minimum carried from chunk to chunk.
@@ -41,17 +42,16 @@ Problem Revisited", LATIN 2000); a window of ``b`` to ``2b - 1`` keys is the
 minimum of its first and last ``b``.  Under unit weights every such window
 has ``U - L + 1`` keys, so a round reads both as slices.  No round holds
 ``B`` whole: each chunk forms the keys of its endpoints and of the key range
-its windows read (under unit weights, one range when the two overlap), and
-a chunk's doubling is freed before the next chunk's keys are formed.  So
-beyond ``V`` a unit-weight solve needs O(CHUNK + window) memory, and a
-weighted one keeps ``W`` and its windows, two int32 arrays (8 bytes per
-endpoint), plus O(CHUNK + window) per round; a weighted round, which holds
-about twice the arrays per endpoint, takes half as many endpoints per
-chunk.  Traced at
+its windows read (one range when the two overlap), and a chunk's doubling
+is freed before the next chunk's keys are formed.  So beyond ``V`` a
+unit-weight solve needs O(CHUNK + window) memory, and a weighted one keeps
+``W`` and its packed windows, at most 4 bits per endpoint, plus
+O(CHUNK + window) per round; a weighted round, which holds about twice the
+arrays per endpoint, takes half as many endpoints per chunk.  Traced at
 ``CHUNK = 16384``: 0.40 MB at 1e5 and at 1e6 items under unit weights and
-``[100, 200]``; 1.48 MB at 1e5 and 8.68 MB at 1e6 items with weights 1..3
-and ``[100, 20000]``, of which the windows are 0.8 and 8 MB (1.75 MB on the
-150k-row tsv-weighted input, int32, ``[100, 1100]``, 1.20 MB of it
+``[100, 200]``; 0.75 MB at 1e5 and 1.24 MB at 1e6 items with weights 1..3
+and ``[100, 20000]``, of which the windows are 0.06 and 0.56 MB (0.64 MB
+on the 150k-row tsv-weighted input, int32, ``[100, 1100]``, 0.08 MB of it
 windows).
 
 :func:`eligible` admits a sequence only when ``spread * total_width < 2**62``
@@ -205,48 +205,60 @@ def _uniform_scan(keys, n, L, U):
 
 
 def _windows(W, n, L, U):
-    """(j0, lo, hi): the windows ``lo(j) .. hi(j)`` of endpoints j0 .. n, the
-    first endpoint with some k, as int32 arrays (int64 from 2**31 items);
-    ``hi < lo`` marks an empty window.  Both ends never move left, so a chunk
-    searches W only from the previous chunk's last ends up to its own
-    endpoints."""
+    """(j0, lo, hi) per chunk of endpoints j0, j0+1, ... with some k.  Both
+    window ends never move left, so a chunk searches W only from the
+    previous chunk's last ends up to its own endpoints."""
     import numpy as np
 
-    # Indexed by endpoint; those below j0 have no k and go unused.
-    lo = np.zeros(n + 1, dtype=np.int32 if n < 2**31 else np.int64)
-    hi = np.empty_like(lo)
+    lo0, hi0, step = 0, 0, (CHUNK + 1) // 2  # half chunks: see the module docstring
     # A key of W's own dtype: a Python int would make numpy copy W to int64.
-    j0 = int(np.searchsorted(W, W.dtype.type(L)))
-    lo0 = hi0 = 0
-    for j in range(j0, n + 1, CHUNK):
-        j1 = min(j + CHUNK, n + 1)
-        hi[j:j1] = np.searchsorted(W[hi0:j1], W[j:j1] - L, side="right") + (hi0 - 1)
-        if U is not None:
-            lo[j:j1] = np.searchsorted(W[lo0:j1], W[j:j1] - U) + lo0
-        lo0, hi0 = int(lo[j1 - 1]), int(hi[j1 - 1])
-    return j0, lo[j0:], hi[j0:]
+    for j0 in range(int(np.searchsorted(W, W.dtype.type(L))), n + 1, step):
+        j1 = min(j0 + step, n + 1)
+        hi = np.searchsorted(W[hi0:j1], W[j0:j1] - L, side="right") + (hi0 - 1)
+        lo = (np.zeros_like(hi) if U is None
+              else np.searchsorted(W[lo0:j1], W[j0:j1] - U) + lo0)
+        lo0, hi0 = int(lo[-1]), int(hi[-1])
+        yield j0, lo, hi
 
 
-def _chunks(windows):
-    """(j0, lo, hi) per chunk of ``(CHUNK + 1) // 2`` endpoints, as views of
-    :func:`_windows`' arrays: a weighted round holds about twice the arrays
-    per endpoint, so it takes half as many endpoints per chunk."""
-    j0, lo, hi = windows
-    step = (CHUNK + 1) // 2
-    for c in range(0, len(hi), step):
-        yield j0 + c, lo[c:c + step], hi[c:c + step]
+def _pack(ends):
+    """A chunk's nondecreasing window ends, kept as (first end, bits): the
+    t-th set bit sits at ``ends[t] - ends[0] + t``, one bit per endpoint
+    and one per step the ends move."""
+    import numpy as np
+
+    first = int(ends[0])
+    at = ends + np.arange(-first, len(ends) - first)
+    bits = np.zeros(int(at[-1]) + 1, dtype=np.bool_)
+    bits[at] = True
+    return first, np.packbits(bits)
 
 
-def _general_scan(keys, windows):
+def _unpack(first, bits):
+    """The ends :func:`_pack` kept, as a new int64 array."""
+    import numpy as np
+
+    ends = np.flatnonzero(np.unpackbits(bits).view(np.bool_))  # 0s and 1s: bools
+    ends -= np.arange(-first, len(ends) - first)
+    return ends
+
+
+def _chunks(kept):
+    """(j0, lo, hi) per chunk of :func:`_windows`, unpacked from ``kept``."""
+    for j0, lo, hi in kept:
+        yield j0, _unpack(*lo), _unpack(*hi)
+
+
+def _general_scan(keys, kept):
     """(gain, j, lo, hi) of the first endpoint of largest gain and its window."""
     import numpy as np
 
     top = -1  # the current segment's own gain, 0, beats it
     run_at, run_min = 0, 0  # run_min = min(B[:run_at + 1]); B[0] = 0
-    for j0, lo, hi in _chunks(windows):
+    for j0, lo, hi in _chunks(kept):
         ok = hi >= lo
-        lo = np.minimum(lo, hi)  # an empty window reads one key; its gain is dropped
-        p = int(np.searchsorted(lo, lo.dtype.type(0), side="right"))  # windows from 0
+        np.minimum(lo, hi, out=lo)  # an empty window reads one key; its gain is dropped
+        p = int(np.searchsorted(lo, 0, side="right"))  # windows from 0
         mins = np.empty(len(hi), dtype=np.int64)
         if p:
             run = keys(run_at, int(hi[p - 1]) + 1)
@@ -254,10 +266,18 @@ def _general_scan(keys, windows):
             np.minimum.accumulate(run, out=run)
             mins[:p] = run[hi[:p] - run_at]
             run_at, run_min = int(hi[p - 1]), run[-1]
+        gain = None
         if p < len(hi):  # windows from past 0, read from the first key they need
-            first = int(lo[p])
-            _block_min(keys(first, int(hi[-1]) + 1), lo[p:], hi[p:], mins[p:], first)
-        gain = keys(j0, j0 + len(hi))
+            first, last = int(lo[p]), int(hi[-1]) + 1
+            if last >= j0:  # they reach the gains' keys: form both ranges at once
+                first = min(first, j0)
+                line = keys(first, j0 + len(hi))
+                gain = line[j0 - first:]
+            else:
+                line = keys(first, last)
+            _block_min(line[:last - first], lo[p:], hi[p:], mins[p:], first)
+        if gain is None:
+            gain = keys(j0, j0 + len(hi))
         gain -= mins
         gain[~ok] = -1
         t = int(np.argmax(gain))
@@ -266,13 +286,14 @@ def _general_scan(keys, windows):
     return top, j, a, z
 
 
-def _first_pick(V, W, n, L, windows):
-    """(k, j) of the densest shortest feasible segment ``k + 1 .. j``, or
-    None when no segment is feasible; its chunk arrays are freed before
-    the rounds start."""
+def _first_pick(V, W, n, L, U):
+    """(k, j, kept): the densest shortest feasible segment ``k + 1 .. j`` and,
+    under varying weights, the windows searched for it, packed for every
+    round to read (:func:`_pack`); None when no segment is feasible.  Its
+    chunk arrays are freed before the rounds start."""
     import numpy as np
 
-    pick = -math.inf
+    pick, kept = -math.inf, None
     if W is None:  # all of width L: the largest exact sum
         for j0 in range(L, n + 1, CHUNK):
             d = np.subtract(V[j0:j0 + CHUNK], V[j0 - L:min(j0 + CHUNK, n + 1) - L],
@@ -281,7 +302,9 @@ def _first_pick(V, W, n, L, windows):
             if d[t] > pick:
                 pick, k, j = d[t], j0 + t - L, j0 + t
     else:  # float only picks it
-        for j0, lo, hi in _chunks(windows):
+        kept = []
+        for j0, lo, hi in _windows(W, n, L, U):
+            kept.append((j0, _pack(lo), _pack(hi)))  # they do not depend on the round
             js = slice(j0, j0 + len(hi))
             dens = (np.subtract(V[js], V[hi], dtype=np.int64)
                     / np.subtract(W[js], W[hi], dtype=np.int64))
@@ -289,7 +312,7 @@ def _first_pick(V, W, n, L, windows):
             t = int(np.argmax(dens))
             if dens[t] > pick:
                 pick, k, j = dens[t], int(hi[t]), j0 + t
-    return None if pick == -math.inf else (k, j)
+    return None if pick == -math.inf else (k, j, kept)
 
 
 def best(seq: WeightedSequence, L: RealInput,
@@ -310,15 +333,14 @@ def best(seq: WeightedSequence, L: RealInput,
     L = math.ceil(L)
     U = None if U is None or U >= total else math.floor(U)
     V, W = seq.prefix_arrays()
-    windows = None if W is None else _windows(W, n, L, U)  # they do not depend on the round
-    picked = _first_pick(V, W, n, L, windows)
+    picked = _first_pick(V, W, n, L, U)
     if picked is None:
         raise infeasible
-    k, j = picked
+    k, j, kept = picked
     for _ in range(MAX_ROUNDS):
         keys = _key_line(V, W, *seq._span(k + 1, j))
         top, j, a, z = (_uniform_scan(keys, n, L, U) if W is None
-                        else _general_scan(keys, windows))
+                        else _general_scan(keys, kept))
         k = _argmin(keys, a, z)
         if top == 0:
             return k + 1, j

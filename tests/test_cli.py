@@ -442,7 +442,9 @@ class TestFind:
             " '--mapping', 'gc', '--L', '10', '--U', '20']\n"
             "assert maxseg.cli.run() == 0\n"
             "assert 'numpy' in sys.modules\n"
-            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))\n"
+            "task = '/proc/self/task'  # threads are counted only where /proc is\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'],"
+            " len(os.listdir(task)) if os.path.isdir(task) else '-')\n"
         )
         proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
@@ -863,8 +865,8 @@ class TestPeakMemory:
     def test_find_on_a_long_weighted_tsv_peaks_at_few_bytes_per_row(self, tmp_path):
         # 5e5 decimal rows, weights 1.0-3.0 and one in a thousand wider than
         # U: the file is read in chunks, so the two int32 prefix columns (8
-        # bytes per row), the backend's windows (two int32 per endpoint,
-        # kept through the solve: 8 more) and a few chunks' scratch are all
+        # bytes per row), the backend's windows (kept packed through the
+        # solve, at most half a byte more) and a few chunks' scratch are all
         # that grows.
         n = 500_000
         rng = random.Random(12)
@@ -881,7 +883,7 @@ class TestPeakMemory:
         find = self._peak_kb("-m", "maxseg", "find", "--input", str(path), "--format", "tsv",
                              "--L", "100", "--U", "1100")
         per_row = (find - base) * 1024 / n
-        assert per_row <= 22, f"{per_row:.1f} B/row above the import baseline"
+        assert per_row <= 14, f"{per_row:.1f} B/row above the import baseline"
 
     @pytest.mark.parametrize("fmt", ["fasta", "tsv"])
     def test_find_on_stdin_peaks_as_on_the_file(self, tmp_path, fmt):

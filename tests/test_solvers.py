@@ -863,12 +863,8 @@ class TestNarrowStore:
                 assert fastpath.best(narrow, L, U) == want, (chunk, n, L, U)
                 # the rounds would mend a wrong first pick: check it apart
                 U = None if U is None or U >= W[-1] else U
-                picks = []
-                for seq in (narrow, wide):
-                    V, Ws = seq.prefix_arrays()
-                    windows = None if Ws is None else fastpath._windows(Ws, n, L, U)
-                    picks.append(fastpath._first_pick(V, Ws, n, L, windows))
-                assert picks[0] == picks[1]
+                assert fastpath._first_pick(*narrow.prefix_arrays(), n, L, U)[:2] == \
+                    fastpath._first_pick(*wide.prefix_arrays(), n, L, U)[:2]
 
     def test_span_density_and_compress_runs_on_an_int32_store(self, rng, monkeypatch):
         from maxseg import compress_runs
@@ -905,8 +901,8 @@ class TestNarrowStore:
 class TestRoundScratch:
     # A round forms its keys a chunk at a time, so beyond the sequence's own
     # prefix arrays fastpath.best holds O(CHUNK + window) memory, whatever n,
-    # plus, for varying weights, the windows of every endpoint: two int32
-    # arrays, 8 bytes per endpoint, computed once per solve.
+    # plus, for varying weights, the windows of every endpoint, searched once
+    # per solve and kept packed: at most 4 bits per endpoint.
     @staticmethod
     def _peak(n, weighted, L, U, dtype="int64"):
         import tracemalloc
@@ -934,17 +930,17 @@ class TestRoundScratch:
     @pytest.mark.parametrize("weighted,L,U", [(True, 100, 20000), (False, 100, 200),
                                               (False, 1000, None)])
     def test_peak_is_flat_in_n(self, weighted, L, U):
-        kept = 8 if weighted else 0  # bytes of kept windows per item
+        kept = 0.5 if weighted else 0  # bytes of kept windows per item
         small, large = (self._peak(n, weighted, L, U) - kept * n for n in (10**5, 10**6))
         assert max(small, large) <= 3_000_000, (small, large)
         assert large <= 1.5 * small, (small, large)
 
     def test_int32_weights_are_searched_without_a_copy(self):
         # int32 columns, as a long TSV gives: a search of W with a key of
-        # another dtype would copy W whole to int64, 8 bytes per item on top
-        # of the kept windows' 8 (they are allocated before the first search).
+        # another dtype would copy W whole to int64, 8 bytes per item, where
+        # the kept windows take half a byte.
         small, large = (self._peak(n, True, 100, 1100, "int32") for n in (10**5, 4 * 10**5))
-        assert large <= small + 9 * 3 * 10**5 + 100_000, (small, large)
+        assert large <= small + 0.5 * 3 * 10**5 + 100_000, (small, large)
 
     def test_unit_lane_on_a_gc_record_holds_three_chunks(self):
         # A 250k-base GC record (int32 prefixes, [100, 200]): a chunk's keys
