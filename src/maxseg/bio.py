@@ -10,8 +10,8 @@ from decimal import Decimal
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 from . import fastpath
-from .core import (MAX_INTEGER_DIGITS, SCALE_CAP_DIGITS, WeightedSequence, _merge_spans,
-                   build_sequence, exact_decimal)
+from .core import (SCALE_CAP_DIGITS, WeightedSequence, _merge_spans, build_sequence,
+                   decimal_units)
 from .errors import MalformedFasta, MalformedTsv, MisencodedFasta, UnknownSymbol
 
 # Symbol codes: the known bases, and those that score as GC.
@@ -32,8 +32,10 @@ class MappingSpec:
     other symbol other_score, both in units of 1/scale.
 
     gc01 scores G/C as 1 and everything else 0.  huang(p) scores G/C as
-    1 - p and everything else as -p, for p in [0, 1] with at most 9 decimal
-    places; p's decimal digits fix the integer scale so the scoring stays exact.
+    1 - p and everything else as -p, for p in [0, 1] written as ``str(p)``
+    in the decimal syntax of :func:`maxseg.core.decimal_units` with at most
+    9 decimal places; p's decimal digits fix the integer scale so the
+    scoring stays exact.
     """
 
     gc_score: int
@@ -46,7 +48,8 @@ class MappingSpec:
 
     @classmethod
     def huang(cls, p: Union[str, float, Decimal]) -> "MappingSpec":
-        p_scaled, places = exact_decimal(p if isinstance(p, Decimal) else str(p))
+        p_scaled, places = decimal_units(str(p).encode(errors="surrogateescape"),
+                                         SCALE_CAP_DIGITS)
         scale = 10 ** places
         if not 0 <= p_scaled <= scale:
             raise ValueError(f"huang p must lie in [0, 1], got {p}")
@@ -276,7 +279,6 @@ def compress_runs(seq: WeightedSequence) -> WeightedSequence:
 
 
 _TSV_BLANKS = re.compile(rb"[ \t]+")
-_TSV_DECIMAL = re.compile(rb"(-?)([0-9]+)(?:\.([0-9]+))?")
 
 
 def parse_tsv(stream: Union[str, bytes, IO[bytes]]) -> WeightedSequence:
@@ -285,15 +287,15 @@ def parse_tsv(stream: Union[str, bytes, IO[bytes]]) -> WeightedSequence:
     The grammar: a line ends at LF, CRLF or a lone CR; space and tab are
     blanks.  A line whose first non-blank byte is '#' is a comment in
     UTF-8.  Every other non-blank line holds a value and a weight, two
-    ASCII decimals ``-?[0-9]+(.[0-9]+)?`` with at most MAX_INTEGER_DIGITS
-    integer digits and SCALE_CAP_DIGITS fraction digits once trailing zeros
-    go; weights are positive.  Anything else ('+1', '.5', '5.', '1e3',
-    '1_000', 'nan', a non-ASCII digit, any other byte) raises MalformedTsv
-    with its line, as does input with no item.  Each column is scaled
-    exactly onto the finest power-of-ten integer grid its fields need.
+    decimals in the syntax of :func:`maxseg.core.decimal_units` with at
+    most SCALE_CAP_DIGITS places; weights are positive.  Anything else
+    ('+1', '.5', '5.', '1e3', '1_000', 'nan', a non-ASCII digit, any other
+    byte) raises MalformedTsv with its line, as does input with no item.
+    Each column is scaled exactly onto the finest power-of-ten integer grid
+    its fields need.
 
-    From ``fastpath.MIN_FAST_N`` line feeds up, :func:`_tsv_to_arrays` reads
-    the input first (ASCII text a chunk at a time); what it hands back, and
+    From ``fastpath.MIN_FAST_N`` line ends up, :func:`_tsv_to_arrays` reads
+    the input first, a chunk at a time; what it hands back, and
     shorter input, is read by the loop below into Python ints, without numpy.
     """
     if isinstance(stream, str) and not stream.isascii():
@@ -303,14 +305,14 @@ def parse_tsv(stream: Union[str, bytes, IO[bytes]]) -> WeightedSequence:
             return stream[at:at + size].encode("ascii")
     else:  # bytes are shared, not copied: reads copy only what they return
         read = _reader(io.BytesIO(stream) if isinstance(stream, bytes) else stream)
-    lines = at = 0
+    lines = at = 0  # line ends; a CRLF cut between blocks counts twice, as lines only bounds rows
     while block := read(at, TSV_CHUNK):
-        lines += block.count(b"\n")
+        lines += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
         at += len(block)
     if lines >= fastpath.MIN_FAST_N and (seq := _tsv_to_arrays(read, lines)) is not None:
         return seq
     rows = []  # (value units, places, weight units, places) per item
-    # Chunks end at a LF, so no CRLF is cut; bytes.splitlines splits at LF, CRLF and CR.
+    # Chunks cut no CRLF; bytes.splitlines splits at LF, CRLF and CR.
     for line, text in enumerate((t for c in _tsv_chunks(read) for t in c.splitlines()), 1):
         text = text.strip(b" \t")
         if text.startswith(b"#"):
@@ -322,7 +324,11 @@ def parse_tsv(stream: Union[str, bytes, IO[bytes]]) -> WeightedSequence:
             fields = _TSV_BLANKS.split(text)
             if len(fields) != 2:
                 raise MalformedTsv(line, f"expected 2 fields, got {len(fields)}")
-            rows.append(_tsv_decimal(fields[0], line) + _tsv_decimal(fields[1], line))
+            try:
+                rows.append(decimal_units(fields[0], SCALE_CAP_DIGITS)
+                            + decimal_units(fields[1], SCALE_CAP_DIGITS))
+            except ValueError as exc:
+                raise MalformedTsv(line, str(exc)) from None
             if rows[-1][2] <= 0:
                 raise MalformedTsv(line, "weight must be > 0")
     if not rows:
@@ -330,20 +336,6 @@ def parse_tsv(stream: Union[str, bytes, IO[bytes]]) -> WeightedSequence:
     vp, wp = max(row[1] for row in rows), max(row[3] for row in rows)
     items = ((v * 10 ** (vp - p), w * 10 ** (wp - q)) for v, p, w, q in rows)
     return build_sequence(items, value_scale=10 ** vp, weight_scale=10 ** wp)
-
-
-def _tsv_decimal(field: bytes, line: int) -> Tuple[int, int]:
-    """(units, places) with field == units / 10**places and places minimal,
-    or MalformedTsv at line for a field outside parse_tsv's grammar."""
-    m = _TSV_DECIMAL.fullmatch(field)
-    if not m:
-        raise MalformedTsv(line, f"not a decimal number: {field.decode('utf-8', 'replace')!r}")
-    whole, frac = m[2].lstrip(b"0"), (m[3] or b"").rstrip(b"0")
-    if len(whole) > MAX_INTEGER_DIGITS or len(frac) > SCALE_CAP_DIGITS:
-        raise MalformedTsv(line, f"{m[0].decode()} " + (
-            f"has more than {MAX_INTEGER_DIGITS} integer digits" if len(whole) > MAX_INTEGER_DIGITS
-            else f"needs more than {SCALE_CAP_DIGITS} decimal places"))
-    return int(m[1] + (whole + frac or b"0")), len(frac)
 
 
 # Bytes of TSV input read at once; bounds the array path's scratch.  16 KiB
@@ -356,10 +348,10 @@ _SPACE, _DIGIT, _MINUS, _DOT, _HASH, _TEXT = 1, 2, 3, 4, 5, 6
 
 
 def _tsv_to_arrays(read, lines: int) -> Optional[WeightedSequence]:
-    """parse_tsv's array path over input of ``lines`` line feeds, read by
+    """parse_tsv's array path over input of ``lines`` line ends, read by
     ``read(at, size)``: the sequence, or None for input outside its part of
-    parse_tsv's grammar: ASCII without lone CRs, fields of at most 18 digits
-    and SCALE_CAP_DIGITS written places, and sums inside int64."""
+    parse_tsv's grammar: fields of at most 18 digits and SCALE_CAP_DIGITS
+    written places, and sums inside int64."""
     import numpy as np
 
     table = np.zeros(256, dtype=np.int8)
@@ -369,11 +361,16 @@ def _tsv_to_arrays(read, lines: int) -> Optional[WeightedSequence]:
     table[[45, 46, 35]] = _MINUS, _DOT, _HASH
     pow10 = 10 ** np.arange(19, dtype=np.int64)
     # The value and weight columns after a leading 0, at most one row per
-    # line (the last may lack its line feed), filled a chunk at a time.
+    # line (the last may lack its line end), filled a chunk at a time.
     cols = [np.zeros(lines + 2, dtype=np.int32) for _ in range(2)]
     tops, totals, rows = [0, 0], [0.0, 0.0], 0
     lo, hi = float("inf"), 0  # the least and greatest weight on the weight grid
     for chunk in _tsv_chunks(read):
+        if not chunk.isascii():  # only comments may hold such bytes, in UTF-8
+            try:
+                chunk.decode()
+            except UnicodeDecodeError:
+                return None
         fields = _scan_tsv_chunk(table, pow10, np.frombuffer(chunk, np.uint8))
         if fields is None:
             return None
@@ -424,11 +421,12 @@ def _tsv_to_arrays(read, lines: int) -> Optional[WeightedSequence]:
 
 def _tsv_chunks(read) -> Iterator[bytes]:
     """The input read ``TSV_CHUNK`` bytes at a time, as chunks cut after a
-    line feed; a last line without one gains it."""
+    line end, but not after a CR that ends a block (its LF may follow); a
+    last line without a line end gains a LF."""
     parts, at = [], 0
     while block := read(at, TSV_CHUNK):
         at += len(block)
-        cut = block.rfind(b"\n") + 1
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
         parts.append(memoryview(block)[:cut] if cut else block)
         if cut:
             chunk, parts = b"".join(parts), [block[cut:]]
@@ -439,31 +437,28 @@ def _tsv_chunks(read) -> Iterator[bytes]:
 
 
 def _scan_tsv_chunk(table, pow10, b):
-    """(units, places) of every field in b, bytes ending in a line feed, in
-    reading order, or None when b leaves the grammar.  Beyond b's byte
-    classes and a few byte masks, the scratch is per token: lines, dots and
-    digits are found from token starts and ends."""
+    """(units, places) of every field in b, bytes ending in a line end, in
+    reading order, or None when b leaves the grammar (bytes past ASCII in
+    comments are left to the caller).  Beyond b's byte classes and a few
+    byte masks, the scratch is per token: lines, dots and digits are found
+    from token starts and ends."""
     import numpy as np
 
     c = table[b]
-    cr = np.flatnonzero(b == 13)
-    if not c.all() or (b[cr + 1] != 10).any():
-        return None
-    del cr
     tok = np.zeros(len(b) + 1, dtype=bool)  # tok[i + 1]: b[i] is in a token
     np.not_equal(c, _SPACE, out=tok[1:])
     starts = np.flatnonzero(tok[1:] > tok[:-1])
-    ends = np.flatnonzero(tok[1:] < tok[:-1])  # b ends in a LF, so every token ends
+    ends = np.flatnonzero(tok[1:] < tok[:-1])  # b ends in a line end, so every token ends
     del tok
-    lfs = np.flatnonzero(b == 10)
+    eols = np.flatnonzero((b == 10) | (b == 13))  # a CRLF ends a line and an empty one
     opens = np.zeros(len(starts) + 1, dtype=bool)  # opens[t]: token t starts a line
-    opens[np.searchsorted(starts, lfs)] = True  # the token after each LF; len(starts): none
+    opens[np.searchsorted(starts, eols)] = True  # the token after each line end; len(starts): none
     opens[0] = True  # b starts a line
     if (c == _HASH).any():  # blank the lines whose first token opens a comment
         note = starts[opens[:-1] & (b[starts] == 35)]
-        span = np.zeros(len(b), dtype=np.int8)  # 1 from a comment's '#' to its LF
+        span = np.zeros(len(b), dtype=np.int8)  # 1 from a comment's '#' to its line end
         span[note] = 1
-        span[lfs[np.searchsorted(lfs, note)]] = -1
+        span[eols[np.searchsorted(eols, note)]] = -1
         np.add.accumulate(span, out=span)
         c[span.view(bool)] = _SPACE
         kept = span[starts] == 0  # whole lines go, so every kept token keeps its opens
@@ -472,9 +467,10 @@ def _scan_tsv_chunk(table, pow10, b):
         ends = ends[kept]
         opens = np.append(opens[:-1][kept], True)
         del kept
-    del lfs
+    del eols
     # Two tokens per line: even tokens open a line, odd ones do not.
-    if (c > _DOT).any() or len(starts) % 2 or opens[1::2].any() or not opens[0::2].all():
+    if not c.all() or (c > _DOT).any() or len(starts) % 2 or opens[1::2].any() \
+            or not opens[0::2].all():
         return None
     del opens
     # A minus only opens a field, right before a digit.
@@ -483,11 +479,7 @@ def _scan_tsv_chunk(table, pow10, b):
             or (c[starts[neg] + 1] != _DIGIT).any():
         return None
     # At most one dot per field, between two digits.
-    dot = c == _DOT
-    if np.count_nonzero(dot) > len(starts):
-        return None
-    dots = np.flatnonzero(dot)
-    del dot
+    dots = np.flatnonzero(c == _DOT)
     if (c[dots - 1] != _DIGIT).any() or (c[dots + 1] != _DIGIT).any():
         return None
     del c

@@ -12,25 +12,24 @@ import argparse
 import contextlib
 import gc
 import io
+import math
 import os
 import random
 import statistics
 import sys
 import time
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from fractions import Fraction
 from typing import IO, Iterator, List, Optional, Tuple
 
 from .bio import MappingSpec, compress_runs, parse_tsv, read_fasta
 from .core import (
-    MAX_INTEGER_DIGITS,
-    SCALE_CAP_DIGITS,
     OpCounters,
     WeightedSequence,
     build_sequence,
     compute_bounds,
+    decimal_units,
     density_decimal_str,
-    finite_decimal,
     format_scaled,
 )
 from .errors import InfeasibleWidthWindow, MaxsegError
@@ -46,20 +45,14 @@ from .sweep_left import initialize_min_width
 from .sweep_right import initialize_max_width
 
 
-def _parse_bound(text: str, flag: str) -> Decimal:
+def _parse_bound(text: str, flag: str) -> Fraction:
+    """The exact value of a width bound's text, which may carry any number
+    of decimal places."""
     try:
-        return finite_decimal(text)
+        units, places = decimal_units(text.encode(errors="surrogateescape"))
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
-
-
-def _snap(bound: Decimal, scale: int, rounding: str) -> int:
-    """bound * scale rounded to an integer in direction `rounding`, exactly:
-    widths are whole multiples of 1/scale, so ceil(L * scale) and
-    floor(U * scale) admit the same widths as [L, U].  Rounding the product
-    the same way at a precision above its integer digits keeps it exact."""
-    ctx = Context(prec=MAX_INTEGER_DIGITS + 2 * SCALE_CAP_DIGITS, rounding=rounding)
-    return int(ctx.multiply(bound, scale).to_integral_value(rounding=rounding))
+    return Fraction(units, 10 ** places)
 
 
 def _open_input(path: str):
@@ -158,27 +151,28 @@ def _load_records(args) -> Iterator[Tuple[str, WeightedSequence]]:
 
 
 def cmd_find(args, out: IO[str], err: IO[str]) -> int:
-    L_dec = _parse_bound(args.L, "--L")
-    if L_dec <= 0:
-        raise ValueError(f"--L must be positive, got {L_dec}")
-    U_dec: Optional[Decimal] = None
+    L = _parse_bound(args.L, "--L")
+    if L <= 0:
+        raise ValueError(f"--L must be positive, got {args.L}")
+    U: Optional[Fraction] = None
     if args.U != "max":
-        U_dec = _parse_bound(args.U, "--U")
-        if U_dec < L_dec:
-            raise ValueError(f"need L <= U, got L={L_dec} U={U_dec}")
+        U = _parse_bound(args.U, "--U")
+        if U < L:
+            raise ValueError(f"need L <= U, got L={args.L} U={args.U}")
 
     rows: List[str] = []
     notes: List[str] = []
     for rid, seq in _load_records(args):
         if args.compress:
             seq = compress_runs(seq)
+        # Widths are whole multiples of 1/ws, so these admit the widths [L, U] does.
         ws = seq.weight_scale
-        L_scaled = _snap(L_dec, ws, ROUND_CEILING)
-        U_scaled = None if U_dec is None else _snap(U_dec, ws, ROUND_FLOOR)
+        L_scaled = math.ceil(L * ws)
+        U_scaled = None if U is None else math.floor(U * ws)
         try:
             if U_scaled is not None and U_scaled < L_scaled:
                 raise InfeasibleWidthWindow(
-                    f"no width on the grid of 1/{ws} lies in [{L_dec}, {U_dec}]")
+                    f"no width on the grid of 1/{ws} lies in [{args.L}, {args.U}]")
             seg = solve(SolveRequest(seq, L_scaled, U_scaled))
         except InfeasibleWidthWindow as exc:
             notes.append(f"record {rid!r}: InfeasibleWidthWindow: {exc}\n")

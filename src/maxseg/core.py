@@ -7,9 +7,9 @@ items i..j inclusive.
 Exactness model: every value and weight is stored as an ``int`` when it is
 integral and as an exact ``Fraction`` otherwise (floats keep their binary
 value), so prefix sums never round and density comparisons cross-multiply
-exact rationals.  Decimals the CLI scales onto a power-of-ten grid (see
-:func:`exact_decimal`) stay ints; ``Fraction`` input is much slower and runs
-the pure sweeps only.
+exact rationals.  Decimal text (TSV fields, the CLI's bounds and
+``huang:P``) is read by :func:`decimal_units` as an int on a power-of-ten
+grid; ``Fraction`` input is much slower and runs the pure sweeps only.
 
 Storage model: a :class:`WeightedSequence` holds its prefix sums as Python
 lists (any exact number) or as int32 or int64 numpy arrays, whichever its
@@ -25,8 +25,9 @@ columns do.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -431,45 +432,27 @@ DENSITY_PLACES = 9
 # would cost time and memory that no input this package models needs.
 MAX_INTEGER_DIGITS = 1000
 
-# Every denominator that divides 10**SCALE_CAP_DIGITS, mapped to the fewest
-# decimal places p that clear it and the factor 10**p // denominator.
-_DECIMAL_GRID = {
-    2 ** a * 5 ** b: (max(a, b), 10 ** max(a, b) // (2 ** a * 5 ** b))
-    for a in range(SCALE_CAP_DIGITS + 1)
-    for b in range(SCALE_CAP_DIGITS + 1)
-}
+# The one syntax of a decimal's text: TSV fields, width bounds and huang:P.
+_DECIMAL = re.compile(rb"(-?)([0-9]+)(?:\.([0-9]+))?")
 
 
-def finite_decimal(value: Union[str, Decimal]) -> Decimal:
-    """value as a Decimal; ValueError for text that is not a decimal number,
-    for infinities and NaN, and for more than MAX_INTEGER_DIGITS integer digits."""
-    if isinstance(value, str):
-        try:
-            value = Decimal(value)
-        except InvalidOperation:
-            raise ValueError(f"not a decimal number: {value!r}") from None
-    if not value.is_finite():
-        raise ValueError(f"not a finite number: {value}")
-    if value and value.adjusted() >= MAX_INTEGER_DIGITS:
-        raise ValueError(f"{value} has more than {MAX_INTEGER_DIGITS} integer digits")
-    return value
+def decimal_units(text: bytes, max_places: Optional[int] = None) -> Tuple[int, int]:
+    """(units, places) with text == units / 10**places exactly, places minimal.
 
-
-def exact_decimal(value: Union[str, Decimal]) -> Tuple[int, int]:
-    """(units, places) with value == units / 10**places exactly, places minimal.
-
-    Never rounds: raises ValueError where :func:`finite_decimal` does and for
-    a value that needs more than SCALE_CAP_DIGITS decimal places.
+    text is ASCII ``-?[0-9]+(.[0-9]+)?`` with at most MAX_INTEGER_DIGITS
+    integer digits and, unless max_places is None, at most max_places
+    fraction digits once trailing zeros go.  Never rounds: any other text
+    raises ValueError.
     """
-    value = finite_decimal(value)
-    if not value:
-        return 0, 0
-    if value.adjusted() >= -SCALE_CAP_DIGITS:  # else too fine, and costly to expand
-        num, den = value.as_integer_ratio()
-        if den in _DECIMAL_GRID:
-            places, factor = _DECIMAL_GRID[den]
-            return num * factor, places
-    raise ValueError(f"{value} needs more than {SCALE_CAP_DIGITS} decimal places")
+    m = _DECIMAL.fullmatch(text)
+    if not m:
+        raise ValueError(f"not a decimal number: {text.decode('utf-8', 'replace')!r}")
+    whole, frac = m[2].lstrip(b"0"), (m[3] or b"").rstrip(b"0")
+    if len(whole) > MAX_INTEGER_DIGITS:
+        raise ValueError(f"{m[0].decode()} has more than {MAX_INTEGER_DIGITS} integer digits")
+    if max_places is not None and len(frac) > max_places:
+        raise ValueError(f"{m[0].decode()} needs more than {max_places} decimal places")
+    return int(m[1] + (whole + frac or b"0")), len(frac)
 
 
 def format_scaled(value: int, scale: int) -> str:

@@ -219,6 +219,10 @@ class TestMapping:
         for bad in ("0.1234567891", "nan", "abc"):  # too fine, not finite, not a number
             with pytest.raises(ValueError):
                 MappingSpec.huang(bad)
+        # p is read by the TSV fields' decimal syntax
+        for bad in ("4.5e-1", "+.45", "\u0660.\u0664\u0665", "0.4_5", 1e-05):
+            with pytest.raises(ValueError, match="not a decimal number"):
+                MappingSpec.huang(bad)
         assert MappingSpec.huang("0.123456789").scale == 10**9
 
 
@@ -630,6 +634,9 @@ class TestParseTsv:
         "1\t2\n# " + "a long comment, " * 8 + "\n3\t4\n",  # blocks with no line feed
         "1\t123456789012345678\n-5\t1\n",  # 18-digit weights beside int32 values
         "1\t2\n3\t1.5\n",  # the least and greatest weight move to a finer grid
+        "1\t2\r3\t4\n",  # a lone CR
+        "1\t2\n# caf\u00e9\n",  # UTF-8 in a comment
+        "# a\vb c\n1\t1\n",  # a control byte in a comment
     ]
     OUTSIDE_GRAMMAR = [
         "1.\t1\n", ".5\t1\n", "+1\t1\n", "1e3\t1\n", "1_0\t1\n", "-\t1\n", "-.5\t1\n",
@@ -640,9 +647,9 @@ class TestParseTsv:
         "999999999999999999\t1\n" * 5,  # a sum inside int64 but past the 2**62 margin
         "999999999999999999\t1\n0.5\t1\n",  # an item past int64 once scaled
         "1\t0\n", "1\t-2\n", "1\t-0\n", "2\t1\n1\t0.0\n",  # weights not positive
-        "1\t2\v\n", "1\v2\n", "# a\vb c\n1\t1\n", "1\t2\f\n", "1\x00\t2\n", "1\t2\x7f\n",
-        "1\t2\n# caf\u00e9\n", "1\t\uff12\n",  # non-ASCII
-        "1\r\t2\n", "1\t2\r3\t4\n", "# a\rb\n1\t1\n",  # CR not before LF
+        "1\t2\v\n", "1\v2\n", "1\t2\f\n", "1\x00\t2\n", "1\t2\x7f\n",
+        "1\t\uff12\n",  # non-ASCII outside a comment
+        "1\r\t2\n", "# a\rb\n1\t1\n",  # a lone CR ends a line
         "1\n", "1\t2\t3\n", "1\t2\n3\n", "1\t2\t3\t4\n",  # 1, 3 and 4 fields
         "# only\n# comments\n", "\n \n", "a\tb\n",
     ]

@@ -153,14 +153,16 @@ class TestFind:
         assert out.splitlines()[1] == "s\t1\t2\t2\t2\t1.000000000"
 
     @pytest.mark.parametrize("flag", ["--L", "--U"])
-    @pytest.mark.parametrize("text", ["nan", "inf", "1e1000", "x"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "1e1000", "x", "1e0", "+2", ".5", "5.",
+                                      "2_0", "\u0662", " 2 ", "Infinity"])
     def test_bounds_refused(self, fasta_file, flag, text):
+        # a bound is read by the TSV fields' decimal syntax, -?[0-9]+(.[0-9]+)?
         bounds = {"--L": "1", "--U": "3", flag: text}
         code, out, err = run_cli(["find", "--input", fasta_file, "--format", "fasta",
                                   "--L", bounds["--L"], "--U", bounds["--U"]])
         assert code == 1
         assert out == ""
-        assert err.startswith(f"error: ValueError: {flag}: ")
+        assert err == f"error: ValueError: {flag}: not a decimal number: {text!r}\n"
 
     @given(
         items=st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 30)),
@@ -371,7 +373,8 @@ class TestFind:
         (["--format", "fasta", "--mapping", "huang:2"], "huang p must lie in [0, 1], got 2"),
         (["--format", "tsv", "--mapping", "huang:0.4"], "--mapping applies to FASTA input only"),
         (["--format", "tsv", "--strict"], "--strict applies to FASTA input only"),
-    ], ids=["fasta-mapping", "fasta-huang-p", "tsv-mapping", "tsv-strict"])
+        (["--format", "tsv", "--U", "01.50"], "need L <= U, got L=2 U=01.50"),  # as given
+    ], ids=["fasta-mapping", "fasta-huang-p", "tsv-mapping", "tsv-strict", "bounds-order"])
     def test_flag_errors_come_before_a_missing_input(self, tmp_path, argv, msg):
         missing = str(tmp_path / "missing.txt")
         assert run_cli(["find", "--input", missing, "--L", "2"] + argv) == (
@@ -867,7 +870,7 @@ class TestPeakMemory:
         # U: the file is read in chunks, so the two int32 prefix columns (8
         # bytes per row), the backend's windows (kept packed through the
         # solve, at most half a byte more) and a few chunks' scratch are all
-        # that grows.
+        # that grows.  Lone-CR line ends and a UTF-8 comment keep it so.
         n = 500_000
         rng = random.Random(12)
         rows = ["# value\tweight"]
@@ -876,14 +879,17 @@ class TestPeakMemory:
             w = rng.randint(11010, 20000) if rng.random() < 0.001 else rng.randint(10, 30)
             rows.append(f"{'-' if v < 0 else ''}{abs(v) // 100}.{abs(v) % 100:02d}"
                         f"\t{w // 10}.{w % 10}")
-        path = tmp_path / "long.tsv"
-        path.write_text("\n".join(rows) + "\n")
+        text = "\n".join(rows) + "\n"
         del rows
+        path = tmp_path / "long.tsv"
         base = self._peak_kb("-c", "import numpy, maxseg.cli")
-        find = self._peak_kb("-m", "maxseg", "find", "--input", str(path), "--format", "tsv",
-                             "--L", "100", "--U", "1100")
-        per_row = (find - base) * 1024 / n
-        assert per_row <= 14, f"{per_row:.1f} B/row above the import baseline"
+        for name, data in (("lf", text), ("cr", text.replace("\n", "\r")),
+                           ("utf-8 comment", "# valeur \u00b5g\n" + text)):
+            path.write_bytes(data.encode())
+            find = self._peak_kb("-m", "maxseg", "find", "--input", str(path), "--format", "tsv",
+                                 "--L", "100", "--U", "1100")
+            per_row = (find - base) * 1024 / n
+            assert per_row <= 14, f"{name}: {per_row:.1f} B/row above the import baseline"
 
     @pytest.mark.parametrize("fmt", ["fasta", "tsv"])
     def test_find_on_stdin_peaks_as_on_the_file(self, tmp_path, fmt):

@@ -21,8 +21,8 @@ from maxseg.core import (
     WeightedSequence,
     _merge_spans,
     compute_bounds,
+    decimal_units,
     density_decimal_str,
-    exact_decimal,
     format_scaled,
     make_segment,
 )
@@ -320,35 +320,38 @@ class TestComputeBounds:
 
 
 class TestDecimalHelpers:
-    def test_exact_decimal_fewest_places(self):
+    def test_decimal_units_fewest_places(self):
         # (units, places) with the fewest places that write the value exactly
-        assert exact_decimal("1.50") == (15, 1)
-        assert exact_decimal("3") == (3, 0)
-        assert exact_decimal("1e-3") == (1, 3)
-        assert exact_decimal(Decimal("2.5")) == (25, 1)
-        assert exact_decimal("-0.05") == (-5, 2)
-        assert exact_decimal("0e-999999999") == (0, 0)
+        assert decimal_units(b"1.50") == (15, 1)
+        assert decimal_units(b"3") == (3, 0)
+        assert decimal_units(b"0.001") == (1, 3)
+        assert decimal_units(b"-0.05") == (-5, 2)
+        assert decimal_units(b"007.50") == (75, 1)
+        assert decimal_units(b"-0.000") == (0, 0)
+        assert decimal_units(b"1.0000000004") == (10000000004, 10)  # no cap unless asked
 
-    def test_exact_decimal_caps_at_nine_places(self):
-        # nine places is the finest grid; finer values are refused, not rounded
-        assert exact_decimal("0.123456789") == (123456789, 9)
-        assert exact_decimal("1.0000000000") == (1, 0)
-        for text in ("0.1234567891234", "1.0000000004", "1e-10", "1e-999999999"):
+    def test_decimal_units_caps_places(self):
+        # a caller's cap on places is checked once trailing zeros go; finer
+        # values are refused, not rounded
+        assert decimal_units(b"0.123456789", 9) == (123456789, 9)
+        assert decimal_units(b"1.0000000000", 9) == (1, 0)
+        for text in (b"0.1234567891234", b"1.0000000004", b"0.0000000001"):
             with pytest.raises(ValueError, match="more than 9 decimal places"):
-                exact_decimal(text)
+                decimal_units(text, 9)
 
-    def test_exact_decimal_expands_integers(self):
-        # integers of any notation expand exactly, up to MAX_INTEGER_DIGITS digits
-        assert exact_decimal("1" * 30) == (int("1" * 30), 0)
-        assert exact_decimal("1e40") == (10**40, 0)
-        assert exact_decimal("-2.5e3") == (-2500, 0)
-        assert exact_decimal("9" * MAX_INTEGER_DIGITS) == (int("9" * MAX_INTEGER_DIGITS), 0)
-        for text in ("1" * (MAX_INTEGER_DIGITS + 1), "1e999999999"):
-            with pytest.raises(ValueError, match="integer digits"):
-                exact_decimal(text)
-        for text in ("Infinity", "-inf", "nan", "sNaN", "abc", ""):
-            with pytest.raises(ValueError):
-                exact_decimal(text)
+    def test_decimal_units_caps_integer_digits_and_refuses_other_text(self):
+        # integers expand exactly up to MAX_INTEGER_DIGITS digits once
+        # leading zeros go; text outside -?[0-9]+(.[0-9]+)? is refused
+        nines = b"9" * MAX_INTEGER_DIGITS
+        assert decimal_units(b"1" * 30) == (int("1" * 30), 0)
+        assert decimal_units(nines) == decimal_units(b"00" + nines) == (int(nines), 0)
+        with pytest.raises(ValueError, match="integer digits"):
+            decimal_units(b"1" * (MAX_INTEGER_DIGITS + 1))
+        for text in (b"1e40", b"1e-3", b"-2.5e3", b"1E3", b"Infinity", b"-inf", b"nan", b"sNaN",
+                     b"abc", b"", b"+2", b".5", b"5.", b"-.5", b"2_0", "\u0662".encode(),
+                     b" 2 ", b"2\n", b"--1", b"1.2.3", b"-"):
+            with pytest.raises(ValueError, match="not a decimal number"):
+                decimal_units(text)
 
     def test_format_scaled(self):
         assert format_scaled(25, 10) == "2.5"

@@ -11,7 +11,8 @@ inputs:
   (above it) bodies of tsv-weighted rows with other line ends, a UTF-8
   comment, or one row that sits at an edge of the TSV grammar.
 
-Each input runs under the flag sets {}, --exact and --compress, read from a
+Each input runs under the flag sets {}, --exact and --compress, and under
+fractional bounds (and, for FASTA, ``--mapping huang:0.45``), read from a
 file and from stdin (a pipe), and stdout, stderr and exit code are compared
 byte for byte.
 
@@ -45,10 +46,16 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FLAG_SETS = [[], ["--exact"], ["--compress"]]
 FIND_ARGS = {
     "fasta": ["--format", "fasta", "--mapping", "gc", "--L", "100", "--U", "200"],
     "tsv": ["--format", "tsv", "--L", "100", "--U", "1100"],
+}
+# The flag sets each input of a format runs under.  A set's --mapping, --L
+# or --U replaces the one in FIND_ARGS, as argparse keeps the last.
+FLAG_SETS = {
+    "fasta": [[], ["--exact"], ["--compress"], ["--mapping", "huang:0.45"],
+              ["--L", "99.5", "--U", "200.25"]],
+    "tsv": [[], ["--exact"], ["--compress"], ["--L", "100.05", "--U", "1100.5"]],
 }
 
 # TSV rows put in place of one body row, by name.  The first three are in
@@ -224,7 +231,7 @@ def main(argv=None) -> int:
             path = tmp / name / "input"
             path.write_bytes(data)
             cases += [(name, fmt, flags, path, stdin)
-                      for flags in FLAG_SETS for stdin in (False, True)]
+                      for flags in FLAG_SETS[fmt] for stdin in (False, True)]
         with ThreadPoolExecutor(args.jobs) as pool:
             results = list(pool.map(
                 lambda c: (find(old, *c[1:]), find(ROOT, *c[1:])), cases))
