@@ -116,8 +116,7 @@ def _map_bases(pieces: Iterable[bytes], n: int, spec: MappingSpec,
         np.cumsum(scores[codes], dtype=dtype, out=out)
         out += V[at]
         at += len(codes)
-    return WeightedSequence(V, None, value_scale=spec.scale, is_uniform=True,
-                            min_weight=1, max_weight=1)
+    return WeightedSequence(V, None, value_scale=spec.scale)
 
 
 # Bytes of FASTA input scan_fasta and fasta_bases read at once, and bases
@@ -266,12 +265,8 @@ def compress_runs(seq: WeightedSequence) -> WeightedSequence:
             w = np.subtract(W[1:], W[:-1], dtype=np.int64)
             ends = np.flatnonzero(v[:-1] * w[1:] != v[1:] * w[:-1]) + 1
         keep = np.concatenate(([0], ends, [n]))
-        W = keep if W is None else W[keep]
-        weights = np.diff(W)
-        lo, hi = int(weights.min()), int(weights.max())
-        return WeightedSequence(V[keep], W, value_scale=seq.value_scale,
-                                weight_scale=seq.weight_scale, is_uniform=lo == hi == 1,
-                                min_weight=lo, max_weight=hi)
+        return WeightedSequence(V[keep], keep if W is None else W[keep],
+                                value_scale=seq.value_scale, weight_scale=seq.weight_scale)
     pv, pw = seq.prefix_value, seq.prefix_weight
     ends = [i for i in range(1, n) if (pv[i] - pv[i - 1]) * (pw[i + 1] - pw[i])
             != (pv[i + 1] - pv[i]) * (pw[i] - pw[i - 1])]
@@ -364,7 +359,6 @@ def _tsv_to_arrays(read, lines: int) -> Optional[WeightedSequence]:
     # line (the last may lack its line end), filled a chunk at a time.
     cols = [np.zeros(lines + 2, dtype=np.int32) for _ in range(2)]
     tops, totals, rows = [0, 0], [0.0, 0.0], 0
-    lo, hi = float("inf"), 0  # the least and greatest weight on the weight grid
     for chunk in _tsv_chunks(read):
         if not chunk.isascii():  # only comments may hold such bytes, in UTF-8
             try:
@@ -379,6 +373,8 @@ def _tsv_to_arrays(read, lines: int) -> Optional[WeightedSequence]:
             continue
         for c, col in enumerate(cols):
             u, p = fields[0][c::2], fields[1][c::2]
+            if c and u.min() <= 0:  # the line path names the line of the weight
+                return None
             # the chunk's finest grid: places lowered while no digit there is nonzero
             top = int(p.max(initial=0))
             while top > tops[c] and not (u % pow10[np.maximum(p - top + 1, 0)]).any():
@@ -405,18 +401,15 @@ def _tsv_to_arrays(read, lines: int) -> Optional[WeightedSequence]:
             out = col[rows + 1:r + 1]
             np.cumsum(u, dtype=col.dtype, out=out)
             out += col[rows]
-            if c:
-                lo, hi = min(lo * 10 ** k, int(u.min())), max(hi * 10 ** k, int(u.max()))
         rows = r
         del fields, u  # before the next chunk is scanned
-    if not rows or lo <= 0:
+    if not rows:
         return None
     # Blank and comment lines leave rows unfilled: give their memory back.
     # No view of either column is used after this.
     for col in cols:
         col.resize(rows + 1, refcheck=False)
-    return WeightedSequence(*cols, value_scale=10 ** tops[0], weight_scale=10 ** tops[1],
-                            is_uniform=lo == hi == 1, min_weight=lo, max_weight=hi)
+    return WeightedSequence(*cols, value_scale=10 ** tops[0], weight_scale=10 ** tops[1])
 
 
 def _tsv_chunks(read) -> Iterator[bytes]:

@@ -55,6 +55,15 @@ def _parse_bound(text: str, flag: str) -> Fraction:
     return Fraction(units, 10 ** places)
 
 
+def _parse_int(text: str, flag: str) -> int:
+    """An integer flag's value: ASCII ``-?[0-9]+``, read by :func:`decimal_units`."""
+    raw = text.encode(errors="surrogateescape")
+    with contextlib.suppress(ValueError):
+        if b"." not in raw:
+            return decimal_units(raw)[0]
+    raise ValueError(f"{flag}: expected an integer, got {text!r}")
+
+
 def _open_input(path: str):
     """The input as a binary file that can seek, for a with statement: a
     file that can seek where it lies (stdin at its start is read in place
@@ -253,7 +262,7 @@ def cmd_verify(args, out: IO[str], err: IO[str]) -> int:
             raise ValueError(msg)
         try:
             L_txt, U_txt = args.L_U[len("fixed:"):].split(",")
-            fixed_lu = (int(L_txt), int(U_txt))
+            fixed_lu = (_parse_int(L_txt, "--L-U"), _parse_int(U_txt, "--L-U"))
         except ValueError:
             raise ValueError(msg) from None
         if not 0 < fixed_lu[0] <= fixed_lu[1]:
@@ -282,15 +291,19 @@ def cmd_verify(args, out: IO[str], err: IO[str]) -> int:
 
 
 def _bench_sizes(text: str) -> List[int]:
+    """--sizes: whole numbers from 1 to 1e18, decimals with an optional exponent (1e5)."""
     sizes = []
     for part in text.split(","):
+        mant, e, power = part.replace("E", "e").partition("e")
         try:
-            size = float(part)
+            units, places = decimal_units(mant.encode(errors="surrogateescape"))
+            shift = (_parse_int(power, "--sizes") if e else 0) - places
+            size = units * 10 ** shift if 0 <= shift <= 18 else 0
         except ValueError:
-            size = 0.0  # refused below
-        if not (size.is_integer() and size >= 1):  # inf and NaN are not integers
-            raise ValueError(f"--sizes: expected whole numbers >= 1, got {part.strip()!r}")
-        sizes.append(int(size))
+            size = 0  # refused below
+        if not 1 <= size <= 10 ** 18:
+            raise ValueError(f"--sizes: expected whole numbers from 1 to 1e18, got {part!r}")
+        sizes.append(size)
     return sizes
 
 
@@ -378,22 +391,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="differential-test the solver "
                               "against the brute-force oracle")
-    p_verify.add_argument("--seeds", type=int, default=1000)
-    p_verify.add_argument("--max-n", type=int, default=200)
+    p_verify.add_argument("--seeds", default="1000")
+    p_verify.add_argument("--max-n", default="200")
     p_verify.add_argument("--model", choices=["uniform", "general"], default="uniform")
     p_verify.add_argument("--L-U", dest="L_U", default="random",
                           help="'random' or 'fixed:L,U'")
-    p_verify.add_argument("--seed", type=int, default=0, help="base seed")
+    p_verify.add_argument("--seed", default="0", help="base seed")
 
     p_bench = sub.add_parser("bench", help="time the pure sweep solvers and "
                              "report loop-iteration counters as CSV")
     p_bench.add_argument("--sizes", required=True, help="comma list, e.g. 1e5,2e5")
     p_bench.add_argument("--algo", required=True,
                          choices=["l-only", "uniform-lu", "general-lu"])
-    p_bench.add_argument("--repeat", type=int, default=1)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--L", type=int, default=None)
-    p_bench.add_argument("--U", type=int, default=None)
+    p_bench.add_argument("--repeat", default="1")
+    p_bench.add_argument("--seed", default="0")
+    p_bench.add_argument("--L")
+    p_bench.add_argument("--U")
     return parser
 
 
@@ -404,6 +417,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.command == "find":
             return cmd_find(args, out, err)
+        for name in ("seeds", "max_n", "seed", "repeat", "L", "U"):  # integer flags
+            if getattr(args, name, None) is not None:
+                setattr(args, name, _parse_int(getattr(args, name), "--" + name.replace("_", "-")))
         if args.command == "verify":
             return cmd_verify(args, out, err)
         return cmd_bench(args, out, err)

@@ -19,7 +19,8 @@ lazily, once, for the reader that needs it: the pure sweeps read lists, the
 numpy backend reads arrays.  Under unit weights the paper's width
 ``w(i, j)`` is ``j - i + 1``, so the array store keeps no weight column: 4
 bytes per FASTA base whose prefixes fit int32, and 8 per TSV row whose two
-columns do.
+columns do.  The sequence alone derives its weight facts from the stored
+prefix sums; its builders pass only the prefix columns and scales.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
+from itertools import pairwise
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import EmptySequence, IndexOutOfRange, NonFiniteItem, NonPositiveWeight
@@ -111,8 +113,13 @@ class WeightedSequence:
       :func:`maxseg.bio.parse_tsv` reads long TSV input (each column int32
       while its sums fit).  ``W`` is
       None exactly when every weight is 1 (``is_uniform``): the prefix
-      weight at ``j`` is then ``j`` itself.  Readers widen to int64 before
-      any arithmetic that could leave int32.
+      weight at ``j`` is then ``j`` itself, and a passed W of all 1s is
+      dropped.  Readers widen to int64 before any arithmetic that could
+      leave int32.
+
+    ``is_uniform`` (O(1)), ``min_weight`` and ``max_weight`` (one pass on
+    first read, which only the pure path makes) are derived, read-only.
+    The constructor's keywords of these names have no effect.
 
     :meth:`prefix_arrays` hands the numpy backend the arrays (built once,
     as int64, from the lists when every entry fits int64).
@@ -128,44 +135,26 @@ class WeightedSequence:
     result is a complete and correct view.
     """
 
-    __slots__ = (
-        "_pv",
-        "_pw",
-        "_arrays",
-        "n",
-        "value_scale",
-        "weight_scale",
-        "is_uniform",
-        "min_weight",
-        "max_weight",
-    )
+    __slots__ = ("_pv", "_pw", "_arrays", "_weight_range", "n", "value_scale", "weight_scale")
 
-    def __init__(
-        self,
-        prefix_value: List[Number],
-        prefix_weight: List[Number],
-        *,
-        value_scale: int = 1,
-        weight_scale: int = 1,
-        is_uniform: bool = False,
-        min_weight: Number = 0,
-        max_weight: Number = 0,
-    ):
+    def __init__(self, prefix_value: List[Number], prefix_weight: List[Number], *,
+                 value_scale: int = 1, weight_scale: int = 1,
+                 is_uniform: object = None, min_weight: object = None, max_weight: object = None):
         """prefix_value and prefix_weight are both lists or both int32 or
-        int64 arrays; a uniform sequence keeps no weight array, so it may
-        pass None."""
+        int64 arrays; an array store whose weights are all 1 may pass None."""
+        del is_uniform, min_weight, max_weight
+        self.n = len(prefix_value) - 1
         if isinstance(prefix_value, list):
             self._pv, self._pw = prefix_value, prefix_weight
             self._arrays = None  # not built yet; () once known not to fit
         else:
+            if prefix_weight is not None and int(prefix_weight[-1]) == self.n:  # all 1s
+                prefix_weight = None
             self._pv = self._pw = None
-            self._arrays = (prefix_value, None if is_uniform else prefix_weight)
-        self.n = len(prefix_value) - 1
+            self._arrays = (prefix_value, prefix_weight)
+        self._weight_range = None  # (min, max) weight, found on first read
         self.value_scale = value_scale
         self.weight_scale = weight_scale
-        self.is_uniform = is_uniform
-        self.min_weight = min_weight
-        self.max_weight = max_weight
 
     @property
     def prefix_value(self) -> List[Number]:
@@ -187,6 +176,23 @@ class WeightedSequence:
         if self._arrays is None:
             self._arrays = _int64_arrays(self._pv, None if self.is_uniform else self._pw)
         return self._arrays or None
+
+    @property
+    def is_uniform(self) -> bool:
+        """True when every weight is the int 1, in O(1): positive int weights
+        that sum to n are all 1, and a list column ending in an int holds only ints."""
+        total = self.total_width
+        return type(total) is int and total == self.n
+
+    min_weight = property(lambda self: self._weights()[0], doc="The least weight.")
+    max_weight = property(lambda self: self._weights()[1], doc="The greatest weight.")
+
+    def _weights(self) -> Tuple[Number, Number]:
+        """(least, greatest) weight, each an int when integral, found once."""
+        if self._weight_range is None:
+            weights = [1] if self.is_uniform else [b - a for a, b in pairwise(self.prefix_weight)]
+            self._weight_range = (_integral(min(weights)), _integral(max(weights)))
+        return self._weight_range
 
     def _span(self, i: int, j: int) -> Tuple[Number, Number]:
         """(value sum, width) of items i..j as plain numbers, unchecked."""
@@ -279,8 +285,6 @@ def build_sequence(
     """
     pv: List[Number] = [0]
     pw: List[Number] = [0]
-    min_w: Optional[Number] = None
-    max_w: Optional[Number] = None
     idx = 0
     for idx, item in enumerate(items, start=1):
         a, w = item
@@ -290,23 +294,11 @@ def build_sequence(
             w = _exact(w, idx, weight=True)
         if not w > 0:
             raise NonPositiveWeight(idx)
-        if min_w is None or w < min_w:
-            min_w = w
-        if max_w is None or w > max_w:
-            max_w = w
         pv.append(pv[-1] + a)
         pw.append(pw[-1] + w)
     if idx == 0:
         raise EmptySequence("sequence must contain at least one item")
-    return WeightedSequence(
-        pv,
-        pw,
-        value_scale=value_scale,
-        weight_scale=weight_scale,
-        is_uniform=min_w == max_w == 1,
-        min_weight=min_w,
-        max_weight=max_w,
-    )
+    return WeightedSequence(pv, pw, value_scale=value_scale, weight_scale=weight_scale)
 
 
 def _int_column(col: List[Number]) -> List[Number]:
@@ -323,10 +315,7 @@ def _merge_spans(seq: WeightedSequence, cuts: Sequence[int]) -> WeightedSequence
     v0, w0 = pv[cuts[0]], pw[cuts[0]]
     V = _int_column([pv[c] - v0 for c in cuts])
     W = _int_column([pw[c] - w0 for c in cuts])
-    weights = [b - a for a, b in zip(W, W[1:])]
-    lo, hi = min(weights), max(weights)
-    return WeightedSequence(V, W, value_scale=seq.value_scale, weight_scale=seq.weight_scale,
-                            is_uniform=lo == hi == 1, min_weight=lo, max_weight=hi)
+    return WeightedSequence(V, W, value_scale=seq.value_scale, weight_scale=seq.weight_scale)
 
 
 def density(seq: WeightedSequence, i: int, j: int) -> DensityValue:

@@ -383,9 +383,7 @@ class TestCompressRuns:
             listed = build_sequence(items, value_scale=10, weight_scale=100)
             pv, pw = (np.array(col, dtype=np.int64) for col in (listed.prefix_value,
                                                                 listed.prefix_weight))
-            arrayed = WeightedSequence(pv, pw, value_scale=10, weight_scale=100,
-                                       is_uniform=listed.is_uniform, min_weight=listed.min_weight,
-                                       max_weight=listed.max_weight)
+            arrayed = WeightedSequence(pv, pw, value_scale=10, weight_scale=100)
             monkeypatch.setattr(fastpath, "MIN_FAST_N", 1)
             comp = compress_runs(arrayed)
             assert arrayed._pv is None and comp._pv is None  # no list was filled

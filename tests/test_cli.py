@@ -1114,3 +1114,27 @@ class TestBench:
         with pytest.raises(SystemExit) as exc:
             run_cli(["bench", "--sizes", "400", "--algo", "baseline-logl"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--algo", "l-only", "--sizes", "١٠٠"],
+    ["bench", "--algo", "l-only", "--sizes", "1_00"],
+    ["bench", "--algo", "l-only", "--sizes", " 100"],
+    ["bench", "--algo", "l-only", "--sizes", "100", "--L", "٣"],
+    ["bench", "--algo", "l-only", "--sizes", "100", "--repeat", "1_0"],
+    ["bench", "--algo", "l-only", "--sizes", "100", "--seed", " 1"],
+    ["bench", "--algo", "uniform-lu", "--sizes", "100", "--U", "+20"],
+    ["verify", "--seeds", "٣"],
+    ["verify", "--seeds", "3", "--max-n", "2_0"],
+    ["verify", "--seeds", "3", "--seed", "+1"],
+    ["verify", "--seeds", "3", "--L-U", "fixed:١,٢"],
+    ["verify", "--seeds", "3", "--L-U", "fixed:1, 2"],
+], ids=["sizes-arabic-indic", "sizes-underscore", "sizes-blank", "L-arabic-indic",
+        "repeat-underscore", "seed-blank", "U-plus", "seeds-arabic-indic",
+        "max-n-underscore", "seed-plus", "fixed-arabic-indic", "fixed-blank"])
+def test_integer_flags_take_ascii_digits_only(argv):
+    # verify and bench read their counts, seeds and bounds as decimal_units
+    # reads find's decimals: ASCII digits, an optional minus, nothing else.
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: ValueError: --[A-Za-z-]+: [^\n]*\n", err), err

@@ -2,7 +2,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from maxseg import (
     DensityValue,
@@ -112,7 +112,7 @@ class TestBuildSequence:
         import numpy as np
 
         seq = WeightedSequence(np.array([0, 2, -3], dtype=np.int64),
-                               np.array([0, 1, 4], dtype=np.int64), min_weight=1, max_weight=3)
+                               np.array([0, 1, 4], dtype=np.int64))
         seg = make_segment(seq, 2, 2)
         assert (seq.n, seq.total_width, seq.width(1, 2), seg.sum, seg.width) == (2, 4, 4, -5, 3)
         assert {type(x) for x in (seq.total_width, seg.sum, seg.width)} == {int}
@@ -140,6 +140,106 @@ class TestBuildSequence:
         assert seq.value(2) == -5 and seq.weight(2) == 3
         assert not seq.is_uniform and seq.min_weight == 1 and seq.max_weight == 3
         assert build_sequence([(0, 1), (1, 1)]).is_uniform
+
+    def test_list_store_with_no_keywords_solves_by_its_weights(self, rng):
+        # The weight facts come from the prefix sums, so no caller passes them.
+        assert WeightedSequence([0, 1, 3, 4], [0, 1, 3, 4]).max_weight == 2
+        for _ in range(60):
+            listed = general_seq(rng, rng.randint(1, 30), 1, 3)
+            seq = WeightedSequence(listed.prefix_value, listed.prefix_weight)
+            total = seq.total_width
+            L = rng.randint(1, total)
+            U = rng.randint(L, total + 2)
+            answers = []
+            for run in (brute_force_best, lambda *a: solve(SolveRequest(*a))):
+                try:
+                    seg = run(seq, L, U)
+                    answers.append((seg.start, seg.end, seg.density))
+                except InfeasibleWidthWindow:
+                    answers.append(None)
+            assert answers[0] == answers[1], (L, U)
+
+    def test_weight_keywords_do_not_drop_the_weights(self):
+        import numpy as np
+
+        V = np.arange(6, dtype=np.int64)
+        W = np.arange(0, 12, 2, dtype=np.int64)
+        seq = WeightedSequence(V, W, is_uniform=True, min_weight=1, max_weight=1)
+        assert seq.prefix_arrays()[1] is W
+        assert (seq.total_width, seq.width(2, 3), seq.is_uniform) == (10, 4, False)
+        assert (seq.min_weight, seq.max_weight) == (2, 2)
+
+    @pytest.mark.parametrize("keywords", [
+        {}, {"is_uniform": False}, {"is_uniform": False, "min_weight": 1, "max_weight": 3},
+    ])
+    @pytest.mark.parametrize("dtype", ["int32", "int64"])
+    def test_unit_weight_arrays_keep_no_weight_column(self, keywords, dtype):
+        import numpy as np
+
+        seq = WeightedSequence(np.array([0, 2, 2, 5], dtype=dtype),
+                               np.arange(4, dtype=dtype), **keywords)
+        assert seq.prefix_arrays()[1] is None
+        assert (seq.is_uniform, seq.min_weight, seq.max_weight, seq.total_width) == (True, 1, 1, 3)
+
+
+_NUMBERS = {
+    "int": st.integers(-20, 20),
+    "fraction": st.fractions(-20, 20, max_denominator=6),
+    "float": st.floats(-20, 20, allow_nan=False).map(lambda x: round(x * 4) / 4),
+}
+_WEIGHTS = {
+    "int": st.integers(1, 4),
+    "fraction": st.fractions(Fraction(1, 6), 4, max_denominator=6),
+    "float": st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]),
+}
+
+
+def _facts(seq):
+    """(min_weight, max_weight, is_uniform) as the sequence reports them."""
+    return seq.min_weight, seq.max_weight, seq.is_uniform
+
+
+def _direct_facts(seq):
+    """The same three facts computed over the items themselves."""
+    weights = [w for _, w in seq.items]
+    return min(weights), max(weights), all(w == 1 for w in weights)
+
+
+@st.composite
+def _weighted_items(draw):
+    kind = draw(st.sampled_from(sorted(_NUMBERS)))
+    n = draw(st.integers(1, 24))
+    values = draw(st.lists(_NUMBERS[kind], min_size=n, max_size=n))
+    unit = draw(st.booleans())
+    one = {"int": 1, "fraction": Fraction(1), "float": 1.0}[kind]
+    weights = [one] * n if unit else draw(st.lists(_WEIGHTS[kind], min_size=n, max_size=n))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    return list(zip(values, weights)), [0, *cuts, n]
+
+
+class TestDerivedWeightFacts:
+    @given(_weighted_items())
+    @settings(max_examples=150, deadline=None)
+    def test_facts_equal_a_direct_computation(self, drawn):
+        from unittest import mock
+
+        from maxseg import compress_runs, fastpath
+
+        items, cuts = drawn
+        seq = build_sequence(items)
+        assert _facts(seq) == _direct_facts(seq)
+        arrays = seq.prefix_arrays()
+        if arrays is not None:
+            rebuilt = WeightedSequence(*arrays)
+            assert _facts(rebuilt) == _direct_facts(rebuilt) == _facts(seq)
+        merged = _merge_spans(seq, cuts)
+        assert _facts(merged) == _direct_facts(merged)
+        for gate in (1, seq.n + 1):  # the array path, then the list path
+            with mock.patch.object(fastpath, "MIN_FAST_N", gate):
+                compressed = compress_runs(seq)
+            assert _facts(compressed) == _direct_facts(compressed)
+            arrays = compressed.prefix_arrays()
+            assert arrays is None or (arrays[1] is None) == compressed.is_uniform
 
 
 class TestDensity:

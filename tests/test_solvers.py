@@ -831,16 +831,13 @@ class TestNarrowStore:
         return V
 
     @staticmethod
-    def _stores(V, W, weights):
+    def _stores(V, W):
         """The same sequence stored as int64 and as int32 arrays."""
         import numpy as np
 
         from maxseg.core import WeightedSequence
 
-        lo, hi = min(weights), max(weights)
-        return [WeightedSequence(np.array(V, dtype=dt),
-                                 None if W is None else np.array(W, dtype=dt),
-                                 is_uniform=W is None, min_weight=lo, max_weight=hi)
+        return [WeightedSequence(np.array(V, dtype=dt), None if W is None else np.array(W, dtype=dt))
                 for dt in (np.int64, np.int32)]
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -854,7 +851,7 @@ class TestNarrowStore:
                 W = [0]
                 for w in weights:
                     W.append(W[-1] + w)
-                wide, narrow = self._stores(self._walk(rng, n), W if weighted else None, weights)
+                wide, narrow = self._stores(self._walk(rng, n), W if weighted else None)
                 assert fastpath.eligible(wide) and fastpath.eligible(narrow)
                 L = rng.randint(1, W[-1])
                 U = rng.choice((None, rng.randint(L, W[-1] + 2)))
@@ -873,18 +870,16 @@ class TestNarrowStore:
         # -5 and 2**32 - 5 are one int32 value apart from each other: runs
         # found in int32 would merge items 2 and 3.
         edge = -self.EDGE + 1
-        cases = [([0, edge, edge + (1 << 32) - 5, edge + (1 << 32) - 10], None, [1] * 3)]
+        cases = [([0, edge, edge + (1 << 32) - 5, edge + (1 << 32) - 10], None)]
         for _ in range(30):
             n = rng.randint(2, 60)
             weights = [rng.choice((1, 2)) for _ in range(n)]
             W = [0]
             for w in weights:
                 W.append(W[-1] + w)
-            cases.append((self._walk(rng, n), rng.choice((None, W)), weights))
-        for V, W, weights in cases:
-            if W is None:
-                weights = [1] * (len(V) - 1)
-            wide, narrow = self._stores(V, W, weights)
+            cases.append((self._walk(rng, n), rng.choice((None, W))))
+        for V, W in cases:
+            wide, narrow = self._stores(V, W)
             n = wide.n
             for i in range(1, n + 1):
                 for j in range(i, n + 1):
@@ -917,9 +912,9 @@ class TestRoundScratch:
         if weighted:
             W = np.zeros(n + 1, dtype=dtype)
             np.cumsum(rng.integers(1, 4, n), out=W[1:])
-            seq = WeightedSequence(V, W, min_weight=1, max_weight=3)
+            seq = WeightedSequence(V, W)
         else:
-            seq = WeightedSequence(V, None, is_uniform=True, min_weight=1, max_weight=1)
+            seq = WeightedSequence(V, None)
         tracemalloc.start()
         try:
             assert fastpath.best(seq, L, U) is not None
@@ -956,7 +951,7 @@ class TestRoundScratch:
         rng = np.random.default_rng(7)
         V = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(rng.random(n) < 0.4, out=V[1:])
-        seq = WeightedSequence(V, None, is_uniform=True, min_weight=1, max_weight=1)
+        seq = WeightedSequence(V, None)
         tracemalloc.start()
         try:
             assert fastpath.best(seq, 100, 200) is not None

@@ -24,6 +24,16 @@ bounds and ``U = None``, at ``CHUNK`` 1, 3, 64 and 16384 in turn.  An
 instance differs when the three answers are not all the same (an
 infeasible one must raise ``InfeasibleWidthWindow`` in both trees).
 
+The pure group runs the pure-Python solvers from both trees on 1000 random
+instances per seed: ``solve`` with ``MIN_FAST_N`` above every n, so the
+backend declines, and each of ``max_density_min_width``,
+``max_density_uniform`` and ``max_density_general`` (given the total width
+when U is None).  Items are unit-weight, equal-weight (2), 1..3-weight, with
+some items wider than U, or with half-integer values and weights; bounds are
+integral or half-integral.  An instance differs when any call's
+``(start, end, sum, width)`` and four ``OpCounters``, or its error type and
+message, differ between the trees.
+
 The tool prints one summary line per group, one line per input or instance
 whose results differ, and the first find difference in full.  It exits 1
 when any result differs.
@@ -212,6 +222,91 @@ def backend_group(old: Path, rev: str, seeds, jobs: int) -> int:
     return len(differ)
 
 
+PURE_PER_SEED = 1000
+PURE_SHAPES = ("unit", "equal", "weighted", "wide", "halves")
+
+# Reads [items, L, U] instances as JSON on stdin, items as "p/q" strings,
+# and writes, per instance, one result per call: ["ok", start, end, sum,
+# width, counters] or ["error", type, message].
+PURE_WORKER = """
+import json, sys
+from fractions import Fraction
+from maxseg import fastpath, solvers
+from maxseg.core import OpCounters, build_sequence
+
+fastpath.MIN_FAST_N = 1 << 62
+calls = (
+    lambda seq, L, U, c: solvers.solve(solvers.SolveRequest(seq, L, U), counters=c),
+    lambda seq, L, U, c: solvers.max_density_min_width(seq, L, counters=c),
+    lambda seq, L, U, c: solvers.max_density_uniform(
+        seq, L, seq.total_width if U is None else U, counters=c),
+    lambda seq, L, U, c: solvers.max_density_general(
+        seq, L, seq.total_width if U is None else U, counters=c),
+)
+answers = []
+for items, L, U in json.load(sys.stdin):
+    seq = build_sequence((Fraction(v), Fraction(w)) for v, w in items)
+    results = []
+    for call in calls:
+        c = OpCounters()
+        try:
+            seg = call(seq, L, U, c)
+            results.append(["ok", seg.start, seg.end, str(seg.sum), str(seg.width),
+                            [c.init_merges, c.descent_steps, c.bitonic_steps, c.scan_steps]])
+        except Exception as exc:
+            results.append(["error", type(exc).__name__, str(exc)])
+    answers.append(results)
+json.dump(answers, sys.stdout)
+"""
+
+
+def pure_instances(seed: int):
+    """[items, L, U] instances drawn from seed, items as "p/q" strings."""
+    rng = random.Random(seed)
+    cases = []
+    for t in range(PURE_PER_SEED):
+        shape = PURE_SHAPES[t % len(PURE_SHAPES)]
+        n = rng.randint(1, 60)
+        items = []
+        for _ in range(n):
+            v, w = rng.randint(-9, 9), {"unit": 1, "equal": 2}.get(shape) or rng.randint(1, 3)
+            if shape == "wide" and rng.random() < 0.125:
+                w = 9
+            if shape == "halves":
+                v, w = f"{v}/2", f"{w}/2"
+            items.append([str(v), str(w)])
+        L = rng.randint(1, 8) - rng.choice((0, 0.5))
+        U = rng.choice((None, rng.randint(math.ceil(L), 12) + rng.choice((0, 0.5))))
+        cases.append([items, L, U])
+    return cases
+
+
+def pure_answers(tree: Path, cases):
+    """PURE_WORKER's results from tree's sources on every case."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-c", PURE_WORKER], input=json.dumps(cases),
+                          capture_output=True, text=True, env=env, check=True, timeout=600)
+    return json.loads(proc.stdout)
+
+
+def pure_group(old: Path, rev: str, seeds, jobs: int) -> int:
+    """Print the pure group's summary; the number of instances that differ."""
+    cases = [c for seed in seeds for c in pure_instances(seed)]
+    with ThreadPoolExecutor(jobs) as pool:
+        was, now = pool.map(lambda tree: pure_answers(tree, cases), (old, ROOT))
+    differ = [k for k in range(len(cases)) if was[k] != now[k]]
+    calls = [r for results in now for r in results]
+    errors = sorted({r[1] for r in calls if r[0] == "error"})
+    print(f"pure parity vs {rev}: {len(cases)} instances x 4 calls (solve, min-width, "
+          f"uniform, general; {sum(r[0] == 'error' for r in calls)} calls raise: "
+          f"{', '.join(errors)}): {len(cases) - len(differ)} same, {len(differ)} differ")
+    for k in differ:
+        items, L, U = cases[k]
+        pairs = [(a, b) for a, b in zip(was[k], now[k]) if a != b]
+        print(f"  L {L}, U {U}, {len(items)} items: against {pairs[0][0]}, this tree {pairs[0][1]}")
+    return len(differ)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="git revision to compare with")
@@ -224,6 +319,7 @@ def main(argv=None) -> int:
         old = tmp / "against"
         extract(args.against, old)
         backend_differ = backend_group(old, args.against, seeds, args.jobs)
+        pure_differ = pure_group(old, args.against, seeds, args.jobs)
         cases, n_inputs = [], 0
         for name, fmt, data in inputs(seeds):
             n_inputs += 1
@@ -250,7 +346,7 @@ def main(argv=None) -> int:
               f"{'stdin' if stdin else 'a file'}")
         for label, (code, out, err) in (("against", was), ("this tree", now)):
             print(f"  {label}: exit {code}, stdout {out[:200]!r}, stderr {err[:200]!r}")
-    return 1 if differ or backend_differ else 0
+    return 1 if differ or backend_differ or pure_differ else 0
 
 
 if __name__ == "__main__":
