@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
@@ -46,7 +45,6 @@ class WeightedItem(NamedTuple):
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False)
 class DensityValue:
     """A density kept as the exact pair (sum, width) with width > 0.
 
@@ -54,12 +52,13 @@ class DensityValue:
     exactly: d1 <= d2 iff d1.sum * d2.width <= d2.sum * d1.width.
     """
 
-    sum: Number
-    width: Number
+    __slots__ = ("sum", "width")
 
-    def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError(f"density width must be > 0, got {self.width!r}")
+    def __init__(self, sum: Number, width: Number):
+        if not width > 0:
+            raise ValueError(f"density width must be > 0, got {width!r}")
+        self.sum = sum
+        self.width = width
 
     @property
     def value(self) -> float:
@@ -83,8 +82,7 @@ class DensityValue:
         return f"DensityValue({self.sum!r}/{self.width!r} = {self.value:.6g})"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """An inclusive 1-based index range with its density."""
 
     start: int
@@ -330,7 +328,6 @@ def make_segment(seq: WeightedSequence, i: int, j: int) -> Segment:
     return Segment(i, j, density(seq, i, j))
 
 
-@dataclass
 class FeasibilityBounds:
     """Per-left-index feasible endpoint ranges for width bounds [L, U].
 
@@ -345,10 +342,11 @@ class FeasibilityBounds:
     non-uniform weights, meaning index i admits no feasible endpoint.
     """
 
-    lidx: List[Optional[int]]
-    uidx: List[int]
-    i0: Optional[int]
-    cursor_advances: int = 0
+    __slots__ = ("lidx", "uidx", "i0", "cursor_advances")
+
+    def __init__(self, lidx: List[Optional[int]], uidx: List[int], i0: Optional[int],
+                 cursor_advances: int = 0):
+        self.lidx, self.uidx, self.i0, self.cursor_advances = lidx, uidx, i0, cursor_advances
 
 
 def compute_bounds(seq: WeightedSequence, L: RealInput, U: RealInput) -> FeasibilityBounds:
@@ -391,7 +389,6 @@ def compute_bounds(seq: WeightedSequence, L: RealInput, U: RealInput) -> Feasibi
     return FeasibilityBounds(lidx=lidx, uidx=uidx, i0=i0, cursor_advances=advances)
 
 
-@dataclass
 class OpCounters:
     """Loop-iteration counters for the sweep structures.
 
@@ -401,10 +398,21 @@ class OpCounters:
     elements consumed while re-locating the bridge.
     """
 
-    init_merges: int = 0
-    descent_steps: int = 0
-    bitonic_steps: int = 0
-    scan_steps: int = 0
+    __slots__ = ("init_merges", "descent_steps", "bitonic_steps", "scan_steps")
+
+    def __init__(self, init_merges: int = 0, descent_steps: int = 0,
+                 bitonic_steps: int = 0, scan_steps: int = 0):
+        self.init_merges, self.descent_steps = init_merges, descent_steps
+        self.bitonic_steps, self.scan_steps = bitonic_steps, scan_steps
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return self._values() == other._values() if type(other) is OpCounters else NotImplemented
+
+    def __repr__(self):
+        return f"OpCounters({', '.join(f'{k}={getattr(self, k)}' for k in self.__slots__)})"
 
     def total(self) -> int:
         return self.init_merges + self.descent_steps + self.bitonic_steps + self.scan_steps

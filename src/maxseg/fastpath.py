@@ -82,9 +82,11 @@ HAVE_NUMBA = False
 _INT64_PRODUCT_BOUND = 1 << 62
 
 # Inputs below this size never import numpy, which costs a fresh process
-# about 0.12 s (2-vCPU x86-64 host).  It is not where the kernel starts to
-# win: with numpy imported, 1e4 records of 100-300 bases solved about five
-# times faster with every record sent to the kernel.
+# about 55 ms of CPU and 13 MB over ``python -c pass`` (tools/abtime.py, 21
+# pairs; 2-vCPU x86-64 host, numpy 2.4, one OpenBLAS thread).  It is not
+# where the kernel starts to win: with numpy imported, 1e4 records of
+# 100-300 bases solved about five times faster with every record sent to
+# the kernel.
 MIN_FAST_N = 4096
 
 # Dinkelbach rounds before giving up on the kernel.  Each round strictly

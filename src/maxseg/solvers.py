@@ -21,7 +21,6 @@ that start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
@@ -37,22 +36,23 @@ from .core import (
     make_segment,
 )
 from .errors import InfeasibleWidthWindow, NonUniformInput
-from .sweep_left import find_match_min_width, initialize_min_width
-from .sweep_right import find_match_max_width, initialize_max_width
 
-@dataclass
+# The sweeps (sweep_left, sweep_right) are imported by the pure solvers when
+# they run, not here: input the backend answers never loads them.  They are
+# read from their modules at each call, so a wrapper set there is called.
+
+
 class SolveRequest:
     """A solve call: sequence plus width bounds; U=None means unbounded."""
 
-    seq: WeightedSequence
-    L: RealInput
-    U: Optional[RealInput] = None
+    __slots__ = ("seq", "L", "U")
 
-    def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L!r}")
-        if self.U is not None and not self.U >= self.L:  # also catches NaN
-            raise ValueError(f"need L <= U, got L={self.L!r} U={self.U!r}")
+    def __init__(self, seq: WeightedSequence, L: RealInput, U: Optional[RealInput] = None):
+        if not L > 0:
+            raise ValueError(f"L must be positive, got {L!r}")
+        if U is not None and not U >= L:  # also catches NaN
+            raise ValueError(f"need L <= U, got L={L!r} U={U!r}")
+        self.seq, self.L, self.U = seq, L, U
 
 
 def _densest(seq: WeightedSequence, lidx, i0: int, ends) -> Segment:
@@ -98,6 +98,8 @@ def max_density_min_width(
     n = seq.n
     if seq.prefix_weight[n] < L:
         raise InfeasibleWidthWindow(f"total width {seq.total_width!r} below L={L!r}")
+    from .sweep_left import find_match_min_width, initialize_min_width
+
     c = counters if counters is not None else OpCounters()
     bounds = compute_bounds(seq, L, seq.prefix_weight[n])
     state = initialize_min_width(seq, 1, n, bounds, counters=c)
@@ -156,6 +158,9 @@ def max_density_uniform(
     i0 = n - Lc + 1
     if Lc == Uc:  # one item count fits: left index i has the one endpoint i + Lc - 1
         return _densest(seq, range(Lc - 1, n + Lc), i0, lambda i: (i + Lc - 1,))
+    from .sweep_left import find_match_min_width, initialize_min_width
+    from .sweep_right import find_match_max_width, initialize_max_width
+
     c = counters if counters is not None else OpCounters()
     bounds = FeasibilityBounds(
         lidx=[None, *range(Lc, n + 1)] + [None] * (Lc - 1),
@@ -230,6 +235,8 @@ def max_density_general(
     total = seq.prefix_weight[n]
     if total < L:
         raise InfeasibleWidthWindow(f"total width {total!r} below L={L!r}")
+    from .sweep_left import find_match_min_width, initialize_min_width
+
     c = counters if counters is not None else OpCounters()
     bounds = compute_bounds(seq, L, min(U, total))
     i0 = bounds.i0

@@ -26,8 +26,9 @@ from maxseg import (
     max_density_uniform,
     solve,
 )
-from maxseg.cli import main as cli_main, random_general_instance, random_uniform_instance
+from maxseg.cli import main as cli_main
 from maxseg.core import compute_bounds
+from maxseg.dev import random_general_instance, random_uniform_instance
 from maxseg.oracle import _is_right_skew
 from maxseg.solvers import _iter_cover
 from maxseg.sweep_left import initialize_min_width

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import maxseg.cli as cli
+import maxseg.dev as dev
 from maxseg import (
     DensityValue,
     InfeasibleWidthWindow,
@@ -427,6 +428,31 @@ class TestFind:
         proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
         assert [row.split("\t")[0] for row in proc.stdout.splitlines()] == ["record_id", "r1"]
+
+    def test_backend_find_loads_only_what_it_runs(self, tmp_path):
+        # the package loads no submodule until a name is read, and a find
+        # that the backend answers loads no sweep, oracle or verify/bench
+        # code, nor the dataclasses and statistics modules
+        path = tmp_path / "long.fa"
+        path.write_text(">a\n" + "GATTACAGGC" * (fastpath.MIN_FAST_N // 10 + 1) + "\n")
+        script = (
+            "import runpy, sys\n"
+            "import maxseg\n"
+            "assert not [m for m in sys.modules if m.startswith('maxseg.')], 'submodule loaded'\n"
+            "assert set(maxseg.__all__) <= set(dir(maxseg))\n"
+            f"sys.argv = ['maxseg', 'find', '--input', {str(path)!r}, '--format', 'fasta',"
+            " '--L', '10', '--U', '20']\n"
+            "try:\n"
+            "    runpy.run_module('maxseg', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "assert 'numpy' in sys.modules\n"
+            "print([m for m in ('maxseg.oracle', 'maxseg.sweep_left', 'maxseg.sweep_right',"
+            " 'maxseg.dev', 'statistics', 'dataclasses') if m in sys.modules])\n"
+        )
+        proc = run_python(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("caller", [None, "2"])
     def test_run_gives_openblas_one_thread_unless_the_caller_set_it(self, tmp_path, caller):
@@ -1020,14 +1046,14 @@ class TestVerify:
         def mutant(req, **kw):
             return Segment(1, 1, DensityValue(req.seq.prefix_value[1] - 1, 1))
 
-        monkeypatch.setattr(cli, "solve", mutant)
+        monkeypatch.setattr(dev, "solve", mutant)
         code, out, _ = run_cli(["verify", "--seeds", "10", "--max-n", "20"])
         assert code == 1
         assert "first counterexample: seed=" in out
 
     def test_tie_rule_checked(self, monkeypatch):
         # an equal-density answer with a later start breaks the tie rule
-        real_solve = cli.solve
+        real_solve = dev.solve
 
         def later_tie(req, **kw):
             seg, seq = real_solve(req, **kw), req.seq
@@ -1038,7 +1064,7 @@ class TestVerify:
                         return make_segment(seq, i, j)
             return seg
 
-        monkeypatch.setattr(cli, "solve", later_tie)
+        monkeypatch.setattr(dev, "solve", later_tie)
         code, out, _ = run_cli(["verify", "--seeds", "30", "--max-n", "12",
                                 "--L-U", "fixed:1,1"])
         assert code == 1

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import maxseg.fastpath as fastpath
 import maxseg.solvers as solvers
+import maxseg.sweep_left as sweep_left
+import maxseg.sweep_right as sweep_right
 from maxseg import (
     InfeasibleWidthWindow,
     NonUniformInput,
@@ -83,13 +85,13 @@ class TestMaxDensityMinWidth:
     def test_queries_the_structure_once_per_left_index(self, monkeypatch):
         # The one-endpoint query (lidx[i] == n) goes to the structure too.
         calls = []
-        orig = solvers.find_match_min_width
+        orig = sweep_left.find_match_min_width
 
         def spy(state, i):
             calls.append(i)
             return orig(state, i)
 
-        monkeypatch.setattr(solvers, "find_match_min_width", spy)
+        monkeypatch.setattr(sweep_left, "find_match_min_width", spy)
         seq = build_sequence([(v, 1) for v in (3, 1, 4, 1, 5, 9, 2, 6)])
         seg = max_density_min_width(seq, 3)
         assert calls == [6, 5, 4, 3, 2, 1]  # i0 = 6 down to 1
@@ -153,13 +155,13 @@ class TestMaxDensityUniform:
         # Block z's endpoint ranges spill only into block z + 1, so the
         # max-width structures start at the second block.
         starts = []
-        orig = solvers.initialize_max_width
+        orig = sweep_right.initialize_max_width
 
         def spy(seq, x, y, *a, **kw):
             starts.append(x)
             return orig(seq, x, y, *a, **kw)
 
-        monkeypatch.setattr(solvers, "initialize_max_width", spy)
+        monkeypatch.setattr(sweep_right, "initialize_max_width", spy)
         seq = uniform_seq(rng, 20)
         seg = max_density_uniform(seq, 3, 7)  # blocks of 4 start at 1, 5, ..., 17
         assert starts == [5, 9, 13, 17]
@@ -297,13 +299,13 @@ class TestMaxDensityGeneral:
         # Structures exist only at levels 1..beta, about n / 2 + n / 4 + ...
         # blocks; a one-item block answers its own index.
         calls = []
-        orig = solvers.initialize_min_width
+        orig = sweep_left.initialize_min_width
 
         def spy(seq, x, y, *a, **kw):
             calls.append(y - x + 1)
             return orig(seq, x, y, *a, **kw)
 
-        monkeypatch.setattr(solvers, "initialize_min_width", spy)
+        monkeypatch.setattr(sweep_left, "initialize_min_width", spy)
         for n in (3000, 5000):
             calls.clear()
             seq = general_seq(rng, n, 1, 3)
@@ -383,12 +385,13 @@ class TestSolveDispatch:
         # it directly and builds neither structure.
         calls = []
 
-        def spy(name):
-            orig = getattr(solvers, name)
+        def spy(module, name):
+            orig = getattr(module, name)
             return lambda *a, **kw: calls.append(name) or orig(*a, **kw)
 
-        for name in ("initialize_min_width", "initialize_max_width"):
-            monkeypatch.setattr(solvers, name, spy(name))
+        for module, name in ((sweep_left, "initialize_min_width"),
+                             (sweep_right, "initialize_max_width")):
+            monkeypatch.setattr(module, name, spy(module, name))
         tied = build_sequence([(v, 2) for v in (1, 3, 0, 3, 1, 3, 1)])  # windows 4, 3, 3, 4, 4, 4
         for seq, L in ((uniform_seq(random.Random(3), 10), 4), (tied, 4), (tied, 12)):
             got = solve(SolveRequest(seq, L, L))

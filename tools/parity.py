@@ -11,10 +11,16 @@ inputs:
   (above it) bodies of tsv-weighted rows with other line ends, a UTF-8
   comment, or one row that sits at an edge of the TSV grammar.
 
-Each input runs under the flag sets {}, --exact and --compress, and under
-fractional bounds (and, for FASTA, ``--mapping huang:0.45``), read from a
-file and from stdin (a pipe), and stdout, stderr and exit code are compared
-byte for byte.
+Each input runs under the flag sets {}, --exact, --compress and
+--debug-dump (whose stderr holds the sweep tables), and under fractional
+bounds (and, for FASTA, ``--mapping huang:0.45``), read from a file, from
+stdin (a pipe) and from a named pipe given as ``--input``, and stdout,
+stderr and exit code are compared byte for byte (an output past 64 KiB by
+its length and SHA-256).
+
+The dev group runs ``verify --seeds 200`` for each model and ``bench
+--sizes 2e3`` for each algorithm from both trees, and compares exit code,
+stderr and stdout byte for byte, less bench's ``wall_nanos`` column.
 
 The backend group runs ``fastpath.best`` from both trees, with
 ``MIN_FAST_N = 1``, on 1000 random instances per seed, and this tree's
@@ -43,6 +49,7 @@ It needs git, the standard library and numpy (perfbench's generators).
 """
 
 import argparse
+import hashlib
 import io
 import json
 import math
@@ -52,6 +59,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -63,10 +71,13 @@ FIND_ARGS = {
 # The flag sets each input of a format runs under.  A set's --mapping, --L
 # or --U replaces the one in FIND_ARGS, as argparse keeps the last.
 FLAG_SETS = {
-    "fasta": [[], ["--exact"], ["--compress"], ["--mapping", "huang:0.45"],
+    "fasta": [[], ["--exact"], ["--compress"], ["--debug-dump"], ["--mapping", "huang:0.45"],
               ["--L", "99.5", "--U", "200.25"]],
-    "tsv": [[], ["--exact"], ["--compress"], ["--L", "100.05", "--U", "1100.5"]],
+    "tsv": [[], ["--exact"], ["--compress"], ["--debug-dump"], ["--L", "100.05", "--U", "1100.5"]],
 }
+# Where find reads its input from: --input PATH, --input - with the bytes on
+# stdin, or --input FIFO, a named pipe that a thread writes them into.
+SOURCES = ("file", "stdin", "fifo")
 
 # TSV rows put in place of one body row, by name.  The first three are in
 # the grammar; the rest leave it.
@@ -128,14 +139,79 @@ def inputs(seeds):
             yield f"tsv-{size}-{name}", "tsv", ("\n".join(edited) + "\n").encode()
 
 
-def find(tree: Path, fmt: str, flags, path: Path, stdin: bool):
-    """(exit code, stdout, stderr) of one `find` run from tree's sources."""
+def find(tree: Path, fmt: str, flags, path: Path, source: str):
+    """(exit code, stdout, stderr) of one `find` run from tree's sources,
+    each output as :func:`kept` keeps it."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, "-m", "maxseg", "find", "--input", "-" if stdin else str(path),
-            *FIND_ARGS[fmt], *flags]
-    proc = subprocess.run(argv, input=path.read_bytes() if stdin else b"",
-                          capture_output=True, env=env, cwd=path.parent, timeout=600)
-    return proc.returncode, proc.stdout, proc.stderr
+    data = path.read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        where = {"file": str(path), "stdin": "-", "fifo": os.path.join(tmp, "fifo")}[source]
+        argv = [sys.executable, "-m", "maxseg", "find", "--input", where, *FIND_ARGS[fmt], *flags]
+        writer = None
+        if source == "fifo":
+            os.mkfifo(where)
+            writer = threading.Thread(target=feed, args=(where, data))
+            writer.start()
+        try:
+            proc = subprocess.run(argv, input=data if source == "stdin" else b"",
+                                  capture_output=True, env=env, cwd=path.parent, timeout=600)
+        finally:
+            while writer is not None and writer.is_alive():  # the run left the pipe unread
+                os.close(os.open(where, os.O_RDONLY | os.O_NONBLOCK))  # so the write ends
+                writer.join(0.1)
+    return proc.returncode, kept(proc.stdout), kept(proc.stderr)
+
+
+def feed(fifo: str, data: bytes) -> None:
+    """Write data into the named pipe fifo for one reader; a reader that
+    closes the pipe early ends the write."""
+    try:
+        with open(fifo, "wb") as pipe:
+            pipe.write(data)
+    except BrokenPipeError:
+        pass
+
+
+def kept(output: bytes) -> bytes:
+    """output, or past 64 KiB its length, SHA-256 and first 200 bytes: the
+    debug dump of a long input runs to tens of MB."""
+    if len(output) <= 1 << 16:
+        return output
+    digest = hashlib.sha256(output).hexdigest()
+    return f"{len(output)} bytes, sha256 {digest}: ".encode() + output[:200]
+
+
+DEV_RUNS = ([["verify", "--seeds", "200", "--model", model] for model in ("uniform", "general")]
+            + [["bench", "--sizes", "2e3", "--algo", algo]
+               for algo in ("l-only", "uniform-lu", "general-lu")])
+
+
+def dev_output(tree: Path, argv):
+    """(exit code, stdout, stderr) of one verify or bench run from tree's
+    sources; bench's CSV loses its wall_nanos column, which is a timing."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-m", "maxseg", *argv], capture_output=True,
+                          env=env, timeout=600)
+    out = proc.stdout
+    if argv[0] == "bench" and out:
+        rows = [line.split(b",") for line in out.splitlines()]
+        wall = rows[0].index(b"wall_nanos")
+        out = b"\n".join(b",".join(row[:wall] + row[wall + 1:]) for row in rows)
+    return proc.returncode, out, proc.stderr
+
+
+def dev_group(old: Path, rev: str, jobs: int) -> int:
+    """Print the dev group's summary; the number of runs that differ."""
+    with ThreadPoolExecutor(jobs) as pool:
+        results = list(pool.map(lambda argv: (dev_output(old, argv), dev_output(ROOT, argv)),
+                                DEV_RUNS))
+    differ = [(argv, got) for argv, got in zip(DEV_RUNS, results) if got[0] != got[1]]
+    print(f"dev parity vs {rev}: {len(DEV_RUNS)} runs (verify --seeds 200 per model, bench "
+          f"--sizes 2e3 per algo, wall_nanos left out): {len(DEV_RUNS) - len(differ)} same, "
+          f"{len(differ)} differ")
+    for argv, (was, now) in differ:
+        print(f"  {' '.join(argv)}: against {was!r}, this tree {now!r}")
+    return len(differ)
 
 
 BACKEND_CHUNKS = (1, 3, 64, 16384)
@@ -320,14 +396,15 @@ def main(argv=None) -> int:
         extract(args.against, old)
         backend_differ = backend_group(old, args.against, seeds, args.jobs)
         pure_differ = pure_group(old, args.against, seeds, args.jobs)
+        dev_differ = dev_group(old, args.against, args.jobs)
         cases, n_inputs = [], 0
         for name, fmt, data in inputs(seeds):
             n_inputs += 1
             (tmp / name).mkdir()
             path = tmp / name / "input"
             path.write_bytes(data)
-            cases += [(name, fmt, flags, path, stdin)
-                      for flags in FLAG_SETS[fmt] for stdin in (False, True)]
+            cases += [(name, fmt, flags, path, source)
+                      for flags in FLAG_SETS[fmt] for source in SOURCES]
         with ThreadPoolExecutor(args.jobs) as pool:
             results = list(pool.map(
                 lambda c: (find(old, *c[1:]), find(ROOT, *c[1:])), cases))
@@ -341,12 +418,11 @@ def main(argv=None) -> int:
                  for r in (was, now)]
         print(f"  {name}: {first[0]!r} -> {first[1]!r}")
     if differ:
-        (name, fmt, flags, _, stdin), (was, now) = differ[0]
-        print(f"first difference: {name} {' '.join(flags) or '{}'} from "
-              f"{'stdin' if stdin else 'a file'}")
+        (name, fmt, flags, _, source), (was, now) = differ[0]
+        print(f"first difference: {name} {' '.join(flags) or '{}'} from {source}")
         for label, (code, out, err) in (("against", was), ("this tree", now)):
             print(f"  {label}: exit {code}, stdout {out[:200]!r}, stderr {err[:200]!r}")
-    return 1 if differ or backend_differ or pure_differ else 0
+    return 1 if differ or backend_differ or pure_differ or dev_differ else 0
 
 
 if __name__ == "__main__":
