@@ -203,7 +203,7 @@ def scan_fasta(read) -> List[Tuple[str, int, int, int]]:
 
 
 def _line_of(read, at: int) -> int:
-    """The line of FASTA input that holds byte at, counted from 1."""
+    """The line of FASTA or TSV input that holds byte at, counted from 1."""
     line, off, cr = 1, 0, False  # cr: the bytes so far end in a CR
     while off < at and (b := read(off, min(FASTA_BLOCK, at - off))):
         line += b.count(b"\n") + b.count(b"\r") - b.count(b"\r\n") - (cr and b[0] == 10)
@@ -288,8 +288,11 @@ def parse_tsv(stream: Union[str, bytes, IO[bytes]]) -> WeightedSequence:
 
     From ``fastpath.MIN_FAST_N`` line ends up,
     :func:`maxseg.tsv_arrays.tsv_to_arrays` reads the input first, a chunk
-    at a time; what it hands back, and shorter input, is read by the loop
-    below into Python ints, without numpy.
+    at a time; input it hands back, and shorter input, is read by
+    :func:`_tsv_rows` into Python ints, without numpy.  As the array path
+    accepts every chunk before the one it stopped at, a fault lies in that
+    chunk or after it: the rows from there are checked first, and the
+    input is read again from its start only when they hold no fault.
     """
     if isinstance(stream, str) and not stream.isascii():
         stream = stream.encode()
@@ -300,16 +303,34 @@ def parse_tsv(stream: Union[str, bytes, IO[bytes]]) -> WeightedSequence:
         read = _reader(io.BytesIO(stream) if isinstance(stream, bytes) else stream)
     lines = at = 0  # line ends; a CRLF cut between blocks counts twice, as lines only bounds rows
     while block := read(at, TSV_CHUNK):
-        lines += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+        lines += block.count(b"\n")
+        if b"\r" in block:  # a count scans the block: skip it without a CR
+            lines += block.count(b"\r") - block.count(b"\r\n")
         at += len(block)
     if lines >= fastpath.MIN_FAST_N:
         from .tsv_arrays import tsv_to_arrays
 
-        if (seq := tsv_to_arrays(_tsv_chunks(read), lines)) is not None:
-            return seq
-    rows = []  # (value units, places, weight units, places) per item
+        stop = tsv_to_arrays(_tsv_chunks(read), lines)
+        if not isinstance(stop, int):
+            return stop
+        if stop:  # the first fault, if any, lies in the chunk it stopped at or after
+            for _ in _tsv_rows(read, stop, _line_of(read, stop) - 1):
+                pass
+    rows = list(_tsv_rows(read))
+    if not rows:
+        raise MalformedTsv(1, "no items found")
+    vp, wp = max(row[1] for row in rows), max(row[3] for row in rows)
+    items = ((v * 10 ** (vp - p), w * 10 ** (wp - q)) for v, p, w, q in rows)
+    return build_sequence(items, value_scale=10 ** vp, weight_scale=10 ** wp)
+
+
+def _tsv_rows(read, at: int = 0, line: int = 0) -> Iterator[Tuple[int, int, int, int]]:
+    """(value units, places, weight units, places) per item of the TSV input
+    from byte at, the start of its line ``line + 1``; the first fault raises
+    MalformedTsv with its line."""
     # Chunks cut no CRLF; bytes.splitlines splits at LF, CRLF and CR.
-    for line, text in enumerate((t for c in _tsv_chunks(read) for t in c.splitlines()), 1):
+    for line, text in enumerate((t for c in _tsv_chunks(read, at) for t in c.splitlines()),
+                                line + 1):
         text = text.strip(b" \t")
         if text.startswith(b"#"):
             try:
@@ -321,28 +342,24 @@ def parse_tsv(stream: Union[str, bytes, IO[bytes]]) -> WeightedSequence:
             if len(fields) != 2:
                 raise MalformedTsv(line, f"expected 2 fields, got {len(fields)}")
             try:
-                rows.append(decimal_units(fields[0], SCALE_CAP_DIGITS)
-                            + decimal_units(fields[1], SCALE_CAP_DIGITS))
+                row = (decimal_units(fields[0], SCALE_CAP_DIGITS)
+                       + decimal_units(fields[1], SCALE_CAP_DIGITS))
             except ValueError as exc:
                 raise MalformedTsv(line, str(exc)) from None
-            if rows[-1][2] <= 0:
+            if row[2] <= 0:
                 raise MalformedTsv(line, "weight must be > 0")
-    if not rows:
-        raise MalformedTsv(1, "no items found")
-    vp, wp = max(row[1] for row in rows), max(row[3] for row in rows)
-    items = ((v * 10 ** (vp - p), w * 10 ** (wp - q)) for v, p, w, q in rows)
-    return build_sequence(items, value_scale=10 ** vp, weight_scale=10 ** wp)
+            yield row
 
 
 # Bytes of TSV input read at once; bounds the array path's scratch.  16 KiB
 # took a third more CPU than 64 KiB to parse 2e6 rows (2-vCPU x86-64 host).
 TSV_CHUNK = 1 << 16
 
-def _tsv_chunks(read) -> Iterator[bytes]:
-    """The input read ``TSV_CHUNK`` bytes at a time, as chunks cut after a
-    line end, but not after a CR that ends a block (its LF may follow); a
-    last line without a line end gains a LF."""
-    parts, at = [], 0
+def _tsv_chunks(read, at: int = 0) -> Iterator[bytes]:
+    """The input from byte at, the start of a line, read ``TSV_CHUNK`` bytes
+    at a time, as chunks cut after a line end, but not after a CR that ends
+    a block (its LF may follow); a last line without a line end gains a LF."""
+    parts = []
     while block := read(at, TSV_CHUNK):
         at += len(block)
         cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1

@@ -132,12 +132,22 @@ def _block_min(B, lo, hi, out, first=0):
 
     size = hi - lo + 1
     g0, g1 = int(size.min()).bit_length(), int(size.max()).bit_length()
+    # A window of b to 2b - 1 keys, b = 2**(g - 1) for g its size's bit
+    # length, is read from level b: its first and last b keys.  Each
+    # window's g is found once: its size is written over as a float (exact
+    # below 2**53), whose exponent field holds g + 1022.
+    level = None
+    if g0 != g1:
+        np.copyto(size.view(np.float64), size, casting="unsafe")
+        level = size
+        level >>= 52
+    del size
     for b, M in _doubling(B):
-        if b.bit_length() >= g0:
-            # a window of b to 2b - 1 keys: its first and last b keys
-            at = slice(None) if g0 == g1 else (size >= b) & (size < 2 * b)
+        g = b.bit_length()
+        if g >= g0:
+            at = slice(None) if level is None else level == g + 1022
             out[at] = np.minimum(M[lo[at] - first], M[hi[at] - (first + b - 1)])
-        if b.bit_length() == g1:
+        if g == g1:
             return
 
 

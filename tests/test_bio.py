@@ -635,6 +635,9 @@ class TestParseTsv:
         "1\t2\r3\t4\n",  # a lone CR
         "1\t2\n# caf\u00e9\n",  # UTF-8 in a comment
         "# a\vb c\n1\t1\n",  # a control byte in a comment
+        "-123456789.123456789\t1\n",  # 20 bytes: a sign, 18 digits and a dot
+        "1\t1\n" * 8 + "2\t2000.000000001\n" + "3\t1\n" * 8,  # one long weight
+        "1\t2 \n 3 \t 4\n",  # gaps of three bytes, with and without a line end
     ]
     OUTSIDE_GRAMMAR = [
         "1.\t1\n", ".5\t1\n", "+1\t1\n", "1e3\t1\n", "1_0\t1\n", "-\t1\n", "-.5\t1\n",
@@ -650,6 +653,8 @@ class TestParseTsv:
         "1\r\t2\n", "# a\rb\n1\t1\n",  # a lone CR ends a line
         "1\n", "1\t2\t3\n", "1\t2\n3\n", "1\t2\t3\t4\n",  # 1, 3 and 4 fields
         "# only\n# comments\n", "\n \n", "a\tb\n",
+        "1234567890.123456789\t1\n",  # 19 digits and a dot
+        "1#\t2\n", "1\t2#\n", "1\t1\n-.5\t1\n", ".\t1\n", "1\t.\n",
     ]
 
     def test_each_column_widens_once_its_sum_leaves_int32(self):
@@ -666,6 +671,41 @@ class TestParseTsv:
         arrays, exact, arrays_answered = self.both_paths(text)
         assert arrays == exact
         assert arrays_answered == (text in self.IN_GRAMMAR)
+
+    # Rows in the array path's grammar, about ten to a 64-byte chunk.
+    LONG_ROWS = [f"{k % 7 - 3}.{k % 10}\t{1 + k % 3}\n" for k in range(60)]
+
+    @pytest.mark.parametrize("at", [0, 30, 60], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", ["1_000\t1\n", "1\t0\n", "1\t2\t3\n", "# \udcff\n",
+                                     "1\t-.5\n"])
+    def test_a_fault_is_read_from_the_chunk_the_array_path_stopped_at(self, at, bad):
+        # The array path accepts every chunk before the faulty one, so the
+        # line reader starts there, and never reads the rows before it.
+        text = "".join(self.LONG_ROWS[:at]) + bad + "".join(self.LONG_ROWS[at:])
+        data = text.encode(errors="surrogateescape")
+        line_reader = self.parse_on(data, 1 << 62)[0]
+        assert line_reader[0] is MalformedTsv and line_reader[1] == at + 1
+        with mock.patch.object(bio, "decimal_units", wraps=bio.decimal_units) as read:
+            assert self.parse_on(data, 1, chunk=64)[0] == line_reader
+        assert read.call_count <= 2 * 16  # two fields a row, at most 16 rows
+
+    @pytest.mark.parametrize("past", ["999999999999999999\t1\n" * 10,
+                                      "1234567890123456789\t1\n"],
+                             ids=["sum past int64", "19 digits"])
+    def test_a_chunk_only_past_the_array_path_then_a_fault(self, past):
+        # The rows from the chunk the array path stopped at hold no fault
+        # until a later line: that fault is raised.  With no fault at all,
+        # the input is read again from its start.
+        rows = self.LONG_ROWS
+        for tail, want in (("1_000\t1\n", MalformedTsv), ("", None)):
+            text = "".join(rows[:20]) + past + "".join(rows[20:]) + tail
+            line_reader = self.parse_on(text, 1 << 62)
+            got = self.parse_on(text, 1, chunk=64)
+            assert got == line_reader
+            if want:
+                assert got[0][:2] == (want, text.count("\n"))
+            else:
+                assert got[1] is False  # answered by the line reader, in Python ints
 
     # Mostly rows in the array path's grammar, so both paths answer often;
     # the rest are fields, gaps and lines that leave it, drawn from an edge
